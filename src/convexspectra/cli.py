@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, heights
 from .errors import (BodyParseError, BodyValidationError, ConvexSpectraError,
                      NoBlowupError, NotTileableError, NoZerosFoundError)
-from .fourier import DEFAULT_OPTS, cap_lower_bound_scan, ft_body
+from .fourier import QUAD_TOL, SINGULAR_THRESHOLD, cap_lower_bound_scan, ft_body
 from .geometry import (ConvexBody, ConvexPolygon, GraphBody, Lattice,
                        decompose_caps, measures, validate_polygon)
 from .obstruction import check_certificate, nonspectral_certificate
@@ -207,8 +207,8 @@ def _cmd_ft(args) -> int:
         _write_csv(args.out, ["xi1", "xi2", "re", "im", "abs_err", "method",
                               "converged"], rows)
     _write_manifest(args.out, "ft", args,
-                    {"singular_threshold": DEFAULT_OPTS.singular_threshold,
-                     "quad_tol": DEFAULT_OPTS.quad_tol}, t0)
+                    {"singular_threshold": SINGULAR_THRESHOLD,
+                     "quad_tol": QUAD_TOL}, t0)
     return 0
 
 
@@ -408,7 +408,7 @@ def _cmd_cap_scan(args) -> int:
                    [[res.R, res.value, res.ratio, res.delta, res.window[0],
                      res.window[1], res.grid_step]])
     _write_manifest(args.out, "cap-scan", args,
-                    {"quad_tol": DEFAULT_OPTS.quad_tol}, t0)
+                    {"quad_tol": QUAD_TOL}, t0)
     if math.isnan(res.ratio):
         print("cap is identically zero; no lower bound", file=sys.stderr)
         return 1

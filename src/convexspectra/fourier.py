@@ -4,9 +4,13 @@ The transform convention is
 
     T(xi) = integral over the body of exp(-2*pi*i * xi . x) dx,
 
-so T(0) is the area.  Polygons get an exact edge-sum closed form; graph-form
-bodies get panelized Gauss-Legendre with the inner y-integral done in closed
-form; scipy adaptive quadrature provides the independent cross-check route.
+so T(0) is the area.  Polygons get an exact edge-sum closed form, with an
+exact moment series for |xi| <= SINGULAR_THRESHOLD.  Graph-form bodies get one
+panel rule: Gauss-Legendre panels in x with the inner y-integral done in
+closed form, refined by the factor 1.5 until two successive rules agree on a
+set of check points.  The reported `err` of a curved-body value is that
+difference between the last two rules.  scipy adaptive quadrature provides
+the independent cross-check route.
 """
 
 from __future__ import annotations
@@ -26,24 +30,15 @@ from .heights import HeightFn
 _TWO_PI = 2.0 * math.pi
 _EPS = np.finfo(float).eps
 
-
-@dataclass(frozen=True)
-class EvalOptions:
-    """Evaluation knobs.
-
-    singular_threshold: |xi| below which the polygon closed form switches to
-        the exact moment series (the edge sum loses ~|xi|^-1 digits to
-        cancellation near the origin; the series is exact there).
-    quad_tol: absolute tolerance requested from adaptive quadrature.
-    max_subdivisions: subdivision limit for scipy quadrature routines.
-    """
-
-    singular_threshold: float = 1e-2
-    quad_tol: float = 1e-10
-    max_subdivisions: int = 200
-
-
-DEFAULT_OPTS = EvalOptions()
+# |xi| below which the polygon closed form switches to the exact moment series
+# (the edge sum loses ~|xi|^-1 digits to cancellation near the origin)
+SINGULAR_THRESHOLD = 1e-2
+# absolute tolerance requested from adaptive quadrature
+QUAD_TOL = 1e-10
+# subdivision limit for scipy quadrature routines
+_MAX_SUBDIVISIONS = 200
+# panel refinements tried before a curved-body rule is reported unconverged
+_REFINE_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -53,12 +48,6 @@ class FourierSample:
     method: str  # "closed_form" | "quadrature"
     err: float
     converged: bool = True
-
-
-def ft_square(xi) -> float:
-    """Transform of the unit square [-1/2, 1/2]^2: sinc(xi1) * sinc(xi2)."""
-    xi = np.asarray(xi, dtype=float)
-    return float(np.sinc(xi[..., 0]) * np.sinc(xi[..., 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +91,9 @@ def polygon_moments(poly: ConvexPolygon, kmax: int) -> np.ndarray:
     Computed by the signed origin-fan over edges: for the triangle (0, p, q)
     with Jacobian cross(p, q), expand (u p + v q) binomially and use
     integral over the unit simplex of u^i v^j = i! j! / (i + j + 2)!.
+    Each table is kept on the polygon, so it lives exactly as long as it does.
     """
-    key = (id(poly), kmax)
-    cached = _moment_cache.get(key)
+    cached = poly.moment_tables.get(kmax)
     if cached is not None:
         return cached
     fac = _factorials(2 * kmax + 2)
@@ -125,13 +114,9 @@ def polygon_moments(poly: ConvexPolygon, kmax: int) -> np.ndarray:
                         cb = math.comb(b, j) * ppow[1, j] * ppow[3, b - j]
                         s += ca * cb * fac[i + j] * fac[a + b - i - j] / fac[a + b + 2]
                 M[a, b] += jac * s
-    _moment_cache[key] = M
-    if len(_moment_cache) > 64:
-        _moment_cache.pop(next(iter(_moment_cache)))
+    M.setflags(write=False)
+    poly.moment_tables[kmax] = M
     return M
-
-
-_moment_cache: dict = {}
 
 
 def _moment_series(poly: ConvexPolygon, xis: np.ndarray, extra_x: int = 0,
@@ -163,14 +148,13 @@ def _moment_series(poly: ConvexPolygon, xis: np.ndarray, extra_x: int = 0,
     return vals, bound
 
 
-def polygon_transform_batch(poly: ConvexPolygon, xis, opts: EvalOptions = DEFAULT_OPTS
-                            ) -> tuple[np.ndarray, np.ndarray]:
+def polygon_transform_batch(poly: ConvexPolygon, xis) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized polygon transform; returns (values, error estimates)."""
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     values = np.empty(len(xis), dtype=complex)
     errs = np.empty(len(xis))
     norms = np.linalg.norm(xis, axis=1)
-    small = norms <= opts.singular_threshold
+    small = norms <= SINGULAR_THRESHOLD
     if np.any(~small):
         v, e = _edge_sum(poly, xis[~small])
         values[~small], errs[~small] = v, e
@@ -178,13 +162,6 @@ def polygon_transform_batch(poly: ConvexPolygon, xis, opts: EvalOptions = DEFAUL
         v, e = _moment_series(poly, xis[small])
         values[small], errs[small] = v, e
     return values, errs
-
-
-def ft_polygon(poly: ConvexPolygon, xi, opts: EvalOptions = DEFAULT_OPTS) -> FourierSample:
-    """Closed-form transform of a convex polygon at one frequency."""
-    xis = np.asarray(xi, dtype=float).reshape(1, 2)
-    vals, errs = polygon_transform_batch(poly, xis, opts)
-    return FourierSample(Point2(*xis[0]), complex(vals[0]), "closed_form", float(errs[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -224,54 +201,13 @@ def _gl_nodes_weights(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _graph_eval(body: GraphBody, xis: np.ndarray, nodes: np.ndarray,
-                weights: np.ndarray) -> np.ndarray:
-    """sum_k w_k * (F+G) * exp(-pi i xi2 (F-G)) * sinc(xi2 (F+G)) * exp(-2 pi i xi1 x_k).
-
-    The bracket is the exact closed form of the inner integral over
-    [-g(x), f(x)]; the sinc form is branch-free in xi2.
-    """
-    F = body.f(nodes)
-    G = body.g(nodes)
-    tot = F + G
-    dif = F - G
-    out = np.empty(len(xis), dtype=complex)
-    chunk = max(1, int(2**20 // max(len(nodes), 1)))
-    for lo in range(0, len(xis), chunk):
-        sl = xis[lo:lo + chunk]
-        inner = tot[None, :] * np.exp((-1j * math.pi) * np.outer(sl[:, 1], dif)) \
-            * np.sinc(np.outer(sl[:, 1], tot))
-        phase = np.exp((-2j * math.pi) * np.outer(sl[:, 0], nodes))
-        out[lo:lo + chunk] = (inner * phase) @ weights
-    return out
-
-
-def graph_transform_batch(body: GraphBody, xis, opts: EvalOptions = DEFAULT_OPTS,
-                          target_abs: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Panel-GL transform for a batch of frequencies; refines panels until the
-    1.5x-panel check agrees within target_abs (default 0.1 * quad_tol)."""
-    xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    if target_abs is None:
-        target_abs = 0.1 * opts.quad_tol
-    m1 = float(np.max(np.abs(xis[:, 0]), initial=0.0))
-    m2 = float(np.max(np.abs(xis[:, 1]), initial=0.0))
-    factor = 1.0
-    prev = None
-    err = np.full(len(xis), np.inf)
-    for _ in range(6):
-        nodes, weights = _gl_nodes_weights(_panel_edges(body, m1, m2, factor))
-        vals = _graph_eval(body, xis, nodes, weights)
-        if prev is not None:
-            err = np.abs(vals - prev)
-            if float(np.max(err)) <= target_abs:
-                return vals, err
-        prev = vals
-        factor *= 1.5
-    return vals, err
-
-
 class _FrozenGraphEval:
-    """Panel rule fixed once for a frequency box; cheap repeated batch calls."""
+    """One panel rule: callable xis -> transform values.
+
+    Evaluates sum_k w_k * (F+G) * exp(-pi i xi2 (F-G)) * sinc(xi2 (F+G))
+    * exp(-2 pi i xi1 x_k).  The bracket is the exact closed form of the
+    inner integral over [-g(x), f(x)]; the sinc form is branch-free in xi2.
+    """
 
     def __init__(self, body: GraphBody, nodes: np.ndarray, weights: np.ndarray):
         self.nodes = nodes
@@ -294,50 +230,86 @@ class _FrozenGraphEval:
         return out
 
 
+# perfbench/spans.py times the kernel under this name as well as through the
+# class; the alias keeps that name resolving to the one kernel
+_graph_eval = _FrozenGraphEval.__call__
+
+
+def _refine_panels(body: GraphBody, max_xi1: float, max_xi2: float,
+                   check: np.ndarray, tol: float):
+    """Panel rules at factors 1, 1.5, 2.25, ... for the box |xi1| <= max_xi1,
+    |xi2| <= max_xi2, until two successive rules agree on `check` within tol.
+
+    Returns (finer rule, its values at check, |difference| per point,
+    converged); after _REFINE_ROUNDS comparisons the last pair is returned
+    with converged False.
+    """
+    factor = 1.0
+    prev = None
+    for _ in range(_REFINE_ROUNDS + 1):
+        rule = _FrozenGraphEval(body, *_gl_nodes_weights(
+            _panel_edges(body, max_xi1, max_xi2, factor)))
+        vals = rule(check)
+        if prev is not None:
+            diff = np.abs(vals - prev)
+            if float(np.max(diff, initial=0.0)) <= tol:
+                return rule, vals, diff, True
+        prev = vals
+        factor *= 1.5
+    return rule, vals, diff, False
+
+
+def graph_transform_batch(body: GraphBody, xis) -> tuple[np.ndarray, np.ndarray]:
+    """Panel-rule transform for a batch of frequencies, checked on the batch
+    itself at 0.1 * QUAD_TOL; returns (values, |difference from the previous
+    rule|), the latter above the tolerance when refinement did not converge."""
+    xis = np.atleast_2d(np.asarray(xis, dtype=float))
+    m1 = float(np.max(np.abs(xis[:, 0]), initial=0.0))
+    m2 = float(np.max(np.abs(xis[:, 1]), initial=0.0))
+    _, vals, err, _ = _refine_panels(body, m1, m2, xis, 0.1 * QUAD_TOL)
+    return vals, err
+
+
 def frozen_batch_evaluator(body: ConvexBody, max_xi1: float, max_xi2: float,
                            target_abs: float = 1e-12):
     """Callable xis -> transform values, valid for |xi1| <= max_xi1, |xi2| <= max_xi2.
 
-    Polygons use the exact closed form.  Graph bodies get a fixed panel rule
-    validated by comparing against a 1.5x-refined rule on a probe grid at the
-    box corners and interior; the refined rule is the one returned.
+    Polygons use the exact closed form.  Graph bodies get the panel rule
+    checked on a 9 x 7 probe grid at the box corners and interior at
+    0.3 * target_abs; NoConvergenceError if refinement does not get there.
     """
     if isinstance(body, ConvexPolygon):
         return lambda xis: polygon_transform_batch(body, np.atleast_2d(xis))[0]
     g1 = np.linspace(-max_xi1, max_xi1, 9)
     g2 = np.linspace(-max_xi2, max_xi2, 7)
     probe = np.stack(np.meshgrid(g1, g2), axis=-1).reshape(-1, 2)
-    factor = 1.0
-    for _ in range(8):
-        coarse = _FrozenGraphEval(body, *_gl_nodes_weights(
-            _panel_edges(body, max_xi1, max_xi2, factor)))
-        fine = _FrozenGraphEval(body, *_gl_nodes_weights(
-            _panel_edges(body, max_xi1, max_xi2, 1.5 * factor)))
-        if float(np.max(np.abs(coarse(probe) - fine(probe)))) <= 0.3 * target_abs:
-            return fine
-        factor *= 1.5
-    raise NoConvergenceError(
-        f"panel refinement did not converge to {target_abs:g} on the probe grid")
+    rule, _, _, converged = _refine_panels(body, max_xi1, max_xi2, probe, 0.3 * target_abs)
+    if not converged:
+        raise NoConvergenceError(
+            f"panel refinement did not converge to {target_abs:g} on the probe grid")
+    return rule
 
 
-def transform_batch(body: ConvexBody, xis, opts: EvalOptions = DEFAULT_OPTS,
-                    target_abs: float | None = None) -> np.ndarray:
+def transform_batch(body: ConvexBody, xis) -> np.ndarray:
     """Transform values for an (N, 2) frequency batch (polygon or graph body)."""
     if isinstance(body, ConvexPolygon):
-        vals, _ = polygon_transform_batch(body, xis, opts)
+        vals, _ = polygon_transform_batch(body, xis)
         return vals
-    vals, _ = graph_transform_batch(body, xis, opts, target_abs)
+    vals, _ = graph_transform_batch(body, xis)
     return vals
 
 
-def ft_body(body: ConvexBody, xi, opts: EvalOptions = DEFAULT_OPTS) -> FourierSample:
-    """Primary-route transform: closed form for polygons, panel-GL otherwise."""
-    if isinstance(body, ConvexPolygon):
-        return ft_polygon(body, xi, opts)
+def ft_body(body: ConvexBody, xi) -> FourierSample:
+    """Primary-route transform at one frequency: closed form for polygons,
+    the panel rule otherwise (converged when err <= QUAD_TOL)."""
     xis = np.asarray(xi, dtype=float).reshape(1, 2)
-    vals, errs = graph_transform_batch(body, xis, opts)
+    if isinstance(body, ConvexPolygon):
+        vals, errs = polygon_transform_batch(body, xis)
+        return FourierSample(Point2(*xis[0]), complex(vals[0]), "closed_form",
+                             float(errs[0]))
+    vals, errs = graph_transform_batch(body, xis)
     return FourierSample(Point2(*xis[0]), complex(vals[0]), "quadrature",
-                         float(errs[0]), bool(errs[0] <= opts.quad_tol))
+                         float(errs[0]), bool(errs[0] <= QUAD_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -360,26 +332,26 @@ def _graph_form(body: ConvexBody):
     return upper, lower, a, b, brk
 
 
-def _quad_real(fn, a, b, pts, wvar, weight, opts) -> tuple[float, float, bool]:
+def _quad_real(fn, a, b, pts, wvar, weight) -> tuple[float, float, bool]:
     """scipy.quad wrapper: QAWO when an oscillatory weight is requested."""
     if weight is None:
-        res = integrate.quad(fn, a, b, points=pts or None, limit=opts.max_subdivisions,
-                             epsabs=0.1 * opts.quad_tol, epsrel=1e-12, full_output=1)
+        res = integrate.quad(fn, a, b, points=pts or None, limit=_MAX_SUBDIVISIONS,
+                             epsabs=0.1 * QUAD_TOL, epsrel=1e-12, full_output=1)
         return res[0], res[1], len(res) < 4
     val = err = 0.0
     ok = True
     segs = [a] + [p for p in pts if a < p < b] + [b]
     for s0, s1 in zip(segs[:-1], segs[1:]):
         res = integrate.quad(fn, s0, s1, weight=weight, wvar=wvar,
-                             limit=opts.max_subdivisions,
-                             epsabs=0.1 * opts.quad_tol, epsrel=1e-12, full_output=1)
+                             limit=_MAX_SUBDIVISIONS,
+                             epsabs=0.1 * QUAD_TOL, epsrel=1e-12, full_output=1)
         val += res[0]
         err += res[1]
         ok = ok and len(res) < 4
     return val, err, ok
 
 
-def ft_quadrature(body: ConvexBody, xi, opts: EvalOptions = DEFAULT_OPTS) -> FourierSample:
+def ft_quadrature(body: ConvexBody, xi) -> FourierSample:
     """Adaptive iterated quadrature over the graph form (independent oracle).
 
     The inner y-integral is exact: (u-l) exp(-pi i xi2 (u+l)) sinc(xi2 (u-l));
@@ -416,7 +388,7 @@ def ft_quadrature(body: ConvexBody, xi, opts: EvalOptions = DEFAULT_OPTS) -> Fou
     err = 0.0
     converged = True
     for fn, weight, sign in parts:
-        val, e, ok = _quad_real(fn, a, b, brk, w, weight, opts)
+        val, e, ok = _quad_real(fn, a, b, brk, w, weight)
         total += sign * val
         err += e
         converged = converged and ok
@@ -424,7 +396,7 @@ def ft_quadrature(body: ConvexBody, xi, opts: EvalOptions = DEFAULT_OPTS) -> Fou
     # integrates to the body's area, so that much rounding is irreducible
     err = max(err, 32.0 * _EPS * area(body))
     return FourierSample(Point2(*xi), total, "quadrature", err,
-                         converged and err <= 10.0 * opts.quad_tol)
+                         converged and err <= 10.0 * QUAD_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +422,10 @@ def _t_kernel(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _polygon_first_moments(poly: ConvexPolygon, xi: np.ndarray,
-                           opts: EvalOptions) -> np.ndarray:
+def _polygon_first_moments(poly: ConvexPolygon, xi: np.ndarray) -> np.ndarray:
     """M_k = integral of x_k exp(-2 pi i xi.x) dx, k = 1, 2 (edge-sum form)."""
     norm = float(np.hypot(xi[0], xi[1]))
-    if norm <= opts.singular_threshold:
+    if norm <= SINGULAR_THRESHOLD:
         xis = xi.reshape(1, 2)
         m1, _ = _moment_series(poly, xis, extra_x=1)
         m2, _ = _moment_series(poly, xis, extra_y=1)
@@ -476,7 +447,7 @@ def _polygon_first_moments(poly: ConvexPolygon, xi: np.ndarray,
     return out
 
 
-def grad_ft(body: ConvexBody, xi, opts: EvalOptions = DEFAULT_OPTS) -> tuple[complex, complex]:
+def grad_ft(body: ConvexBody, xi) -> tuple[complex, complex]:
     """Gradient of the transform: -2 pi i (integral of x_k exp(-2 pi i xi.x)).
 
     Polygons use a dedicated edge-sum identity for the first-moment integrals;
@@ -484,7 +455,7 @@ def grad_ft(body: ConvexBody, xi, opts: EvalOptions = DEFAULT_OPTS) -> tuple[com
     """
     xi = np.asarray(xi, dtype=float).reshape(2)
     if isinstance(body, ConvexPolygon):
-        m = _polygon_first_moments(body, xi, opts)
+        m = _polygon_first_moments(body, xi)
         g = -2j * math.pi * m
         return complex(g[0]), complex(g[1])
 
@@ -519,8 +490,8 @@ def grad_ft(body: ConvexBody, xi, opts: EvalOptions = DEFAULT_OPTS) -> tuple[com
         def fim(x, k=kern):
             return (np.asarray(k(x)) * np.exp((-2j * math.pi) * xi[0] * np.asarray(x))).imag
 
-        vr, _, _ = _quad_real(fre, a, b, brk, None, None, opts)
-        vi, _, _ = _quad_real(fim, a, b, brk, None, None, opts)
+        vr, _, _ = _quad_real(fre, a, b, brk, None, None)
+        vi, _, _ = _quad_real(fim, a, b, brk, None, None)
         out.append(vr + 1j * vi)
     g = -2j * math.pi * np.array(out)
     return complex(g[0]), complex(g[1])
@@ -556,8 +527,7 @@ def boundary_normals(body: ConvexBody, samples: int = 720) -> np.ndarray:
     return np.concatenate(ns, axis=0)
 
 
-def decay_diagnostic(body: ConvexBody, directions, radii,
-                     opts: EvalOptions = DEFAULT_OPTS) -> list[DecayRow]:
+def decay_diagnostic(body: ConvexBody, directions, radii) -> list[DecayRow]:
     """Directional decay table for |T| and |grad T| along rays."""
     normals = boundary_normals(body)
     radii = np.asarray(radii, dtype=float)
@@ -567,9 +537,9 @@ def decay_diagnostic(body: ConvexBody, directions, radii,
         cosang = np.clip(normals @ u, -1.0, 1.0)
         theta = float(np.min(np.arccos(cosang)))
         xis = radii[:, None] * u[None, :]
-        vals = np.abs(transform_batch(body, xis, opts))
+        vals = np.abs(transform_batch(body, xis))
         grads = np.array([np.hypot(abs(g1), abs(g2)) for g1, g2 in
-                          (grad_ft(body, xi, opts) for xi in xis)])
+                          (grad_ft(body, xi) for xi in xis)])
         rows.append(DecayRow(
             Point2(*u), theta,
             float(np.max(radii * vals)),
@@ -698,8 +668,7 @@ class CapScanResult:
 
 
 def cap_lower_bound_scan(f: HeightFn, delta: float,
-                         window: tuple[float, float] = (0.1, 10.0),
-                         opts: EvalOptions = DEFAULT_OPTS) -> CapScanResult:
+                         window: tuple[float, float] = (0.1, 10.0)) -> CapScanResult:
     """Scan R in [window[0]/delta, window[1]/delta] for the largest |f_hat(R)|.
 
     The grid (step delta/20) is evaluated with the closed-form transforms;
@@ -722,8 +691,8 @@ def cap_lower_bound_scan(f: HeightFn, delta: float,
 
     w = _TWO_PI * r_star
     pts = [p for p in f.breakpoints() if f.a < p < f.b]
-    vc, _, _ = _quad_real(lambda x: np.asarray(f(x), dtype=float), f.a, f.b, pts, w, "cos", opts)
-    vs, _, _ = _quad_real(lambda x: np.asarray(f(x), dtype=float), f.a, f.b, pts, w, "sin", opts)
+    vc, _, _ = _quad_real(lambda x: np.asarray(f(x), dtype=float), f.a, f.b, pts, w, "cos")
+    vs, _, _ = _quad_real(lambda x: np.asarray(f(x), dtype=float), f.a, f.b, pts, w, "sin")
     value = abs(vc - 1j * vs)
 
     denom = delta * float(f(f.b - delta))

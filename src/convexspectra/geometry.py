@@ -10,7 +10,7 @@ Conventions (fixed package-wide):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Union
 
@@ -31,10 +31,6 @@ from .heights import HeightFn
 class Point2(NamedTuple):
     x: float
     y: float
-
-
-E1 = Point2(1.0, 0.0)
-E2 = Point2(0.0, 1.0)
 
 
 def _as_xy(p) -> np.ndarray:
@@ -66,6 +62,8 @@ class ConvexPolygon:
 
     vertices: np.ndarray  # (m, 2), counterclockwise
     area: float
+    # exact monomial moment tables by order, filled by fourier.polygon_moments
+    moment_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -292,11 +290,13 @@ def is_symmetric(body: ConvexBody, tol: float | None = None) -> tuple[bool, Poin
     Polygons use exact vertex-negation matching; graph bodies compare the
     reflected upper boundary with the lower one by vertical deviation (which
     dominates the Hausdorff distance between the two boundary curves).
+    The default tol is 1e-9 times the bounding-box extent, which never
+    exceeds the diameter.
     """
     c = centroid(body)
     if isinstance(body, ConvexPolygon):
         if tol is None:
-            tol = 1e-9 * measures(body).diameter
+            tol = 1e-9 * float(np.max(np.ptp(body.vertices, axis=0)))
         v = body.vertices
         m = len(v)
         if m % 2 != 0:
@@ -307,12 +307,20 @@ def is_symmetric(body: ConvexBody, tol: float | None = None) -> tuple[bool, Poin
         return dev <= tol, c
 
     if tol is None:
-        tol = 1e-9 * measures(body).diameter
+        tol = 1e-9 * max(body.b - body.a, body.f.max_value() + body.g.max_value())
     if abs(c.x - 0.5 * (body.a + body.b)) > tol:
         return False, c
     xs = np.linspace(body.a, body.b, 257)
     dev = np.max(np.abs(body.f(xs) - (2.0 * c.y + body.g(2.0 * c.x - xs))))
     return float(dev) <= tol, c
+
+
+def require_origin_symmetric(body: ConvexBody) -> None:
+    """NotSymmetricError unless the body is centrally symmetric about the
+    origin, with the center within 1e-9 * body.scale() of it."""
+    ok, c = is_symmetric(body)
+    if not ok or math.hypot(*c) > 1e-9 * body.scale():
+        raise NotSymmetricError("body must be centrally symmetric about the origin")
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +360,7 @@ def normalize_edge_to_standard(poly: ConvexPolygon, edge_index: int) -> tuple[Co
     Requires a polygon symmetric about the origin; the opposite edge lands on
     the negated segment and the image contains the unit square.
     """
-    sym, c = is_symmetric(poly)
-    if not sym or math.hypot(*c) > 1e-9 * poly.scale():
-        raise NotSymmetricError("polygon must be symmetric about the origin")
+    require_origin_symmetric(poly)
     m = poly.m
     p = poly.vertices[edge_index % m]
     r = poly.vertices[(edge_index + 1) % m]
@@ -469,32 +475,6 @@ def decompose_caps(poly: ConvexPolygon, tol: float = 1e-9) -> tuple[ConvexPolygo
 
 
 # ---------------------------------------------------------------------------
-# fan triangulation
-
-
-@dataclass(frozen=True)
-class FanTriangle:
-    indices: tuple[int, int, int]
-    points: np.ndarray  # (3, 2)
-    area: float
-
-
-def fan_triangles(poly: ConvexPolygon, apex: int = 0) -> list[FanTriangle]:
-    """The m - 2 triangles (v_apex, v_j, v_j+1); areas positive, summing to |poly|."""
-    v = poly.vertices
-    m = len(v)
-    apex %= m
-    out = []
-    for step in range(1, m - 1):
-        j = (apex + step) % m
-        k = (apex + step + 1) % m
-        tri = np.array([v[apex], v[j], v[k]])
-        a = 0.5 * cross2(tri[1] - tri[0], tri[2] - tri[0])
-        out.append(FanTriangle((apex, j, k), tri, float(a)))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # lattices
 
 
@@ -525,4 +505,4 @@ class Lattice:
         return abs(cross2(self.g1, self.g2))
 
 
-Z2 = Lattice(E1, E2)
+Z2 = Lattice(Point2(1.0, 0.0), Point2(0.0, 1.0))

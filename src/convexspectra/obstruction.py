@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSymmetricError, ParallelFeaturesError, TooFewVerticesError
-from .geometry import (ConvexBody, ConvexPolygon, Point2, cross2, is_symmetric,
-                       point_in_polygon, shoelace_area)
+from .geometry import (ConvexBody, ConvexPolygon, Point2, cross2, point_in_polygon,
+                       require_origin_symmetric, shoelace_area)
 
 
 @dataclass(frozen=True)
@@ -37,15 +37,6 @@ class Certificate:
     omega_area: float
 
 
-def _require_symmetric_about_origin(body: ConvexBody) -> Point2:
-    ok, center = is_symmetric(body)
-    if not ok:
-        raise NotSymmetricError("feature-point arguments need a symmetric body")
-    if math.hypot(center.x, center.y) > 1e-9:
-        raise NotSymmetricError("body must be centered at the origin")
-    return center
-
-
 def feature_points(body: ConvexBody) -> list[FeaturePoint]:
     """Boundary points anchoring orthogonality constraints.
 
@@ -54,7 +45,7 @@ def feature_points(body: ConvexBody) -> list[FeaturePoint]:
     where the normal direction is unique; flat arcs and corner points are
     excluded.  Right/left extreme points with a vertical tangent qualify.
     """
-    _require_symmetric_about_origin(body)
+    require_origin_symmetric(body)
     if isinstance(body, ConvexPolygon):
         mids = body.edge_midpoints()
         norms = body.edge_normals()
@@ -120,7 +111,7 @@ def constraint_density(x, x2, omega_area: float) -> tuple[float, bool]:
 def _symmetric_vertex_order(poly: ConvexPolygon) -> np.ndarray:
     """Vertices of an origin-symmetric 2n-gon, verified to satisfy
     v[i + n] = -v[i]."""
-    _require_symmetric_about_origin(poly)
+    require_origin_symmetric(poly)
     v = poly.vertices
     m = poly.m
     if m % 2 != 0:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InsufficientWindowError
-from .fourier import EvalOptions, DEFAULT_OPTS, transform_batch
+from .fourier import transform_batch
 from .geometry import ConvexBody, Lattice, Point2, area, measures
 
 
@@ -89,8 +89,7 @@ def _lex_min(points: np.ndarray) -> Point2:
 
 
 def orthogonality_check(body: ConvexBody, candidate: SpectrumCandidate,
-                        radius: float, tol: float = 1e-9,
-                        opts: EvalOptions = DEFAULT_OPTS) -> tuple[bool, tuple[Point2, float]]:
+                        radius: float, tol: float = 1e-9) -> tuple[bool, tuple[Point2, float]]:
     """Is every pairwise difference of candidate points a transform zero?
 
     Lattice candidates reduce to the nonzero lattice points within 2*radius
@@ -109,7 +108,7 @@ def orthogonality_check(body: ConvexBody, candidate: SpectrumCandidate,
         diffs = diffs[np.hypot(diffs[:, 0], diffs[:, 1]) > 1e-12]
     if len(diffs) == 0:
         return True, (Point2(0.0, 0.0), 0.0)
-    vals = np.abs(transform_batch(body, diffs, opts))
+    vals = np.abs(transform_batch(body, diffs))
     worst = float(np.max(vals))
     ties = diffs[vals >= worst * (1.0 - 1e-12)]
     return bool(worst <= tol * a), (_lex_min(ties), worst)
@@ -126,8 +125,7 @@ def separation_check(points) -> float:
 
 
 def parseval_deficiency(body: ConvexBody, candidate: SpectrumCandidate,
-                        x_samples, trunc_radius: float,
-                        opts: EvalOptions = DEFAULT_OPTS) -> tuple[float, float]:
+                        x_samples, trunc_radius: float) -> tuple[float, float]:
     """Truncated Parseval sum deficiency and a conservative tail bound.
 
     With exponentials normalized to unit norm, a spectrum satisfies
@@ -145,7 +143,7 @@ def parseval_deficiency(body: ConvexBody, candidate: SpectrumCandidate,
     xs = np.atleast_2d(np.asarray(x_samples, dtype=float))
     max_dev = 0.0
     for x in xs:
-        vals = transform_batch(body, x[None, :] - pts, opts)
+        vals = transform_batch(body, x[None, :] - pts)
         s = float(np.sum(np.abs(vals) ** 2)) / (a * a)
         max_dev = max(max_dev, abs(s - 1.0))
     if candidate.kind == "lattice":

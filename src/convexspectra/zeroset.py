@@ -9,31 +9,17 @@ and vertical lines at a fractional shift ("shifted_vertical_grid").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NoBlowupError, NotStandardPositionError, NotSymmetricError,
-                     NoZerosFoundError)
-from .fourier import EvalOptions, DEFAULT_OPTS, frozen_batch_evaluator
-from .geometry import (ConvexBody, ConvexPolygon, GraphBody, Point2, area,
-                       height_profile, is_symmetric, _standard_position_check)
+from .errors import NoBlowupError, NotStandardPositionError, NoZerosFoundError
+from .fourier import frozen_batch_evaluator
+from .geometry import (ConvexBody, ConvexPolygon, Point2, area, height_profile,
+                       require_origin_symmetric, _standard_position_check)
 from .heights import HeightFn
 
 DEFAULT_SCAN_STEP = 0.02  # below half the square fixture's unit zero spacing
-
-
-@dataclass(frozen=True)
-class Slab:
-    """Horizontal frequency band [R, R+10] x [-A, A]."""
-    A: float
-    R: float
-
-    def __post_init__(self):
-        if not (self.A >= 1.0):
-            raise ValueError("slab half-height A must be >= 1")
-        if not (self.R > 0.0):
-            raise ValueError("slab offset R must be positive")
 
 
 @dataclass(frozen=True)
@@ -78,15 +64,6 @@ def grid_distance(xi, target: str, beta: float = 0.0) -> float:
         t = (x - beta) % 1.0
         return min(t, 1.0 - t)
     raise ValueError(f"unknown grid target {target!r}")
-
-
-def _require_origin_symmetric(body: ConvexBody) -> None:
-    ok, center = is_symmetric(body)
-    scale = float(np.max(np.abs(body.vertices))) if isinstance(body, ConvexPolygon) \
-        else max(abs(body.a), abs(body.b), body.f.max_value(), body.g.max_value())
-    if not ok or math.hypot(center[0], center[1]) > 1e-9 * max(scale, 1.0):
-        raise NotSymmetricError(
-            "zero bracketing uses the real part, which needs symmetry about the origin")
 
 
 def _bisect_zeros(ev, p_lo: np.ndarray, p_hi: np.ndarray, v_lo: np.ndarray,
@@ -140,10 +117,9 @@ def _scan_lines(ev, starts: np.ndarray, stops: np.ndarray, n_samples: int,
 
 
 def zeros_on_segment(body: ConvexBody, p0, p1, step: float = DEFAULT_SCAN_STEP,
-                     tol: float | None = None,
-                     opts: EvalOptions = DEFAULT_OPTS) -> list[ZeroPoint]:
+                     tol: float | None = None) -> list[ZeroPoint]:
     """Zeros of the transform along the segment p0 -> p1, in segment order."""
-    _require_origin_symmetric(body)
+    require_origin_symmetric(body)
     if tol is None:
         tol = 1e-9 * area(body)
     p0 = np.asarray(p0, dtype=float)
@@ -169,12 +145,17 @@ def _slab_standard_position(body: ConvexBody) -> None:
         raise NotStandardPositionError("graph body does not contain the unit square")
 
 
-def slab_zero_alignment(body: ConvexBody, A: float, R_list, step: float = DEFAULT_SCAN_STEP,
-                        opts: EvalOptions = DEFAULT_OPTS) -> list[AlignmentReport]:
+def slab_zero_alignment(body: ConvexBody, A: float, R_list,
+                        step: float = DEFAULT_SCAN_STEP) -> list[AlignmentReport]:
     """Scan horizontal lines across each slab [R, R+10] x [-A, A]; report the
-    located zeros and their distance statistics to the punctured grid Z_Q."""
-    _require_origin_symmetric(body)
+    located zeros and their distance statistics to the punctured grid Z_Q.
+    Needs A >= 1 and every R > 0 (ValueError otherwise)."""
+    require_origin_symmetric(body)
     _slab_standard_position(body)
+    if not (A >= 1.0):
+        raise ValueError("slab half-height A must be >= 1")
+    if not all(R > 0.0 for R in R_list):
+        raise ValueError("slab offset R must be positive")
     tol = 1e-9 * area(body)
     reports = []
     # line ordinates offset half a step: never scan exactly on an integer line,
@@ -182,7 +163,6 @@ def slab_zero_alignment(body: ConvexBody, A: float, R_list, step: float = DEFAUL
     n_lines = int(math.floor(2.0 * A / step))
     xi2s = -A + (np.arange(n_lines) + 0.5) * step
     for R in R_list:
-        Slab(A, float(R))
         ev = frozen_batch_evaluator(body, R + 10.0 + 1.0, A + 1.0, 0.01 * tol)
         starts = np.stack([np.full(n_lines, float(R)), xi2s], axis=1)
         stops = np.stack([np.full(n_lines, float(R) + 10.0), xi2s], axis=1)
@@ -260,8 +240,8 @@ def _circular_minimax(fracs: np.ndarray) -> tuple[float, float, float]:
 
 
 def ball_zero_alignment(body: ConvexBody, A: float, eps: float,
-                        R_window: tuple[float, float], step: float = DEFAULT_SCAN_STEP,
-                        opts: EvalOptions = DEFAULT_OPTS) -> AlignmentReport:
+                        R_window: tuple[float, float],
+                        step: float = DEFAULT_SCAN_STEP) -> AlignmentReport:
     """Zeros inside balls B(R e1, A) for R across R_window, reported against
     the best-fitting family of shifted vertical lines beta + Z.
 
@@ -270,7 +250,7 @@ def ball_zero_alignment(body: ConvexBody, A: float, eps: float,
     slope means the extreme point sits on a corner or flat arc and the
     shifted-grid structure is not expected (NoBlowup).
     """
-    _require_origin_symmetric(body)
+    require_origin_symmetric(body)
     if isinstance(body, ConvexPolygon):
         half_width = float(np.max(body.vertices[:, 0]))
     else:

@@ -19,16 +19,16 @@ def square_ft_reference(xi1, xi2):
     return sinc(xi1) * sinc(xi2)
 
 
-def test_square_closed_form_matches_separable():
+def test_square_closed_form_matches_separable(square):
     rng = np.random.default_rng(7)
     xs = rng.uniform(-20, 20, size=(400, 2))
-    vals = np.array([F.ft_square(x) for x in xs])
+    vals = np.array([F.ft_body(square, x).value for x in xs])
     ref = square_ft_reference(xs[:, 0], xs[:, 1])
     assert np.max(np.abs(vals - ref)) < 1e-13
 
 
-def test_square_value_example():
-    assert F.ft_square((0.5, 0.5)) == pytest.approx(4.0 / math.pi ** 2, abs=1e-15)
+def test_square_value_example(square):
+    assert F.ft_body(square, (0.5, 0.5)).value == pytest.approx(4.0 / math.pi ** 2, abs=1e-15)
 
 
 def test_polygon_edge_sum_matches_square(square):
@@ -62,11 +62,24 @@ def test_series_and_edge_sum_agree_across_threshold(hexagon_h0):
     assert abs(lo[0] - hi[0]) < 1e-10
 
 
+def test_moment_series_follows_the_polygon_it_is_given():
+    # freed polygons hand their ids to new ones; each fresh rhombus must get
+    # its own moments, not those of an earlier polygon
+    xi = (1e-3, 2e-3)
+    for k in range(300):
+        s = 0.2 + 0.01 * (k % 50)
+        rh = G.validate_polygon([(s, 0.0), (0.0, 0.9), (-s, 0.0), (0.0, -0.9)])
+        v = F.ft_body(rh, xi).value
+        assert abs(v - rh.area) < 1e-4 * rh.area
+        if k % 60 == 0:
+            assert abs(v - F.ft_quadrature(rh, xi).value) < 1e-9
+
+
 def test_polygon_vs_quadrature_oracle(hexagon_h0):
     rng = np.random.default_rng(5)
     xs = rng.uniform(-8, 8, size=(12, 2))
     for x in xs:
-        a = F.ft_polygon(hexagon_h0, x)
+        a = F.ft_body(hexagon_h0, x)
         b = F.ft_quadrature(hexagon_h0, x)
         assert b.converged
         assert abs(a.value - b.value) <= a.err + b.err + 1e-11
@@ -79,6 +92,7 @@ def test_disc_matches_bessel(disc_body):
     vals = F.transform_batch(disc_body, xs)
     ref = 0.5 * special.j1(2 * math.pi * 0.5 * rho) / rho
     assert np.max(np.abs(vals - ref)) < 1e-12
+    assert F.transform_batch(disc_body, np.empty((0, 2))).shape == (0,)
 
 
 def test_graph_quadrature_oracle(parabola_capped):

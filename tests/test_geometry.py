@@ -122,13 +122,6 @@ def test_normalize_edge_requires_origin_symmetry():
         G.normalize_edge_to_standard(sq, 0)
 
 
-def test_fan_triangles(octagon):
-    tris = G.fan_triangles(octagon)
-    assert len(tris) == 6
-    assert sum(t.area for t in tris) == pytest.approx(octagon.area)
-    assert all(t.area > 0 for t in tris)
-
-
 def test_lattice_basics():
     lat = G.Lattice(G.Point2(1.0, 0.0), G.Point2(0.5, 1.25))
     assert lat.covolume == pytest.approx(1.25)

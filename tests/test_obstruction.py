@@ -67,6 +67,15 @@ def test_features_reject_offcenter_body():
         obstruction.feature_points(shifted)
 
 
+def test_symmetry_guard_is_relative_to_body_scale():
+    # centroid lands ~6e-9 off the origin from rounding alone; every
+    # origin-symmetry check must accept the body at this size
+    big = geometry.regular_polygon(8, circumradius=1e8)
+    assert math.hypot(*geometry.centroid(big)) > 1e-9
+    assert len(obstruction.feature_points(big)) == 8
+    geometry.normalize_edge_to_standard(big, 0)
+
+
 # --- density constraints ----------------------------------------------------
 
 

@@ -27,12 +27,12 @@ def test_grid_distance_domination():
         assert Z.grid_distance(xi, "G") <= Z.grid_distance(xi, "Z_Q") + 1e-15
 
 
-def test_slab_validation():
+def test_slab_validation(square):
     with pytest.raises(ValueError):
-        Z.Slab(0.5, 3.0)
+        Z.slab_zero_alignment(square, 0.5, [3.0])
     with pytest.raises(ValueError):
-        Z.Slab(2.0, -1.0)
-    Z.Slab(1.0, 0.5)
+        Z.slab_zero_alignment(square, 2.0, [-1.0])
+    assert len(Z.slab_zero_alignment(square, 1.0, [0.5], step=0.1)) == 1
 
 
 def test_zeros_on_segment_square(square):
