@@ -98,13 +98,31 @@ def parse_body_file(path: str) -> ConvexBody:
 
 
 def _parse_pair(text: str, flag: str) -> tuple[float, float]:
-    parts = text.replace(",", " ").split()
-    if len(parts) != 2:
-        raise BodyParseError(f"{flag}: expected two numbers, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        x, y = (float(t) for t in text.replace(",", " ").split())
     except ValueError:
-        raise BodyParseError(f"{flag}: expected two numbers, got {text!r}") from None
+        x = y = math.nan
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise BodyParseError(f"{flag}: expected two finite numbers, got {text!r}")
+    return x, y
+
+
+def _checked(cast, ok, what: str):
+    """argparse type= callable: cast the text, reject it unless ok(value)."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = math.nan
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+_positive = _checked(float, lambda v: 0.0 < v < math.inf, "a positive number")
+_non_negative = _checked(float, lambda v: 0.0 <= v < math.inf, "a non-negative number")
+_count = _checked(int, lambda v: v >= 0, "a non-negative integer")
 
 
 def parse_lattice(text: str) -> Lattice:
@@ -441,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--body", required=True)
     sp.add_argument("--xi", action="append", required=True,
                     help="segment endpoint as x,y (pass twice)")
-    sp.add_argument("--samples", type=int, default=0,
+    sp.add_argument("--samples", type=_count, default=0,
                     help="sample count along the segment (default: step %g)"
                          % DEFAULT_SCAN_STEP)
     sp.add_argument("--tol", type=float, default=None,
@@ -450,45 +468,45 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("slab-align", _cmd_slab_align,
              "zero alignment with the punctured integer grid in slabs")
     sp.add_argument("--body", required=True)
-    sp.add_argument("--A", type=float, default=3.0, help="slab half-height")
+    sp.add_argument("--A", type=_positive, default=3.0, help="slab half-height")
     sp.add_argument("--R-list", dest="R_list", required=True,
                     help="comma-separated slab offsets")
-    sp.add_argument("--step", type=float, default=DEFAULT_SCAN_STEP)
+    sp.add_argument("--step", type=_positive, default=DEFAULT_SCAN_STEP)
 
     sp = add("ball-align", _cmd_ball_align,
              "best shifted-grid fit of zeros in balls along the axis")
     sp.add_argument("--body", required=True)
-    sp.add_argument("--A", type=float, default=2.0, help="ball radius")
+    sp.add_argument("--A", type=_positive, default=2.0, help="ball radius")
     sp.add_argument("--window", required=True, help="R range as lo,hi")
-    sp.add_argument("--eps", type=float, default=0.1,
+    sp.add_argument("--eps", type=_positive, default=0.1,
                     help="scale-gate tolerance")
-    sp.add_argument("--step", type=float, default=DEFAULT_SCAN_STEP)
+    sp.add_argument("--step", type=_positive, default=DEFAULT_SCAN_STEP)
 
     sp = add("spectrum-check", _cmd_spectrum_check,
              "orthogonality of a lattice candidate spectrum")
     sp.add_argument("--body", required=True)
     sp.add_argument("--lattice", required=True, help='basis "a b; c d" (columns)')
-    sp.add_argument("--radius", type=float, required=True)
+    sp.add_argument("--radius", type=_positive, required=True)
     sp.add_argument("--tol", type=float, default=1e-9)
 
     sp = add("density", _cmd_density, "Landau counting density of a lattice")
     sp.add_argument("--lattice", required=True)
-    sp.add_argument("--radius", type=float, required=True,
+    sp.add_argument("--radius", type=_positive, required=True,
                     help="cube half-side R")
 
     sp = add("gap-check", _cmd_gap_check,
              "no large empty cubes in a candidate spectrum")
     sp.add_argument("--body", required=True)
     sp.add_argument("--lattice", required=True)
-    sp.add_argument("--radius", type=float, default=0.0,
+    sp.add_argument("--radius", type=_non_negative, default=0.0,
                     help="point enumeration window (default: auto)")
-    sp.add_argument("--C", type=float, default=1.0)
+    sp.add_argument("--C", type=_positive, default=1.0)
 
     sp = add("tile-check", _cmd_tile_check, "verify a lattice tiling by sampling")
     sp.add_argument("--body", required=True)
     sp.add_argument("--lattice", default=None,
                     help="tiling lattice (default: constructed)")
-    sp.add_argument("--samples", type=int, default=10_000)
+    sp.add_argument("--samples", type=_count, default=10_000)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = add("classify", _cmd_classify, "spectral / not_spectral with reason")
@@ -501,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("cap-scan", _cmd_cap_scan,
              "lower-bound scan of a cap height transform")
     sp.add_argument("--body", required=True)
-    sp.add_argument("--delta", type=float, required=True)
+    sp.add_argument("--delta", type=_positive, required=True)
     sp.add_argument("--window", default="0.1,10",
                     help="R window as lo,hi in units of 1/delta")
 

@@ -4,13 +4,13 @@ The transform convention is
 
     T(xi) = integral over the body of exp(-2*pi*i * xi . x) dx,
 
-so T(0) is the area.  Polygons get an exact edge-sum closed form, with an
-exact moment series for |xi| <= SINGULAR_THRESHOLD.  Graph-form bodies get one
-panel rule: Gauss-Legendre panels in x with the inner y-integral done in
+so T(0) is the area.  transform_batch gives (values, errors) for any body.
+Polygons get an exact edge-sum closed form, with an exact moment series for
+|xi| <= SINGULAR_THRESHOLD.  Graph-form bodies, and caps with no closed form,
+get one panel rule: Gauss-Legendre panels in x with the inner y-integral in
 closed form, refined by the factor 1.5 until two successive rules agree on a
-set of check points.  The reported `err` of a curved-body value is that
-difference between the last two rules.  scipy adaptive quadrature provides
-the independent cross-check route.
+set of check points; `err` is the difference between the last two rules.
+_fourier_quad, scipy adaptive quadrature, gives the independent oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from scipy import integrate
 from .errors import NoConvergenceError
 from .geometry import (ConvexBody, ConvexPolygon, GraphBody, Point2, area,
                        _chain_indices)
-from .heights import HeightFn
+from .heights import HeightFn, zero
 
 _TWO_PI = 2.0 * math.pi
 _EPS = np.finfo(float).eps
@@ -45,7 +45,7 @@ _REFINE_ROUNDS = 8
 class FourierSample:
     xi: Point2
     value: complex
-    method: str  # "closed_form" | "quadrature"
+    method: str  # "closed_form" (polygon) | "panel_rule" (curved) | "quadrature" (oracle)
     err: float
     converged: bool = True
 
@@ -146,22 +146,6 @@ def _moment_series(poly: ConvexPolygon, xis: np.ndarray, extra_x: int = 0,
         coef *= -2j * math.pi / (k + 1)
     bound = poly.area * (r ** (extra_x + extra_y)) * amp ** (kmax + 1) / math.factorial(kmax + 1)
     return vals, bound
-
-
-def polygon_transform_batch(poly: ConvexPolygon, xis) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized polygon transform; returns (values, error estimates)."""
-    xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    values = np.empty(len(xis), dtype=complex)
-    errs = np.empty(len(xis))
-    norms = np.linalg.norm(xis, axis=1)
-    small = norms <= SINGULAR_THRESHOLD
-    if np.any(~small):
-        v, e = _edge_sum(poly, xis[~small])
-        values[~small], errs[~small] = v, e
-    if np.any(small):
-        v, e = _moment_series(poly, xis[small])
-        values[small], errs[small] = v, e
-    return values, errs
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +263,7 @@ def frozen_batch_evaluator(body: ConvexBody, max_xi1: float, max_xi2: float,
     0.3 * target_abs; NoConvergenceError if refinement does not get there.
     """
     if isinstance(body, ConvexPolygon):
-        return lambda xis: polygon_transform_batch(body, np.atleast_2d(xis))[0]
+        return lambda xis: transform_batch(body, xis)[0]
     g1 = np.linspace(-max_xi1, max_xi1, 9)
     g2 = np.linspace(-max_xi2, max_xi2, 7)
     probe = np.stack(np.meshgrid(g1, g2), axis=-1).reshape(-1, 2)
@@ -290,25 +274,30 @@ def frozen_batch_evaluator(body: ConvexBody, max_xi1: float, max_xi2: float,
     return rule
 
 
-def transform_batch(body: ConvexBody, xis) -> np.ndarray:
-    """Transform values for an (N, 2) frequency batch (polygon or graph body)."""
-    if isinstance(body, ConvexPolygon):
-        vals, _ = polygon_transform_batch(body, xis)
-        return vals
-    vals, _ = graph_transform_batch(body, xis)
-    return vals
+def transform_batch(body: ConvexBody, xis) -> tuple[np.ndarray, np.ndarray]:
+    """Primary-route transform for an (N, 2) frequency batch: (values, errors)."""
+    xis = np.atleast_2d(np.asarray(xis, dtype=float))
+    if not isinstance(body, ConvexPolygon):
+        return graph_transform_batch(body, xis)
+    values = np.empty(len(xis), dtype=complex)
+    errs = np.empty(len(xis))
+    small = np.linalg.norm(xis, axis=1) <= SINGULAR_THRESHOLD
+    if np.any(~small):
+        values[~small], errs[~small] = _edge_sum(body, xis[~small])
+    if np.any(small):
+        values[small], errs[small] = _moment_series(body, xis[small])
+    return values, errs
 
 
 def ft_body(body: ConvexBody, xi) -> FourierSample:
     """Primary-route transform at one frequency: closed form for polygons,
     the panel rule otherwise (converged when err <= QUAD_TOL)."""
     xis = np.asarray(xi, dtype=float).reshape(1, 2)
+    vals, errs = transform_batch(body, xis)
     if isinstance(body, ConvexPolygon):
-        vals, errs = polygon_transform_batch(body, xis)
         return FourierSample(Point2(*xis[0]), complex(vals[0]), "closed_form",
                              float(errs[0]))
-    vals, errs = graph_transform_batch(body, xis)
-    return FourierSample(Point2(*xis[0]), complex(vals[0]), "quadrature",
+    return FourierSample(Point2(*xis[0]), complex(vals[0]), "panel_rule",
                          float(errs[0]), bool(errs[0] <= QUAD_TOL))
 
 
@@ -332,66 +321,60 @@ def _graph_form(body: ConvexBody):
     return upper, lower, a, b, brk
 
 
-def _quad_real(fn, a, b, pts, wvar, weight) -> tuple[float, float, bool]:
-    """scipy.quad wrapper: QAWO when an oscillatory weight is requested."""
-    if weight is None:
-        res = integrate.quad(fn, a, b, points=pts or None, limit=_MAX_SUBDIVISIONS,
-                             epsabs=0.1 * QUAD_TOL, epsrel=1e-12, full_output=1)
-        return res[0], res[1], len(res) < 4
-    val = err = 0.0
-    ok = True
-    segs = [a] + [p for p in pts if a < p < b] + [b]
-    for s0, s1 in zip(segs[:-1], segs[1:]):
-        res = integrate.quad(fn, s0, s1, weight=weight, wvar=wvar,
-                             limit=_MAX_SUBDIVISIONS,
-                             epsabs=0.1 * QUAD_TOL, epsrel=1e-12, full_output=1)
-        val += res[0]
-        err += res[1]
-        ok = ok and len(res) < 4
-    return val, err, ok
+def _strip_transform(upper, lower, xi2):
+    """x -> integral of exp(-2 pi i xi2 y) dy over [lower(x), upper(x)], in closed form."""
+    def h(x):
+        u = np.asarray(upper(x), dtype=float)
+        l = np.asarray(lower(x), dtype=float)
+        return (u - l) * np.exp((-1j * math.pi) * xi2 * (u + l)) * np.sinc(xi2 * (u - l))
+    return h
+
+
+def _fourier_quad(h, a: float, b: float, brk, xi1: float) -> tuple[complex, float, bool]:
+    """integral of h(x) exp(-2 pi i xi1 x) over [a, b]: (value, abserr, converged).
+
+    scipy QAGS on the real and imaginary parts with break points brk; once
+    |xi1| * (b-a) exceeds 8, QAWO with the cos/sin weight on each segment
+    between break points.  converged is False if any scipy call warned.
+    """
+    w = _TWO_PI * xi1
+    if abs(xi1) * (b - a) > 8.0:
+        segs = [a, *(p for p in brk if a < p < b), b]
+        re, im = (lambda x: h(x).real), (lambda x: h(x).imag)
+        # h exp(-i w x) = (Re h cos + Im h sin) + i (Im h cos - Re h sin)
+        parts = [(re, "cos", 1.0), (im, "sin", 1.0), (im, "cos", 1.0j), (re, "sin", -1.0j)]
+    else:
+        segs = [a, b]
+        hw = lambda x: h(x) * np.exp(-1j * w * x)
+        parts = [(lambda x: hw(x).real, None, 1.0), (lambda x: hw(x).imag, None, 1.0j)]
+    total = 0.0j
+    err = 0.0
+    converged = True
+    for fn, weight, sign in parts:
+        rule = {"weight": weight, "wvar": w} if weight else {"points": brk or None}
+        val = e = 0.0
+        for s0, s1 in zip(segs[:-1], segs[1:]):
+            res = integrate.quad(fn, s0, s1, limit=_MAX_SUBDIVISIONS, epsabs=0.1 * QUAD_TOL,
+                                 epsrel=1e-12, full_output=1, **rule)
+            val += res[0]
+            e += res[1]
+            converged = converged and len(res) < 4
+        total += sign * val
+        err += e
+    return total, err, converged
 
 
 def ft_quadrature(body: ConvexBody, xi) -> FourierSample:
     """Adaptive iterated quadrature over the graph form (independent oracle).
 
-    The inner y-integral is exact: (u-l) exp(-pi i xi2 (u+l)) sinc(xi2 (u-l));
-    the outer x-integral runs through scipy QAGS, or QAWO with the explicit
-    cos/sin weight once |xi1| * (b-a) exceeds a few periods.  A subdivision
-    limit without convergence returns the best estimate flagged, not a raise.
+    The inner y-integral is exact (_strip_transform); the outer x-integral
+    is _fourier_quad.  A subdivision limit without convergence returns the
+    best estimate flagged, not a raise.
     """
     xi = np.asarray(xi, dtype=float).reshape(2)
     upper, lower, a, b, brk = _graph_form(body)
-
-    def hfun(x):
-        u = np.asarray(upper(x), dtype=float)
-        l = np.asarray(lower(x), dtype=float)
-        return (u - l) * np.exp((-1j * math.pi) * xi[1] * (u + l)) * np.sinc(xi[1] * (u - l))
-
-    use_qawo = abs(xi[0]) * (b - a) > 8.0
-    w = _TWO_PI * xi[0]
-    parts = []
-    if use_qawo:
-        # H * exp(-i w x) = (ReH cos + ImH sin) + i (ImH cos - ReH sin)
-        for fn, weight, sign in (
-            (lambda x: hfun(x).real, "cos", 1.0),
-            (lambda x: hfun(x).imag, "sin", 1.0),
-            (lambda x: hfun(x).imag, "cos", 1.0j),
-            (lambda x: hfun(x).real, "sin", -1.0j),
-        ):
-            parts.append((fn, weight, sign))
-    else:
-        parts = [
-            (lambda x: (hfun(x) * np.exp(-1j * w * x)).real, None, 1.0),
-            (lambda x: (hfun(x) * np.exp(-1j * w * x)).imag, None, 1.0j),
-        ]
-    total = 0.0j
-    err = 0.0
-    converged = True
-    for fn, weight, sign in parts:
-        val, e, ok = _quad_real(fn, a, b, brk, w, weight)
-        total += sign * val
-        err += e
-        converged = converged and ok
+    total, err, converged = _fourier_quad(_strip_transform(upper, lower, xi[1]),
+                                          a, b, brk, xi[0])
     # scipy's abserr estimates the integration error only; |integrand| <= u - l
     # integrates to the body's area, so that much rounding is irreducible
     err = max(err, 32.0 * _EPS * area(body))
@@ -451,7 +434,8 @@ def grad_ft(body: ConvexBody, xi) -> tuple[complex, complex]:
     """Gradient of the transform: -2 pi i (integral of x_k exp(-2 pi i xi.x)).
 
     Polygons use a dedicated edge-sum identity for the first-moment integrals;
-    graph bodies integrate the moment closed forms adaptively.
+    graph bodies integrate the moment closed forms with _fourier_quad and
+    raise NoConvergenceError when it does not converge.
     """
     xi = np.asarray(xi, dtype=float).reshape(2)
     if isinstance(body, ConvexPolygon):
@@ -465,10 +449,7 @@ def grad_ft(body: ConvexBody, xi) -> tuple[complex, complex]:
                        abs(float(upper(0.5 * (a + b)))), abs(float(lower(0.5 * (a + b)))))
     small_c = abs(c) * ybound < 1e-6
 
-    def inner0(x):
-        u = np.asarray(upper(x), dtype=float)
-        l = np.asarray(lower(x), dtype=float)
-        return (u - l) * np.exp((-1j * math.pi) * xi[1] * (u + l)) * np.sinc(xi[1] * (u - l))
+    inner0 = _strip_transform(upper, lower, xi[1])
 
     def inner1(x):
         # integral of y exp(-i c y) dy over [l, u]
@@ -484,15 +465,11 @@ def grad_ft(body: ConvexBody, xi) -> tuple[complex, complex]:
 
     out = []
     for kern in (lambda x: x * inner0(x), inner1):
-        def fre(x, k=kern):
-            return (np.asarray(k(x)) * np.exp((-2j * math.pi) * xi[0] * np.asarray(x))).real
-
-        def fim(x, k=kern):
-            return (np.asarray(k(x)) * np.exp((-2j * math.pi) * xi[0] * np.asarray(x))).imag
-
-        vr, _, _ = _quad_real(fre, a, b, brk, None, None)
-        vi, _, _ = _quad_real(fim, a, b, brk, None, None)
-        out.append(vr + 1j * vi)
+        val, _, ok = _fourier_quad(kern, a, b, brk, xi[0])
+        if not ok:
+            raise NoConvergenceError(
+                f"gradient quadrature did not converge at xi = ({xi[0]:g}, {xi[1]:g})")
+        out.append(val)
     g = -2j * math.pi * np.array(out)
     return complex(g[0]), complex(g[1])
 
@@ -537,7 +514,7 @@ def decay_diagnostic(body: ConvexBody, directions, radii) -> list[DecayRow]:
         cosang = np.clip(normals @ u, -1.0, 1.0)
         theta = float(np.min(np.arccos(cosang)))
         xis = radii[:, None] * u[None, :]
-        vals = np.abs(transform_batch(body, xis))
+        vals = np.abs(transform_batch(body, xis)[0])
         grads = np.array([np.hypot(abs(g1), abs(g2)) for g1, g2 in
                           (grad_ft(body, xi) for xi in xis)])
         rows.append(DecayRow(
@@ -570,7 +547,8 @@ def height_fourier(f: HeightFn, R) -> np.ndarray:
     Piecewise-linear kinds sum interval transforms; polynomials use the
     integration-by-parts recurrence (Taylor branch for small R); the
     semicircle is r J1(2 pi r R) / (2 R).  The 'power' kind has no closed
-    form and falls back to panel quadrature.
+    form: f_hat(R) is the transform of the cap body {0 <= y <= f(x)} at
+    (R, 0), taken from the panel rule of frozen_batch_evaluator.
     """
     R = np.atleast_1d(np.asarray(R, dtype=float))
     if f.kind in ("tent", "pw"):
@@ -595,7 +573,9 @@ def height_fourier(f: HeightFn, R) -> np.ndarray:
         return out
     if f.kind == "poly":
         return _poly_height_fourier(f, R)
-    return _height_fourier_quad(f, R)
+    cap = GraphBody(f.a, f.b, f, zero(f.a, f.b))
+    ev = frozen_batch_evaluator(cap, float(np.max(np.abs(R), initial=0.0)), 0.0)
+    return ev(np.stack([R, np.zeros_like(R)], axis=1))
 
 
 def _poly_height_fourier(f: HeightFn, R: np.ndarray) -> np.ndarray:
@@ -638,25 +618,6 @@ def _poly_height_fourier(f: HeightFn, R: np.ndarray) -> np.ndarray:
     return out
 
 
-def _height_fourier_quad(f: HeightFn, R: np.ndarray) -> np.ndarray:
-    """Panel-GL fallback for descriptor kinds without a closed form."""
-    rmax = float(np.max(np.abs(R), initial=0.0))
-    brk = sorted({f.a, f.b, *f.breakpoints()})
-    edges = []
-    for s0, s1 in zip(brk[:-1], brk[1:]):
-        n = max(4, int(math.ceil(1.2 * rmax * (s1 - s0) + 2)))
-        edges.append(np.linspace(s0, s1, n + 1))
-    edges = np.unique(np.concatenate(edges))
-    if f.endpoint_singular or f.kind == "power":
-        lev = np.exp2(-np.arange(1, 47, dtype=float))
-        edges = np.unique(np.concatenate([
-            edges, f.a + (edges[1] - edges[0]) * lev, f.b - (edges[-1] - edges[-2]) * lev]))
-    nodes, weights = _gl_nodes_weights(edges)
-    vals = f(nodes)
-    phase = np.exp((-2j * math.pi) * np.outer(R, nodes))
-    return phase @ (weights * vals)
-
-
 @dataclass(frozen=True)
 class CapScanResult:
     R: float
@@ -671,10 +632,11 @@ def cap_lower_bound_scan(f: HeightFn, delta: float,
                          window: tuple[float, float] = (0.1, 10.0)) -> CapScanResult:
     """Scan R in [window[0]/delta, window[1]/delta] for the largest |f_hat(R)|.
 
-    The grid (step delta/20) is evaluated with the closed-form transforms;
-    the winning R is then confirmed by adaptive quadrature and the quadrature
-    value is reported.  ratio uses the cap height at distance delta from the
-    right endpoint; an identically-zero denominator yields ratio = NaN.
+    The grid (step delta/20) is evaluated with height_fourier; the winning R
+    is then confirmed by adaptive quadrature (_fourier_quad) and the
+    quadrature value is reported, NoConvergenceError if it does not converge.
+    ratio uses the cap height at distance delta from the right endpoint; an
+    identically-zero denominator yields ratio = NaN.
     """
     lo, hi = window
     r_lo, r_hi = lo / delta, hi / delta
@@ -689,11 +651,10 @@ def cap_lower_bound_scan(f: HeightFn, delta: float,
     k = int(np.argmax(mags))
     r_star = float(grid[k])
 
-    w = _TWO_PI * r_star
-    pts = [p for p in f.breakpoints() if f.a < p < f.b]
-    vc, _, _ = _quad_real(lambda x: np.asarray(f(x), dtype=float), f.a, f.b, pts, w, "cos")
-    vs, _, _ = _quad_real(lambda x: np.asarray(f(x), dtype=float), f.a, f.b, pts, w, "sin")
-    value = abs(vc - 1j * vs)
+    val, _, ok = _fourier_quad(f, f.a, f.b, f.breakpoints(), r_star)
+    if not ok:
+        raise NoConvergenceError(f"cap quadrature did not converge at R = {r_star:g}")
+    value = abs(val)
 
     denom = delta * float(f(f.b - delta))
     ratio = value / denom if denom > 0.0 else math.nan

@@ -33,11 +33,6 @@ class Point2(NamedTuple):
     y: float
 
 
-def _as_xy(p) -> np.ndarray:
-    a = np.asarray(p, dtype=float).reshape(2)
-    return a
-
-
 def cross2(u, v) -> float:
     """Scalar cross product u_x v_y - u_y v_x."""
     u = np.asarray(u, dtype=float)
@@ -333,10 +328,6 @@ class AffineMap:
 
     linear: np.ndarray  # (2, 2)
     shift: np.ndarray  # (2,)
-
-    @staticmethod
-    def identity() -> "AffineMap":
-        return AffineMap(np.eye(2), np.zeros(2))
 
     def apply(self, points):
         p = np.asarray(points, dtype=float)

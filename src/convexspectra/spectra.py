@@ -108,7 +108,7 @@ def orthogonality_check(body: ConvexBody, candidate: SpectrumCandidate,
         diffs = diffs[np.hypot(diffs[:, 0], diffs[:, 1]) > 1e-12]
     if len(diffs) == 0:
         return True, (Point2(0.0, 0.0), 0.0)
-    vals = np.abs(transform_batch(body, diffs))
+    vals = np.abs(transform_batch(body, diffs)[0])
     worst = float(np.max(vals))
     ties = diffs[vals >= worst * (1.0 - 1e-12)]
     return bool(worst <= tol * a), (_lex_min(ties), worst)
@@ -143,7 +143,7 @@ def parseval_deficiency(body: ConvexBody, candidate: SpectrumCandidate,
     xs = np.atleast_2d(np.asarray(x_samples, dtype=float))
     max_dev = 0.0
     for x in xs:
-        vals = transform_batch(body, x[None, :] - pts)
+        vals, _ = transform_batch(body, x[None, :] - pts)
         s = float(np.sum(np.abs(vals) ** 2)) / (a * a)
         max_dev = max(max_dev, abs(s - 1.0))
     if candidate.kind == "lattice":

@@ -120,6 +120,14 @@ def test_ft_writes_csv_and_manifest(square_file, tmp_path, capsys):
     assert "tolerances" in man and "versions" in man and "wall_time_s" in man
 
 
+def test_ft_csv_method_column_names_the_route(square_file, disc_file, tmp_path, capsys):
+    for path, method in ((square_file, "closed_form"), (disc_file, "panel_rule")):
+        out = str(tmp_path / "ft.csv")
+        assert cli.main(["ft", "--body", path, "--xi", "0.5,0.25", "--out", out]) == 0
+        lines = open(out).read().splitlines()
+        assert lines[1].split(",")[5] == method
+
+
 def test_csv_reruns_are_byte_identical(square_file, tmp_path, capsys):
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     argv = ["zeros", "--body", square_file, "--xi", "0.25,0", "--xi", "5.5,0"]
@@ -266,3 +274,29 @@ def test_nonconvex_body_is_input_error(tmp_path, capsys):
                                           [2, 2], [0, 2]]}))
     rc = cli.main(["ft", "--body", str(p), "--xi", "1,1"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--lattice", "1 0; 0 1", "--radius", "0"],
+    ["slab-align", "--body", "{square}", "--R-list", "50", "--step", "0"],
+    ["ball-align", "--body", "{square}", "--window", "20,40", "--step", "0"],
+    ["ball-align", "--body", "{square}", "--window", "20,40", "--eps", "-1"],
+    ["cap-scan", "--body", "{hexagon}", "--delta", "0"],
+    ["cap-scan", "--body", "{hexagon}", "--delta", "-0.1"],
+    ["cap-scan", "--body", "{hexagon}", "--delta", "0.1", "--window", "inf,10"],
+    ["ft", "--body", "{square}", "--xi=nan,1"],
+    ["ft", "--body", "{square}", "--xi=1,-inf"],
+    ["spectrum-check", "--body", "{square}", "--lattice", "1 0; 0 1", "--radius", "-1"],
+    ["zeros", "--body", "{square}", "--xi=0.5,0.5", "--xi=3.5,0.5", "--samples", "-4"],
+    ["gap-check", "--body", "{square}", "--lattice", "1 0; 0 1", "--C", "0"],
+    ["gap-check", "--body", "{square}", "--lattice", "1 0; 0 1", "--radius", "-1"],
+    ["tile-check", "--body", "{square}", "--samples", "-3"],
+])
+def test_bad_input_exits_2_without_traceback(argv, square_file, hexagon_file, capsys):
+    argv = [a.format(square=square_file, hexagon=hexagon_file) for a in argv]
+    try:
+        rc = cli.main(argv)
+    except SystemExit as e:
+        rc = e.code
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -7,6 +7,7 @@ from scipy import integrate, special
 from convexspectra import fourier as F
 from convexspectra import geometry as G
 from convexspectra import heights
+from convexspectra.errors import NoConvergenceError
 
 
 def sinc(t):
@@ -34,7 +35,7 @@ def test_square_value_example(square):
 def test_polygon_edge_sum_matches_square(square):
     rng = np.random.default_rng(11)
     xs = rng.uniform(-15, 15, size=(300, 2))
-    vals, errs = F.polygon_transform_batch(square, xs)
+    vals, errs = F.transform_batch(square, xs)
     ref = square_ft_reference(xs[:, 0], xs[:, 1])
     assert np.max(np.abs(vals - ref)) < 1e-12
     assert np.max(errs) < 1e-12
@@ -52,13 +53,13 @@ def test_series_and_edge_sum_agree_across_threshold(hexagon_h0):
     r = rng.uniform(0.2, 5.0, 200) * 1e-2
     th = rng.uniform(0, 2 * math.pi, 200)
     xs = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-    vals, _ = F.polygon_transform_batch(hexagon_h0, xs)
+    vals, _ = F.transform_batch(hexagon_h0, xs)
     quad = np.array([F.ft_quadrature(hexagon_h0, x).value for x in xs[:20]])
     assert np.max(np.abs(vals[:20] - quad)) < 1e-9
     # continuity at the threshold circle
     eps = 1e-9
-    lo, _ = F.polygon_transform_batch(hexagon_h0, np.array([[1e-2 - eps, 0.0]]))
-    hi, _ = F.polygon_transform_batch(hexagon_h0, np.array([[1e-2 + eps, 0.0]]))
+    lo, _ = F.transform_batch(hexagon_h0, np.array([[1e-2 - eps, 0.0]]))
+    hi, _ = F.transform_batch(hexagon_h0, np.array([[1e-2 + eps, 0.0]]))
     assert abs(lo[0] - hi[0]) < 1e-10
 
 
@@ -89,10 +90,16 @@ def test_disc_matches_bessel(disc_body):
     rng = np.random.default_rng(13)
     xs = rng.uniform(-12, 12, size=(150, 2))
     rho = np.hypot(xs[:, 0], xs[:, 1])
-    vals = F.transform_batch(disc_body, xs)
+    vals, _ = F.transform_batch(disc_body, xs)
     ref = 0.5 * special.j1(2 * math.pi * 0.5 * rho) / rho
     assert np.max(np.abs(vals - ref)) < 1e-12
-    assert F.transform_batch(disc_body, np.empty((0, 2))).shape == (0,)
+    assert F.transform_batch(disc_body, np.empty((0, 2)))[0].shape == (0,)
+
+
+def test_method_labels_name_the_route(disc_body, hexagon_h0):
+    assert F.ft_body(hexagon_h0, (0.5, 0.25)).method == "closed_form"
+    assert F.ft_body(disc_body, (0.5, 0.25)).method == "panel_rule"
+    assert F.ft_quadrature(disc_body, (0.5, 0.25)).method == "quadrature"
 
 
 def test_graph_quadrature_oracle(parabola_capped):
@@ -109,8 +116,8 @@ def test_conjugate_symmetry_and_realness(hexagon_h0, disc_body):
     rng = np.random.default_rng(23)
     xs = rng.uniform(-9, 9, size=(60, 2))
     for body in (hexagon_h0, disc_body):
-        v_plus = F.transform_batch(body, xs)
-        v_minus = F.transform_batch(body, -xs)
+        v_plus, _ = F.transform_batch(body, xs)
+        v_minus, _ = F.transform_batch(body, -xs)
         assert np.max(np.abs(v_plus - np.conj(v_minus))) < 1e-12
         # symmetric body: transform is real
         assert np.max(np.abs(v_plus.imag)) < 1e-12
@@ -178,3 +185,56 @@ def test_cap_scan_parabola_and_zero_cap():
     flat = heights.zero()
     res0 = F.cap_lower_bound_scan(flat, 0.05)
     assert math.isnan(res0.ratio)
+
+
+@pytest.fixture
+def quad_warns(monkeypatch):
+    """scipy.integrate.quad that reports a warning on every full-output call."""
+    real = integrate.quad
+
+    def quad(*args, **kwargs):
+        res = real(*args, **kwargs)
+        if kwargs.get("full_output"):
+            return (*res[:3], "maximum number of subdivisions reached")
+        return res
+    monkeypatch.setattr(integrate, "quad", quad)
+
+
+def test_unconverged_quadrature_is_never_dropped(disc_body, quad_warns):
+    # |xi1| (b - a) below and above 8: the QAGS and the QAWO branch
+    for xi in ((1.3, 0.4), (9.5, 0.4)):
+        assert not F.ft_quadrature(disc_body, xi).converged
+        with pytest.raises(NoConvergenceError):
+            F.grad_ft(disc_body, xi)
+    with pytest.raises(NoConvergenceError):
+        F.cap_lower_bound_scan(heights.tent(-0.5, 0.5), 0.1)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.75])
+def test_power_cap_transform_against_qawo(p):
+    # no closed form: the panel rule of the cap body against scipy QAWO on
+    # the two halves, where f is smooth up to its endpoint singularity
+    f = heights.power(p)
+    Rs = np.array([0.0, 0.7, 3.3, 12.5, 41.0])
+    got = F.height_fourier(f, Rs)
+    for R, g in zip(Rs, got):
+        ref = 0.0j
+        for s0, s1 in ((-0.5, 0.0), (0.0, 0.5)):
+            re, _ = integrate.quad(f, s0, s1, weight="cos", wvar=2 * math.pi * R,
+                                   epsabs=1e-14, epsrel=1e-13, limit=200)
+            im, _ = integrate.quad(f, s0, s1, weight="sin", wvar=2 * math.pi * R,
+                                   epsabs=1e-14, epsrel=1e-13, limit=200)
+            ref += re - 1j * im
+        assert abs(g - ref) < 1e-12
+
+
+def test_power_cap_scan_memory_is_bounded():
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        res = F.cap_lower_bound_scan(heights.power(0.75), 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 1.0 <= res.R <= 100.0 and res.ratio > 0
+    assert peak < 256 * 2**20, f"peak {peak / 2**20:.0f} MiB"
