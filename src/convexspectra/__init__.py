@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from . import errors, heights
 from .geometry import (AffineMap, ConvexBody, ConvexPolygon, GraphBody,
-                       Lattice, Point2, Z2, area, centroid, decompose_caps,
+                       Lattice, Point2, Z2, area, as_polygon, centroid, decompose_caps,
                        disc, height_profile, is_symmetric, measures,
                        normalize_edge_to_standard, point_in_polygon,
                        regular_polygon, unit_square, validate_polygon)
@@ -29,7 +29,7 @@ __all__ = [
     "AffineMap", "AlignmentReport", "CapScanResult", "Certificate",
     "ConvexBody", "ConvexPolygon", "DensityReport", "FeaturePoint",
     "FourierSample", "GraphBody", "Lattice", "Point2", "SpectrumCandidate",
-    "TilingVerdict", "Z2", "ZeroPoint", "area", "ball_zero_alignment",
+    "TilingVerdict", "Z2", "ZeroPoint", "area", "as_polygon", "ball_zero_alignment",
     "cap_lower_bound_scan", "cap_slope", "centroid", "check_certificate",
     "classify", "constraint_density", "decay_diagnostic", "decompose_caps",
     "disc", "dual_lattice", "errors", "feature_points", "ft_body",

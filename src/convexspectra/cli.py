@@ -22,12 +22,12 @@ from . import __version__, heights
 from .errors import (BodyParseError, BodyValidationError, ConvexSpectraError,
                      NoBlowupError, NotTileableError, NoZerosFoundError)
 from .fourier import QUAD_TOL, SINGULAR_THRESHOLD, cap_lower_bound_scan, ft_body
-from .geometry import (ConvexBody, ConvexPolygon, GraphBody, Lattice,
+from .geometry import (ConvexBody, ConvexPolygon, GraphBody, Lattice, as_polygon,
                        decompose_caps, measures, validate_polygon)
 from .obstruction import check_certificate, nonspectral_certificate
 from .spectra import (SpectrumCandidate, landau_density, lattice_points_in_ball,
                       orthogonality_check, spectral_gap_check)
-from .tiling import _graph_to_polygon, classify, tiling_lattice, verify_tiling
+from .tiling import classify, tiling_lattice, verify_tiling
 from .zeroset import (DEFAULT_SCAN_STEP, ball_zero_alignment,
                       slab_zero_alignment, zeros_on_segment)
 
@@ -47,6 +47,10 @@ def parse_body_file(path: str) -> ConvexBody:
     descriptor: {"kind": "poly", "coeffs": [...]} | {"kind": "tent"}
               | {"kind": "semicircle", "r": ...}
               | {"kind": "pw", "knots": [...], "values": [...]}
+              | {"kind": "power", "p": ..., "scale": ...}
+    A power height needs 0 < p <= 1 and scale >= 0 (default 1).  Non-finite
+    numbers (JSON NaN, Infinity) are rejected, and f + g must enclose
+    positive area.
     """
     try:
         with open(path) as fh:
@@ -84,12 +88,13 @@ def parse_body_file(path: str) -> ConvexBody:
                 fns[field] = heights.from_descriptor(d, a, b, path=f"$.{field}")
             except ConvexSpectraError as e:
                 raise BodyParseError(f"{path}: {e}") from e
-            except (KeyError, TypeError, ValueError) as e:
-                raise BodyParseError(f"{path}: $.{field}: {e}") from e
         try:
-            return GraphBody(a, b, fns["f"], fns["g"])
+            body = GraphBody(a, b, fns["f"], fns["g"])
         except ConvexSpectraError as e:
             raise BodyValidationError(f"{path}: $: {e}") from e
+        if not body.area > 0.0:
+            raise BodyValidationError(f"{path}: $: f + g encloses zero area")
+        return body
     raise BodyParseError(f"{path}: $.type: expected \"polygon\" or \"graph\", got {kind!r}")
 
 
@@ -172,13 +177,10 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_manifest(out: str | None, command: str, args: argparse.Namespace,
-                    tolerances: dict, t0: float) -> None:
-    if out is None:
-        return
+def _write_manifest(args: argparse.Namespace, tolerances: dict, t0: float) -> None:
     params = {k: v for k, v in vars(args).items() if k != "func"}
     doc = {
-        "command": command,
+        "command": args.command,
         "parameters": params,
         "tolerances": tolerances,
         "versions": {
@@ -189,27 +191,24 @@ def _write_manifest(out: str | None, command: str, args: argparse.Namespace,
         },
         "wall_time_s": round(time.monotonic() - t0, 3),
     }
-    with open(out + ".manifest.json", "w") as fh:
+    with open(args.out + ".manifest.json", "w") as fh:
         json.dump(doc, fh, indent=2, default=str)
         fh.write("\n")
 
 
 def _require_polygon(body: ConvexBody, what: str) -> ConvexPolygon:
-    if isinstance(body, ConvexPolygon):
-        return body
-    poly = _graph_to_polygon(body)
+    poly = as_polygon(body)
     if poly is None:
         raise NotTileableError(f"{what} needs a polygonal body")
     return poly
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each prints its summary and returns
+# (exit code, CSV header, CSV rows, manifest tolerances)
 
 
-def _cmd_ft(args) -> int:
-    t0 = time.monotonic()
-    body = parse_body_file(args.body)
+def _cmd_ft(args, body):
     rows = []
     for spec in args.xi:
         xi = _parse_pair(spec, "--xi")
@@ -221,18 +220,11 @@ def _cmd_ft(args) -> int:
             print("%.6g" % v.real)
         else:
             print("%.6g%+.6gj" % (v.real, v.imag))
-    if args.out:
-        _write_csv(args.out, ["xi1", "xi2", "re", "im", "abs_err", "method",
-                              "converged"], rows)
-    _write_manifest(args.out, "ft", args,
-                    {"singular_threshold": SINGULAR_THRESHOLD,
-                     "quad_tol": QUAD_TOL}, t0)
-    return 0
+    return (0, ["xi1", "xi2", "re", "im", "abs_err", "method", "converged"], rows,
+            {"singular_threshold": SINGULAR_THRESHOLD, "quad_tol": QUAD_TOL})
 
 
-def _cmd_zeros(args) -> int:
-    t0 = time.monotonic()
-    body = parse_body_file(args.body)
+def _cmd_zeros(args, body):
     if len(args.xi) != 2:
         raise BodyParseError("zeros: pass --xi twice (segment start and end)")
     p0 = _parse_pair(args.xi[0], "--xi")
@@ -243,17 +235,12 @@ def _cmd_zeros(args) -> int:
     for z in zs:
         print("%.12g %.12g  residual %.3g" % (z.xi[0], z.xi[1], z.residual))
     print(f"{len(zs)} zeros on segment")
-    if args.out:
-        _write_csv(args.out, ["xi1", "xi2", "residual"],
-                   [[z.xi[0], z.xi[1], z.residual] for z in zs])
-    _write_manifest(args.out, "zeros", args,
-                    {"residual_tol": args.tol, "step": step}, t0)
-    return 0
+    return (0, ["xi1", "xi2", "residual"],
+            [[z.xi[0], z.xi[1], z.residual] for z in zs],
+            {"residual_tol": args.tol, "step": step})
 
 
-def _cmd_slab_align(args) -> int:
-    t0 = time.monotonic()
-    body = parse_body_file(args.body)
+def _cmd_slab_align(args, body):
     r_list = _parse_list(args.R_list, "--R-list")
     reports = slab_zero_alignment(body, args.A, r_list, step=args.step)
     rows = []
@@ -262,47 +249,32 @@ def _cmd_slab_align(args) -> int:
         print("R in [%g, %g]: %d zeros, max dist %.6g, mean %.6g"
               % (r_lo, r_hi, len(rep.zeros), rep.max_dist, rep.mean_dist))
         rows.append([r_lo, r_hi, len(rep.zeros), rep.max_dist, rep.mean_dist])
-    if args.out:
-        _write_csv(args.out, ["R_lo", "R_hi", "n_zeros", "max_dist", "mean_dist"],
-                   rows)
-    _write_manifest(args.out, "slab-align", args,
-                    {"step": args.step, "target": "punctured integer grid"}, t0)
-    return 0
+    return (0, ["R_lo", "R_hi", "n_zeros", "max_dist", "mean_dist"], rows,
+            {"step": args.step, "target": "punctured integer grid"})
 
 
-def _cmd_ball_align(args) -> int:
-    t0 = time.monotonic()
-    body = parse_body_file(args.body)
+def _cmd_ball_align(args, body):
     window = _parse_pair(args.window, "--window")
     rep = ball_zero_alignment(body, args.A, args.eps, window, step=args.step)
     print("beta %.6g  max dist %.6g  mean %.6g  (%d zeros)"
           % (rep.beta, rep.max_dist, rep.mean_dist, len(rep.zeros)))
-    if args.out:
-        _write_csv(args.out, ["xi1", "xi2", "residual"],
-                   [[z.xi[0], z.xi[1], z.residual] for z in rep.zeros])
-    _write_manifest(args.out, "ball-align", args,
-                    {"eps": args.eps, "step": args.step, "beta": rep.beta}, t0)
-    return 0
+    return (0, ["xi1", "xi2", "residual"],
+            [[z.xi[0], z.xi[1], z.residual] for z in rep.zeros],
+            {"eps": args.eps, "step": args.step, "beta": rep.beta})
 
 
-def _cmd_spectrum_check(args) -> int:
-    t0 = time.monotonic()
-    body = parse_body_file(args.body)
+def _cmd_spectrum_check(args, body):
     cand = SpectrumCandidate.from_lattice(parse_lattice(args.lattice))
     ok, (worst_pt, worst_val) = orthogonality_check(body, cand, args.radius,
                                                     tol=args.tol)
     print("%s  worst |transform| %.6g at (%.6g, %.6g)"
           % ("pass" if ok else "fail", worst_val, worst_pt.x, worst_pt.y))
-    if args.out:
-        _write_csv(args.out, ["pass", "worst_xi1", "worst_xi2", "worst_abs"],
-                   [[ok, worst_pt.x, worst_pt.y, worst_val]])
-    _write_manifest(args.out, "spectrum-check", args,
-                    {"orthogonality_tol": args.tol}, t0)
-    return 0 if ok else 1
+    return (0 if ok else 1, ["pass", "worst_xi1", "worst_xi2", "worst_abs"],
+            [[ok, worst_pt.x, worst_pt.y, worst_val]],
+            {"orthogonality_tol": args.tol})
 
 
-def _cmd_density(args) -> int:
-    t0 = time.monotonic()
+def _cmd_density(args, body):
     lat = parse_lattice(args.lattice)
     R = args.radius
     # 7x7 center grid over [-R, R]; points must pad each cube by 2R
@@ -313,18 +285,13 @@ def _cmd_density(args) -> int:
     print("R %g  D+ %d  D- %d  normalized %.17g / %.17g"
           % (rep.R, rep.D_plus, rep.D_minus, rep.normalized_plus,
              rep.normalized_minus))
-    if args.out:
-        _write_csv(args.out, ["R", "D_plus", "D_minus", "normalized_plus",
-                              "normalized_minus"],
-                   [[rep.R, rep.D_plus, rep.D_minus, rep.normalized_plus,
-                     rep.normalized_minus]])
-    _write_manifest(args.out, "density", args, {"cube_boundary": "closed"}, t0)
-    return 0
+    return (0, ["R", "D_plus", "D_minus", "normalized_plus", "normalized_minus"],
+            [[rep.R, rep.D_plus, rep.D_minus, rep.normalized_plus,
+              rep.normalized_minus]],
+            {"cube_boundary": "closed"})
 
 
-def _cmd_gap_check(args) -> int:
-    t0 = time.monotonic()
-    body = parse_body_file(args.body)
+def _cmd_gap_check(args, body):
     lat = parse_lattice(args.lattice)
     r_star = args.C * measures(body).perimeter / measures(body).area
     window = args.radius if args.radius else max(8.0 * r_star, 4.0 * r_star + 4.0)
@@ -332,51 +299,36 @@ def _cmd_gap_check(args) -> int:
     ok, largest = spectral_gap_check(pts, body, C=args.C)
     print("%s  largest empty half-side %.6g  (bound %.6g)"
           % ("pass" if ok else "fail", largest, r_star))
-    if args.out:
-        _write_csv(args.out, ["pass", "largest_empty", "bound"],
-                   [[ok, largest, r_star]])
-    _write_manifest(args.out, "gap-check", args, {"C": args.C}, t0)
-    return 0 if ok else 1
+    return (0 if ok else 1, ["pass", "largest_empty", "bound"],
+            [[ok, largest, r_star]], {"C": args.C})
 
 
-def _cmd_tile_check(args) -> int:
-    t0 = time.monotonic()
-    body = parse_body_file(args.body)
+def _cmd_tile_check(args, body):
     poly = _require_polygon(body, "tile-check")
     lat = parse_lattice(args.lattice) if args.lattice else tiling_lattice(poly)
     ok, bad = verify_tiling(poly, lat, samples=args.samples, seed=args.seed)
     print("%s  lattice (%.12g, %.12g), (%.12g, %.12g)  bad samples %d"
           % ("pass" if ok else "fail", lat.g1.x, lat.g1.y, lat.g2.x, lat.g2.y,
              len(bad)))
-    if args.out:
-        _write_csv(args.out, ["pass", "g1x", "g1y", "g2x", "g2y", "n_bad"],
-                   [[ok, lat.g1.x, lat.g1.y, lat.g2.x, lat.g2.y, len(bad)]])
-    _write_manifest(args.out, "tile-check", args,
-                    {"covolume_tol": 1e-6, "samples": args.samples}, t0)
-    return 0 if ok else 1
+    return (0 if ok else 1, ["pass", "g1x", "g1y", "g2x", "g2y", "n_bad"],
+            [[ok, lat.g1.x, lat.g1.y, lat.g2.x, lat.g2.y, len(bad)]],
+            {"covolume_tol": 1e-6, "samples": args.samples})
 
 
-def _cmd_classify(args) -> int:
-    t0 = time.monotonic()
-    body = parse_body_file(args.body)
+def _cmd_classify(args, body):
     verdict = classify(body)
     label = "spectral" if verdict.spectral else "not_spectral"
     print(f"{label} {verdict.reason}")
-    if args.out:
-        row = [label, verdict.reason, verdict.tiles]
-        header = ["verdict", "reason", "tiles"]
-        if verdict.lattice is not None:
-            header += ["g1x", "g1y", "g2x", "g2y"]
-            row += [verdict.lattice.g1.x, verdict.lattice.g1.y,
-                    verdict.lattice.g2.x, verdict.lattice.g2.y]
-        _write_csv(args.out, header, [row])
-    _write_manifest(args.out, "classify", args, {}, t0)
-    return 0 if verdict.spectral else 1
+    row = [label, verdict.reason, verdict.tiles]
+    header = ["verdict", "reason", "tiles"]
+    if verdict.lattice is not None:
+        header += ["g1x", "g1y", "g2x", "g2y"]
+        row += [verdict.lattice.g1.x, verdict.lattice.g1.y,
+                verdict.lattice.g2.x, verdict.lattice.g2.y]
+    return 0 if verdict.spectral else 1, header, [row], {}
 
 
-def _cmd_certify(args) -> int:
-    t0 = time.monotonic()
-    body = parse_body_file(args.body)
+def _cmd_certify(args, body):
     poly = _require_polygon(body, "certify")
     cert = nonspectral_certificate(poly)
     ok = check_certificate(poly, cert)
@@ -384,13 +336,9 @@ def _cmd_certify(args) -> int:
     print("%s  min triangle %.6g  margin %.6g  area %.6g  recheck %s"
           % (cert.kind, amin, cert.margin, cert.omega_area,
              "pass" if ok else "FAIL"))
-    if args.out:
-        _write_csv(args.out, ["i", "j", "k", "area"],
-                   [[*idx, a] for idx, a in cert.triangles])
-    _write_manifest(args.out, "certify", args,
-                    {"area_recheck_tol": 1e-12, "kind": cert.kind,
-                     "margin": cert.margin}, t0)
-    return 0 if ok else 1
+    return (0 if ok else 1, ["i", "j", "k", "area"],
+            [[*idx, a] for idx, a in cert.triangles],
+            {"area_recheck_tol": 1e-12, "kind": cert.kind, "margin": cert.margin})
 
 
 def _cap_height(body: ConvexBody):
@@ -412,25 +360,21 @@ def _cap_height(body: ConvexBody):
         "cap-scan: cannot subtract the wall height from this height kind")
 
 
-def _cmd_cap_scan(args) -> int:
-    t0 = time.monotonic()
-    body = parse_body_file(args.body)
+def _cmd_cap_scan(args, body):
     f = _cap_height(body)
     window = _parse_pair(args.window, "--window")
     res = cap_lower_bound_scan(f, args.delta, window)
     print("R %.12g  |transform| %.6g  ratio %.6g"
           % (res.R, res.value, res.ratio))
-    if args.out:
-        _write_csv(args.out, ["R", "value", "ratio", "delta", "window_lo",
-                              "window_hi", "grid_step"],
-                   [[res.R, res.value, res.ratio, res.delta, res.window[0],
-                     res.window[1], res.grid_step]])
-    _write_manifest(args.out, "cap-scan", args,
-                    {"quad_tol": QUAD_TOL}, t0)
+    code = 0
     if math.isnan(res.ratio):
         print("cap is identically zero; no lower bound", file=sys.stderr)
-        return 1
-    return 0
+        code = 1
+    return (code, ["R", "value", "ratio", "delta", "window_lo", "window_hi",
+                   "grid_step"],
+            [[res.R, res.value, res.ratio, res.delta, res.window[0],
+              res.window[1], res.grid_step]],
+            {"quad_tol": QUAD_TOL})
 
 
 # ---------------------------------------------------------------------------
@@ -444,19 +388,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "non-spectrality certificates for convex planar bodies.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, body=True):
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(func=fn)
         sp.add_argument("--out", help="CSV output path (manifest written alongside)")
+        if body:
+            sp.add_argument("--body", required=True)
         return sp
 
     sp = add("ft", _cmd_ft, "evaluate the transform at given frequencies")
-    sp.add_argument("--body", required=True)
     sp.add_argument("--xi", action="append", required=True,
                     help="frequency as x,y (repeatable)")
 
     sp = add("zeros", _cmd_zeros, "locate transform zeros on a segment")
-    sp.add_argument("--body", required=True)
     sp.add_argument("--xi", action="append", required=True,
                     help="segment endpoint as x,y (pass twice)")
     sp.add_argument("--samples", type=_count, default=0,
@@ -467,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("slab-align", _cmd_slab_align,
              "zero alignment with the punctured integer grid in slabs")
-    sp.add_argument("--body", required=True)
     sp.add_argument("--A", type=_positive, default=3.0, help="slab half-height")
     sp.add_argument("--R-list", dest="R_list", required=True,
                     help="comma-separated slab offsets")
@@ -475,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("ball-align", _cmd_ball_align,
              "best shifted-grid fit of zeros in balls along the axis")
-    sp.add_argument("--body", required=True)
     sp.add_argument("--A", type=_positive, default=2.0, help="ball radius")
     sp.add_argument("--window", required=True, help="R range as lo,hi")
     sp.add_argument("--eps", type=_positive, default=0.1,
@@ -484,41 +426,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("spectrum-check", _cmd_spectrum_check,
              "orthogonality of a lattice candidate spectrum")
-    sp.add_argument("--body", required=True)
     sp.add_argument("--lattice", required=True, help='basis "a b; c d" (columns)')
     sp.add_argument("--radius", type=_positive, required=True)
     sp.add_argument("--tol", type=float, default=1e-9)
 
-    sp = add("density", _cmd_density, "Landau counting density of a lattice")
+    sp = add("density", _cmd_density, "Landau counting density of a lattice",
+             body=False)
     sp.add_argument("--lattice", required=True)
     sp.add_argument("--radius", type=_positive, required=True,
                     help="cube half-side R")
 
     sp = add("gap-check", _cmd_gap_check,
              "no large empty cubes in a candidate spectrum")
-    sp.add_argument("--body", required=True)
     sp.add_argument("--lattice", required=True)
     sp.add_argument("--radius", type=_non_negative, default=0.0,
                     help="point enumeration window (default: auto)")
     sp.add_argument("--C", type=_positive, default=1.0)
 
     sp = add("tile-check", _cmd_tile_check, "verify a lattice tiling by sampling")
-    sp.add_argument("--body", required=True)
     sp.add_argument("--lattice", default=None,
                     help="tiling lattice (default: constructed)")
     sp.add_argument("--samples", type=_count, default=10_000)
     sp.add_argument("--seed", type=int, default=0)
 
-    sp = add("classify", _cmd_classify, "spectral / not_spectral with reason")
-    sp.add_argument("--body", required=True)
-
-    sp = add("certify", _cmd_certify,
-             "non-spectrality certificate for a symmetric 2n-gon")
-    sp.add_argument("--body", required=True)
+    add("classify", _cmd_classify, "spectral / not_spectral with reason")
+    add("certify", _cmd_certify, "non-spectrality certificate for a symmetric 2n-gon")
 
     sp = add("cap-scan", _cmd_cap_scan,
              "lower-bound scan of a cap height transform")
-    sp.add_argument("--body", required=True)
     sp.add_argument("--delta", type=_positive, required=True)
     sp.add_argument("--window", default="0.1,10",
                     help="R window as lo,hi in units of 1/delta")
@@ -528,8 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        body = parse_body_file(args.body) if "body" in args else None
+        code, header, rows, tolerances = args.func(args, body)
+        if args.out:
+            _write_csv(args.out, header, rows)
+            _write_manifest(args, tolerances, t0)
+        return code
     except _PROPERTY_ERRORS as e:
         print(f"property check failed: {e}", file=sys.stderr)
         return 1

@@ -552,13 +552,7 @@ def height_fourier(f: HeightFn, R) -> np.ndarray:
     """
     R = np.atleast_1d(np.asarray(R, dtype=float))
     if f.kind in ("tent", "pw"):
-        if f.kind == "tent":
-            mid = 0.5 * (f.a + f.b)
-            knots = np.array([f.a, mid, f.b])
-            vals = np.array([0.0, mid - f.a, 0.0])
-        else:
-            knots = np.asarray(f.knots, dtype=float)
-            vals = np.asarray(f.values, dtype=float)
+        knots, vals = f.polyline()
         out = np.zeros(len(R), dtype=complex)
         for i in range(len(knots) - 1):
             out += _interval_linear_ft(knots[i], knots[i + 1], vals[i], vals[i + 1], R)

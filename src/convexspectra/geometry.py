@@ -203,6 +203,31 @@ def disc(radius: float = 0.5) -> GraphBody:
     return GraphBody(-radius, radius, h, h)
 
 
+def as_polygon(body: ConvexBody) -> ConvexPolygon | None:
+    """The body as a polygon, or None when part of its boundary is curved.
+
+    A graph body bounded by flat arcs becomes the polygon through the knots
+    of f and g, counterclockwise from the left end of the lower chain.
+    Corners repeated at a zero-height wall and knots the boundary passes
+    straight through (at validate_polygon's tolerances) are dropped.
+    """
+    if isinstance(body, ConvexPolygon):
+        return body
+    upper, lower = body.f.polyline(), body.g.polyline()
+    if upper is None or lower is None:
+        return None
+    chain = [(x, -y) for x, y in zip(*lower)] + list(zip(*upper))[::-1]
+    v = np.array(chain, dtype=float)
+    scale = float(np.max(np.abs(v)))
+    v = v[np.r_[True, np.linalg.norm(np.diff(v, axis=0), axis=1) > 1e-12 * scale]]
+    if np.linalg.norm(v[-1] - v[0]) <= 1e-12 * scale:
+        v = v[:-1]
+    d_in = v - np.roll(v, 1, axis=0)
+    d_out = np.roll(d_in, -1, axis=0)
+    turns = d_in[:, 0] * d_out[:, 1] - d_in[:, 1] * d_out[:, 0]
+    return validate_polygon(v[np.abs(turns) > 1e-12 * scale * scale])
+
+
 # ---------------------------------------------------------------------------
 # measures
 

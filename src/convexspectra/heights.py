@@ -8,7 +8,7 @@ and stably, including within 1e-13 of the domain endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,13 @@ class HeightFn:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise BodyFileError(f"unknown height kind {self.kind!r}")
+        for name in ("coeffs", "knots", "values", "r", "p", "scale"):
+            if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
+                raise BodyFileError(f"{self.kind} height: {name} must be finite")
+        if self.kind == "power" and not 0.0 < self.p <= 1.0:
+            raise BodyFileError(f"power height: p must be in (0, 1], got {self.p}")
+        if self.kind == "power" and self.scale < 0.0:
+            raise BodyFileError(f"power height: scale must be >= 0, got {self.scale}")
         if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
             raise BodyFileError(f"bad height domain [{self.a}, {self.b}]")
         if self.kind == "pw":
@@ -127,6 +134,18 @@ class HeightFn:
             return True
         return False
 
+    def polyline(self):
+        """(knots, values) of a piecewise-linear height, None for a curved one."""
+        if self.kind == "pw":
+            return self.knots, self.values
+        if self.kind == "tent" or (self.kind == "power" and self.p == 1.0):
+            mid = 0.5 * (self.a + self.b)
+            peak = mid - self.a if self.kind == "tent" else self.scale * (mid - self.a)
+            return (self.a, mid, self.b), (0.0, peak, 0.0)
+        if self.kind == "poly" and not any(self.coeffs[2:]):
+            return (self.a, self.b), (self(self.a), self(self.b))
+        return None
+
     def max_value(self) -> float:
         if self.kind == "tent":
             return 0.5 * (self.b - self.a)
@@ -175,6 +194,8 @@ def semicircle(r: float) -> HeightFn:
 def piecewise(knots, values) -> HeightFn:
     knots = tuple(float(k) for k in knots)
     values = tuple(float(v) for v in values)
+    if not knots:
+        raise BodyFileError("pw height needs matching knots/values, length >= 2")
     return HeightFn("pw", knots[0], knots[-1], knots=knots, values=values)
 
 
@@ -203,6 +224,6 @@ def from_descriptor(d: dict, a: float, b: float, path: str = "f") -> HeightFn:
             return piecewise(d["knots"], d["values"])
         if kind == "power":
             return power(d["p"], d.get("scale", 1.0), a, b)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (BodyFileError, KeyError, TypeError, ValueError) as exc:
         raise BodyFileError(f"{path}: {exc}") from exc
     raise BodyFileError(f"{path}.kind: unknown height kind {kind!r}")

@@ -161,18 +161,17 @@ def _interiors_disjoint(t1: np.ndarray, t2: np.ndarray, tol: float) -> bool:
 def nonspectral_certificate(poly: ConvexPolygon) -> Certificate:
     """Construct the triangle witness contradicting the half-area bound.
 
-    Even n: the fan from vertex 0 splits the polygon into 2n - 2 triangles
-    whose areas sum to the full area, so the smallest is at most
-    area / (2n - 2) < area / 2 once n >= 4.  Odd n: the triples
-    (0,2,4), (0,4,6), (0,6,8) are pairwise disjoint inside the polygon, so
-    the smallest is at most area / 3 < area / 2.
+    The closure class of vertex_constraint_vectors picks the witness.
+    all_pairs (even n): the fan from vertex 0 splits the polygon into
+    2n - 2 triangles whose areas sum to the full area, so the smallest is at
+    most area / (2n - 2) < area / 2 once n >= 4.  same_parity (odd n): the
+    triples (0,2,4), (0,4,6), (0,6,8) are pairwise disjoint inside the
+    polygon, so the smallest is at most area / 3 < area / 2.
     """
-    v = _symmetric_vertex_order(poly)
-    n = poly.m // 2
-    if n < 4:
-        raise TooFewVerticesError(f"need a 2n-gon with n >= 4, got n = {n}")
+    _vectors, closure = vertex_constraint_vectors(poly)
+    v = poly.vertices
     a = poly.area
-    if n % 2 == 0:
+    if closure == "all_pairs":
         idxs = [(0, j, j + 1) for j in range(1, poly.m - 1)]
         kind = "fan_pigeonhole"
     else:

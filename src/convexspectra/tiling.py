@@ -3,14 +3,13 @@ sampled tiling verification, and the tiles-iff-spectral classifier."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CovolumeMismatchError, DegenerateError, NotConvexError, NotTileableError
-from .geometry import (ConvexBody, ConvexPolygon, GraphBody, Lattice, Point2,
-                       inside_margin, is_symmetric, validate_polygon)
+from .errors import CovolumeMismatchError, DegenerateError, NotTileableError
+from .geometry import (ConvexBody, ConvexPolygon, Lattice, Point2, as_polygon,
+                       inside_margin, is_symmetric)
 from .spectra import lattice_points_in_ball
 
 
@@ -53,6 +52,8 @@ def verify_tiling(poly: ConvexPolygon, lattice: Lattice, samples: int = 10_000,
     every counted point is decisively inside or outside each translate.
     Returns (pass, list of points with cover count != 1).
     """
+    if samples < 1:
+        raise ValueError(f"verify_tiling needs at least 1 sample, got {samples}")
     if abs(lattice.covolume - poly.area) > 1e-6 * max(1.0, poly.area):
         raise CovolumeMismatchError(
             f"covolume {lattice.covolume:.12g} != area {poly.area:.12g}")
@@ -77,109 +78,23 @@ def verify_tiling(poly: ConvexPolygon, lattice: Lattice, samples: int = 10_000,
     return len(bad) == 0, bad
 
 
-# ---------------------------------------------------------------------------
-# flat-arc detection: graph bodies that are secretly polygons
-
-
-def _polyline_from_samples(xs: np.ndarray, ys: np.ndarray, tol: float):
-    """Recover the knots of a piecewise-linear sample sequence, or None if any
-    arc is genuinely curved (a run of 3+ consecutive bent samples)."""
-    d2 = np.abs(ys[:-2] - 2.0 * ys[1:-1] + ys[2:])
-    bent = np.nonzero(d2 > tol)[0] + 1
-    knots_x = [xs[0]]
-    knots_y = [ys[0]]
-    i = 0
-    while i < len(bent):
-        j = i
-        while j + 1 < len(bent) and bent[j + 1] - bent[j] == 1:
-            j += 1
-        run = bent[i:j + 1]
-        if len(run) > 2:
-            return None
-        lo = run[0] - 1
-        hi = run[-1] + 1
-        if lo < 1 or hi > len(xs) - 2:
-            return None  # bend runs into the endpoint: not a clean interior knot
-        # intersect the clean lines on either side of the run
-        s1 = (ys[lo] - ys[lo - 1]) / (xs[lo] - xs[lo - 1])
-        s2 = (ys[hi + 1] - ys[hi]) / (xs[hi + 1] - xs[hi])
-        if abs(s1 - s2) < 1e-12:
-            i = j + 1
-            continue
-        xk = (ys[hi] - ys[lo] + s1 * xs[lo] - s2 * xs[hi]) / (s1 - s2)
-        knots_x.append(float(xk))
-        knots_y.append(float(ys[lo] + s1 * (xk - xs[lo])))
-        i = j + 1
-    knots_x.append(xs[-1])
-    knots_y.append(ys[-1])
-    return knots_x, knots_y
-
-
-def _graph_to_polygon(body: GraphBody) -> ConvexPolygon | None:
-    """Convert a graph body whose boundary is entirely flat arcs to a polygon."""
-    n = 4001
-    xs = np.linspace(body.a, body.b, n)
-    scale = max(body.b - body.a, body.f.max_value() + body.g.max_value())
-    tol = 1e-9 * scale
-    upper = _polyline_from_samples(xs, np.asarray(body.f(xs), dtype=float), tol)
-    lower = _polyline_from_samples(xs, -np.asarray(body.g(xs), dtype=float), tol)
-    if upper is None or lower is None:
-        return None
-    ux, uy = upper
-    lx, ly = lower
-    verts = list(zip(lx, ly)) + list(zip(reversed(ux), reversed(uy)))  # ccw
-    # merge duplicates and collinear corners left by the chain stitching
-    cleaned: list[tuple[float, float]] = []
-    for p in verts:
-        if cleaned and math.hypot(p[0] - cleaned[-1][0], p[1] - cleaned[-1][1]) <= 10 * tol:
-            continue
-        cleaned.append(p)
-    while len(cleaned) > 3 and math.hypot(cleaned[0][0] - cleaned[-1][0],
-                                          cleaned[0][1] - cleaned[-1][1]) <= 10 * tol:
-        cleaned.pop()
-    out: list[tuple[float, float]] = []
-    m = len(cleaned)
-    for i in range(m):
-        a = np.array(cleaned[(i - 1) % m])
-        b = np.array(cleaned[i])
-        c = np.array(cleaned[(i + 1) % m])
-        turn = float((b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]))
-        if abs(turn) > tol * max(1.0, scale):
-            out.append(cleaned[i])
-    if len(out) < 3:
-        return None
-    try:
-        return validate_polygon(np.array(out))
-    except (NotConvexError, DegenerateError):
-        return None
-
-
-def _verdict_for_polygon(poly: ConvexPolygon) -> TilingVerdict:
-    ok, _center = is_symmetric(poly)
-    if not ok:
-        return TilingVerdict(False, None, False, "not_symmetric")
-    if poly.m in (4, 6):
-        reason = "symmetric_quadrilateral" if poly.m == 4 else "symmetric_hexagon"
-        return TilingVerdict(True, tiling_lattice(poly), True, reason)
-    return TilingVerdict(False, None, False, "polygon_n_ge_4")
-
-
 def classify(body: ConvexBody) -> TilingVerdict:
     """Tiles-iff-spectral classification of a convex planar body.
 
     Not symmetric: no spectrum.  Symmetric polygon: spectral exactly for
     quadrilaterals and hexagons (tiling lattice attached); 2n-gons with
     2n >= 8 are non-spectral with a certificate available from the
-    obstruction module.  Symmetric graph bodies made entirely of flat arcs
-    are converted to their polygon before classification; genuinely curved
-    symmetric bodies are non-spectral (not_polygon).
+    obstruction module.  Graph bodies made entirely of flat arcs are
+    classified as the polygon through their knots (geometry.as_polygon);
+    symmetric curved bodies are non-spectral (not_polygon).
     """
-    if isinstance(body, ConvexPolygon):
-        return _verdict_for_polygon(body)
-    ok, _center = is_symmetric(body)
+    poly = as_polygon(body)
+    ok, _center = is_symmetric(body if poly is None else poly)
     if not ok:
         return TilingVerdict(False, None, False, "not_symmetric")
-    poly = _graph_to_polygon(body)
-    if poly is not None:
-        return _verdict_for_polygon(poly)
-    return TilingVerdict(False, None, False, "not_polygon")
+    if poly is None:
+        return TilingVerdict(False, None, False, "not_polygon")
+    if poly.m in (4, 6):
+        reason = "symmetric_quadrilateral" if poly.m == 4 else "symmetric_hexagon"
+        return TilingVerdict(True, tiling_lattice(poly), True, reason)
+    return TilingVerdict(False, None, False, "polygon_n_ge_4")

@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from convexspectra import cli, geometry
+from convexspectra import cli, heights
 from convexspectra.errors import BodyParseError, BodyValidationError
 from convexspectra.geometry import ConvexPolygon, GraphBody
 
@@ -291,6 +292,7 @@ def test_nonconvex_body_is_input_error(tmp_path, capsys):
     ["gap-check", "--body", "{square}", "--lattice", "1 0; 0 1", "--C", "0"],
     ["gap-check", "--body", "{square}", "--lattice", "1 0; 0 1", "--radius", "-1"],
     ["tile-check", "--body", "{square}", "--samples", "-3"],
+    ["tile-check", "--body", "{square}", "--samples", "0"],
 ])
 def test_bad_input_exits_2_without_traceback(argv, square_file, hexagon_file, capsys):
     argv = [a.format(square=square_file, hexagon=hexagon_file) for a in argv]
@@ -299,4 +301,71 @@ def test_bad_input_exits_2_without_traceback(argv, square_file, hexagon_file, ca
     except SystemExit as e:
         rc = e.code
     assert rc == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "reshape" not in err
+
+
+_SLAB = '"type": "graph", "a": -0.5, "b": 0.5'
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("ft", '{%s, "f": {"kind": "pw", "knots": [-0.5, 0.5], "values": [0.5, Infinity]},'
+           ' "g": {"kind": "tent"}}' % _SLAB, "values must be finite"),
+    ("classify", '{%s, "f": {"kind": "poly", "coeffs": [NaN]},'
+                 ' "g": {"kind": "poly", "coeffs": [NaN]}}' % _SLAB, "coeffs must be finite"),
+    ("classify", '{%s, "f": {"kind": "power", "p": 0}, "g": {"kind": "power", "p": 0}}'
+                 % _SLAB, r"p must be in \(0, 1\]"),
+    ("classify", '{%s, "f": {"kind": "power", "p": 0.5, "scale": -1}, "g": {"kind": "tent"}}'
+                 % _SLAB, "scale must be >= 0"),
+    ("classify", '{%s, "f": {"kind": "pw", "knots": [], "values": []}, "g": {"kind": "tent"}}'
+                 % _SLAB, r"\$\.f: pw height"),
+    ("gap-check", '{%s, "f": {"kind": "poly", "coeffs": []}, "g": {"kind": "poly", "coeffs": []}}'
+                  % _SLAB, "zero area"),
+    ("classify", '{"type": "polygon", "vertices": [[0, 0], [1, NaN], [0, 1]]}', "finite"),
+], ids=["pw_infinity", "poly_nan", "power_p0", "power_negative_scale", "pw_empty",
+        "zero_area", "polygon_nan"])
+def test_bad_body_file_exits_2(command, text, message, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    argv = [command, "--body", str(p)]
+    argv += {"ft": ["--xi", "0.5,0.5"], "gap-check": ["--lattice", "1 0; 0 1"]}.get(command, [])
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.search(message, err), err
+
+
+def test_certify_flat_graph_octagon(tmp_path, capsys):
+    # two top knots 2e-4 apart: an octagon read exactly from its knots
+    f = heights.piecewise([-0.5, -1e-4, 1e-4, 0.5], [0.5, 0.75, 0.75, 0.5])
+    path = write_body(tmp_path / "oct.json", GraphBody(-0.5, 0.5, f, f))
+    assert cli.main(["classify", "--body", path]) == 1
+    assert capsys.readouterr().out.strip() == "not_spectral polygon_n_ge_4"
+    assert cli.main(["certify", "--body", path]) == 0
+    assert "recheck pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["ft", "--body", "{square}", "--xi", "0.5,0.5"],
+    ["zeros", "--body", "{square}", "--xi", "0.25,0", "--xi", "2.5,0"],
+    ["slab-align", "--body", "{square}", "--A", "1", "--R-list", "10", "--step", "0.1"],
+    ["ball-align", "--body", "{square}", "--A", "1", "--window", "5,8", "--step", "0.1"],
+    ["spectrum-check", "--body", "{square}", "--lattice", "1 0; 0 1", "--radius", "3"],
+    ["density", "--lattice", "1 0; 0 1", "--radius", "3"],
+    ["gap-check", "--body", "{square}", "--lattice", "1 0; 0 1"],
+    ["tile-check", "--body", "{square}", "--samples", "100"],
+    ["classify", "--body", "{square}"],
+    ["certify", "--body", "{octagon}"],
+    ["cap-scan", "--body", "{hexagon}", "--delta", "0.2"],
+])
+def test_every_subcommand_writes_csv_and_manifest(argv, square_file, hexagon_file,
+                                                  octagon_file, tmp_path, capsys):
+    out = str(tmp_path / "run.csv")
+    argv = [a.format(square=square_file, hexagon=hexagon_file, octagon=octagon_file)
+            for a in argv]
+    assert cli.main(argv + ["--out", out]) == 0
+    assert len(open(out).read().splitlines()) >= 2
+    man = json.load(open(out + ".manifest.json"))
+    assert man["command"] == argv[0]
+    assert man["parameters"]["out"] == out
+    assert ("body" in man["parameters"]) == (argv[0] != "density")

@@ -158,3 +158,20 @@ def test_parallelogram_symmetry_property(ax, ay, bx, by):
     assert ok
     assert math.hypot(c.x, c.y) < 1e-9
     assert poly.area == pytest.approx(2.0 * abs(ax * by - ay * bx))
+
+
+def test_as_polygon_reads_graph_bodies_from_their_knots(square, disc_body,
+                                                        parabola_capped, diamond_body):
+    assert G.as_polygon(square) is square
+    assert G.as_polygon(disc_body) is None
+    assert G.as_polygon(parabola_capped) is None
+    # zero-height walls: the repeated corners at x = -1/2 and 1/2 are dropped
+    assert G.as_polygon(diamond_body).vertices.tolist() == [
+        [-0.5, 0.0], [0.0, -0.5], [0.5, 0.0], [0.0, 0.5]]
+    # a straight-through knot is removed, and the chain starts at the lower left
+    f = heights.piecewise([-0.5, 0.0, 0.5], [0.5, 0.5, 0.5])
+    assert G.as_polygon(G.GraphBody(-0.5, 0.5, f, heights.polynomial([0.5]))
+                        ).vertices.tolist() == square.vertices[[3, 0, 1, 2]].tolist()
+    # a cap on a flat floor: triangle through the peak of a p = 1 power height
+    cap = G.GraphBody(-0.5, 0.5, heights.power(1.0, 2.0), heights.zero())
+    assert G.as_polygon(cap).vertices.tolist() == [[-0.5, 0.0], [0.5, 0.0], [0.0, 1.0]]

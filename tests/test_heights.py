@@ -93,3 +93,40 @@ def test_domain_validation():
         heights.polynomial([1.0], 0.5, -0.5)
     with pytest.raises(BodyFileError):
         heights.semicircle(0.5).__class__("semicircle", -0.4, 0.5, r=0.5)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: heights.polynomial([0.25, math.nan]), "coeffs"),
+    (lambda: heights.polynomial([math.inf]), "coeffs"),
+    (lambda: heights.piecewise([-0.5, 0.5], [0.0, math.inf]), "values"),
+    (lambda: heights.piecewise([-0.5, math.nan, 0.5], [0.0, 0.1, 0.0]), "knots"),
+    (lambda: heights.semicircle(math.nan), "r"),
+    (lambda: heights.power(math.nan), "p"),
+    (lambda: heights.power(0.5, -math.inf), "scale"),
+    (lambda: heights.power(0.0), "p"),
+    (lambda: heights.power(1.5), "p"),
+    (lambda: heights.power(0.5, -1.0), "scale"),
+], ids=["poly_nan", "poly_inf", "pw_values_inf", "pw_knots_nan", "semicircle_nan",
+        "power_p_nan", "power_scale_inf", "power_p0", "power_p_above_1",
+        "power_negative_scale"])
+def test_bad_parameters_are_rejected_by_field(make, field):
+    with pytest.raises(BodyFileError, match=field):
+        make()
+
+
+def test_empty_piecewise_is_rejected():
+    with pytest.raises(BodyFileError, match=r"\$\.f"):
+        heights.from_descriptor({"kind": "pw", "knots": [], "values": []},
+                                -0.5, 0.5, path="$.f")
+
+
+def test_polyline_of_piecewise_linear_kinds():
+    f = heights.piecewise([-0.5, 0.1, 0.5], [0.0, 0.4, 0.2])
+    assert f.polyline() == ((-0.5, 0.1, 0.5), (0.0, 0.4, 0.2))
+    assert heights.tent(-0.5, 0.5).polyline() == ((-0.5, 0.0, 0.5), (0.0, 0.5, 0.0))
+    assert heights.power(1.0, 2.0).polyline() == ((-0.5, 0.0, 0.5), (0.0, 1.0, 0.0))
+    assert heights.polynomial([0.5, 0.25, 0.0]).polyline() == ((-0.5, 0.5), (0.375, 0.625))
+    assert heights.zero().polyline() == ((-0.5, 0.5), (0.0, 0.0))
+    assert heights.polynomial([0.5, 0.0, -1.0]).polyline() is None
+    assert heights.power(0.75).polyline() is None
+    assert heights.semicircle(0.5).polyline() is None

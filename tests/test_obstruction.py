@@ -191,6 +191,17 @@ def test_decagon_certificate(decagon):
     assert obstruction.check_certificate(decagon, cert)
 
 
+def test_certificate_witness_follows_the_closure_class(decagon, monkeypatch):
+    # one parity rule: the witness is read off vertex_constraint_vectors
+    vectors, closure = obstruction.vertex_constraint_vectors(decagon)
+    assert closure == "same_parity"
+    monkeypatch.setattr(obstruction, "vertex_constraint_vectors",
+                        lambda poly: (vectors, "all_pairs"))
+    cert = obstruction.nonspectral_certificate(decagon)
+    assert cert.kind == "fan_pigeonhole" and len(cert.triangles) == 8
+    assert obstruction.check_certificate(decagon, cert)
+
+
 def test_twelve_gon_certificate(twelve_gon):
     cert = obstruction.nonspectral_certificate(twelve_gon)
     assert cert.kind == "fan_pigeonhole"

@@ -129,3 +129,28 @@ def test_classify_flat_graph_square():
     v = tiling.classify(GraphBody(-0.5, 0.5, f, f))
     assert v.tiles and v.spectral
     assert v.reason == "symmetric_quadrilateral"
+
+
+def test_flat_graph_hexagon_lattice_is_exact():
+    f = heights.piecewise([-0.5, 0.0, 0.5], [0.5, 0.75, 0.5])
+    v = tiling.classify(GraphBody(-0.5, 0.5, f, f))
+    assert v.lattice == Lattice(Point2(-0.5, -1.25), Point2(0.5, -1.25))
+
+
+def test_classify_flat_graph_hexagon_with_knot_near_the_wall():
+    # the knot is 1e-4 from the wall, closer than a sampled recovery resolves
+    f = heights.piecewise([-0.5, 0.4999, 0.5], [0.5, 0.75, 0.5])
+    g = heights.piecewise([-0.5, -0.4999, 0.5], [0.5, 0.75, 0.5])
+    v = tiling.classify(GraphBody(-0.5, 0.5, f, g))
+    assert v.spectral and v.reason == "symmetric_hexagon"
+
+
+def test_classify_flat_graph_octagon_with_close_knots():
+    f = heights.piecewise([-0.5, -1e-4, 1e-4, 0.5], [0.5, 0.75, 0.75, 0.5])
+    v = tiling.classify(GraphBody(-0.5, 0.5, f, f))
+    assert not v.spectral and v.reason == "polygon_n_ge_4"
+
+
+def test_verify_tiling_needs_a_sample(square):
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        tiling.verify_tiling(square, tiling.tiling_lattice(square), samples=0)
