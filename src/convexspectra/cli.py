@@ -293,7 +293,8 @@ def _cmd_density(args, body):
 
 def _cmd_gap_check(args, body):
     lat = parse_lattice(args.lattice)
-    r_star = args.C * measures(body).perimeter / measures(body).area
+    m = measures(body)
+    r_star = args.C * m.perimeter / m.area
     window = args.radius if args.radius else max(8.0 * r_star, 4.0 * r_star + 4.0)
     pts = lattice_points_in_ball(lat, window * math.sqrt(2.0))
     ok, largest = spectral_gap_check(pts, body, C=args.C)
@@ -467,19 +468,20 @@ def main(argv=None) -> int:
     try:
         body = parse_body_file(args.body) if "body" in args else None
         code, header, rows, tolerances = args.func(args, body)
-        if args.out:
-            _write_csv(args.out, header, rows)
-            _write_manifest(args, tolerances, t0)
-        return code
     except _PROPERTY_ERRORS as e:
         print(f"property check failed: {e}", file=sys.stderr)
         return 1
-    except ConvexSpectraError as e:
+    except (ConvexSpectraError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    if args.out:
+        try:
+            _write_csv(args.out, header, rows)
+            _write_manifest(args, tolerances, t0)
+        except OSError as e:
+            print(f"error: cannot write output: {e}", file=sys.stderr)
+            return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -23,8 +23,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import NoConvergenceError
-from .geometry import (ConvexBody, ConvexPolygon, GraphBody, Point2, area,
-                       _chain_indices)
+from .geometry import ConvexBody, ConvexPolygon, GraphBody, Point2, _chain_indices
 from .heights import HeightFn, zero
 
 _TWO_PI = 2.0 * math.pi
@@ -377,7 +376,7 @@ def ft_quadrature(body: ConvexBody, xi) -> FourierSample:
                                           a, b, brk, xi[0])
     # scipy's abserr estimates the integration error only; |integrand| <= u - l
     # integrates to the body's area, so that much rounding is irreducible
-    err = max(err, 32.0 * _EPS * area(body))
+    err = max(err, 32.0 * _EPS * body.area)
     return FourierSample(Point2(*xi), total, "quadrature", err,
                          converged and err <= 10.0 * QUAD_TOL)
 
@@ -472,59 +471,6 @@ def grad_ft(body: ConvexBody, xi) -> tuple[complex, complex]:
         out.append(val)
     g = -2j * math.pi * np.array(out)
     return complex(g[0]), complex(g[1])
-
-
-# ---------------------------------------------------------------------------
-# decay diagnostic
-
-
-@dataclass(frozen=True)
-class DecayRow:
-    direction: Point2
-    theta: float
-    sup_first_order: float         # sup over radii of |xi| |T(xi)|
-    sup_second_order: float        # sup over radii of theta |xi|^2 |T(xi)|
-    sup_grad_first_order: float    # sup over radii of |xi| |grad T|
-    sup_grad_second_order: float   # sup over radii of theta |xi|^2 |grad T|
-
-
-def boundary_normals(body: ConvexBody, samples: int = 720) -> np.ndarray:
-    """Outward unit normals of the boundary (edge normals for polygons,
-    sampled tangent rotations for curved bodies, end-edge normals included)."""
-    if isinstance(body, ConvexPolygon):
-        return body.edge_normals()
-    xs = body.a + (body.b - body.a) * 0.5 * (1.0 - np.cos(np.linspace(0.02, math.pi - 0.02, samples)))
-    nf = np.stack([-body.f.derivative(xs), np.ones_like(xs)], axis=1)
-    ng = np.stack([body.g.derivative(xs), -np.ones_like(xs)], axis=1)
-    ns = [nf / np.linalg.norm(nf, axis=1, keepdims=True),
-          ng / np.linalg.norm(ng, axis=1, keepdims=True)]
-    for xe, sgn in ((body.a, -1.0), (body.b, 1.0)):
-        if float(body.f(xe)) + float(body.g(xe)) > 1e-12:
-            ns.append(np.array([[sgn, 0.0]]))
-    return np.concatenate(ns, axis=0)
-
-
-def decay_diagnostic(body: ConvexBody, directions, radii) -> list[DecayRow]:
-    """Directional decay table for |T| and |grad T| along rays."""
-    normals = boundary_normals(body)
-    radii = np.asarray(radii, dtype=float)
-    rows = []
-    for u in np.atleast_2d(np.asarray(directions, dtype=float)):
-        u = u / np.hypot(u[0], u[1])
-        cosang = np.clip(normals @ u, -1.0, 1.0)
-        theta = float(np.min(np.arccos(cosang)))
-        xis = radii[:, None] * u[None, :]
-        vals = np.abs(transform_batch(body, xis)[0])
-        grads = np.array([np.hypot(abs(g1), abs(g2)) for g1, g2 in
-                          (grad_ft(body, xi) for xi in xis)])
-        rows.append(DecayRow(
-            Point2(*u), theta,
-            float(np.max(radii * vals)),
-            float(np.max(theta * radii**2 * vals)),
-            float(np.max(radii * grads)),
-            float(np.max(theta * radii**2 * grads)),
-        ))
-    return rows
 
 
 # ---------------------------------------------------------------------------

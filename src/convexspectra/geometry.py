@@ -164,15 +164,24 @@ class GraphBody:
         for name, h in (("f", self.f), ("g", self.g)):
             if abs(h.a - self.a) > 1e-12 or abs(h.b - self.b) > 1e-12:
                 raise DegenerateError(f"{name} domain does not match [a, b]")
-        vmax = max(self.f.max_value(), self.g.max_value(), self.b - self.a)
-        tol = 1e-9 * vmax
-        xs = np.linspace(self.a, self.b, 257)
+        fmax, gmax = self.f.max_value(), self.g.max_value()
+        tol = 1e-9 * max(fmax, gmax, self.b - self.a)
+        # validate_polygon's turn tolerance, at the scale of the knot polygon
+        cross_tol = 1e-12 * max(abs(self.a), abs(self.b), fmax, gmax) ** 2
         for name, h in (("f", self.f), ("g", self.g)):
-            ys = h(xs)
+            line = h.polyline()
+            if line is None:
+                # curved: concavity at sample triples, midpoint above chord
+                ys = h(np.linspace(self.a, self.b, 257))
+                bent = np.max(ys[:-2] + ys[2:] - 2.0 * ys[1:-1]) > tol
+            else:
+                # flat arcs: exactly, no left turn at any knot
+                xs, ys = np.asarray(line, dtype=float)
+                dx, dy = np.diff(xs), np.diff(ys)
+                bent = np.any(dx[:-1] * dy[1:] - dy[:-1] * dx[1:] > cross_tol)
             if np.min(ys) < -tol:
                 raise DegenerateError(f"{name} is negative on [a, b]")
-            # concavity at sample triples: midpoint above chord
-            if np.max(ys[:-2] + ys[2:] - 2.0 * ys[1:-1]) > tol:
+            if bent:
                 raise NotConvexError(f"{name} is not concave")
 
     @cached_property
@@ -235,12 +244,6 @@ def as_polygon(body: ConvexBody) -> ConvexPolygon | None:
 class Measures(NamedTuple):
     area: float
     perimeter: float
-    diameter: float
-
-
-def area(body: ConvexBody) -> float:
-    """Cached area: exact shoelace for polygons, adaptive quadrature otherwise."""
-    return body.area
 
 
 def centroid(body: ConvexBody) -> Point2:
@@ -260,29 +263,10 @@ def centroid(body: ConvexBody) -> Point2:
     return Point2(mx / a, my / a)
 
 
-def graph_boundary_points(body: GraphBody, n: int = 1024) -> np.ndarray:
-    """Boundary sample points, cosine-clustered so curved arcs are resolved
-    near the endpoints; includes the vertical end segments when present."""
-    t = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, n)))
-    xs = body.a + (body.b - body.a) * t
-    top = np.stack([xs, body.f(xs)], axis=1)
-    bot = np.stack([xs, -body.g(xs)], axis=1)
-    pieces = [top, bot]
-    for xe in (body.a, body.b):
-        fe, ge = float(body.f(xe)), float(body.g(xe))
-        if fe + ge > 0.0:
-            ys = np.linspace(-ge, fe, 17)
-            pieces.append(np.stack([np.full_like(ys, xe), ys], axis=1))
-    return np.concatenate(pieces, axis=0)
-
-
 def measures(body: ConvexBody) -> Measures:
-    """Area, perimeter, diameter (diameter to 1e-6 relative for curved bodies)."""
+    """Area and perimeter (the curved arcs' length by adaptive quadrature)."""
     if isinstance(body, ConvexPolygon):
-        v = body.vertices
-        diff = v[:, None, :] - v[None, :, :]
-        diam = float(np.max(np.linalg.norm(diff, axis=2)))
-        return Measures(body.area, body.perimeter(), diam)
+        return Measures(body.area, body.perimeter())
 
     per = 0.0
     for h in (body.f, body.g):
@@ -291,32 +275,25 @@ def measures(body: ConvexBody) -> Measures:
         per += val
     for xe in (body.a, body.b):
         per += float(body.f(xe)) + float(body.g(xe))
-
-    pts = graph_boundary_points(body, n=2048)
-    ang = np.linspace(0.0, np.pi, 1441)[:-1]
-    dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    proj = pts @ dirs.T
-    diam = float(np.max(proj.max(axis=0) - proj.min(axis=0)))
-    return Measures(body.area, per, diam)
+    return Measures(body.area, per)
 
 
 # ---------------------------------------------------------------------------
 # symmetry
 
 
-def is_symmetric(body: ConvexBody, tol: float | None = None) -> tuple[bool, Point2]:
+def is_symmetric(body: ConvexBody) -> tuple[bool, Point2]:
     """Central symmetry about the centroid; returns (flag, center).
 
     Polygons use exact vertex-negation matching; graph bodies compare the
     reflected upper boundary with the lower one by vertical deviation (which
     dominates the Hausdorff distance between the two boundary curves).
-    The default tol is 1e-9 times the bounding-box extent, which never
-    exceeds the diameter.
+    The tolerance is 1e-9 times the bounding-box extent, which never
+    exceeds the largest distance between two points of the body.
     """
     c = centroid(body)
     if isinstance(body, ConvexPolygon):
-        if tol is None:
-            tol = 1e-9 * float(np.max(np.ptp(body.vertices, axis=0)))
+        tol = 1e-9 * float(np.max(np.ptp(body.vertices, axis=0)))
         v = body.vertices
         m = len(v)
         if m % 2 != 0:
@@ -326,8 +303,7 @@ def is_symmetric(body: ConvexBody, tol: float | None = None) -> tuple[bool, Poin
         dev = float(np.max(np.linalg.norm(w - np.roll(v, -j, axis=0), axis=1)))
         return dev <= tol, c
 
-    if tol is None:
-        tol = 1e-9 * max(body.b - body.a, body.f.max_value() + body.g.max_value())
+    tol = 1e-9 * max(body.b - body.a, body.f.max_value() + body.g.max_value())
     if abs(c.x - 0.5 * (body.a + body.b)) > tol:
         return False, c
     xs = np.linspace(body.a, body.b, 257)
@@ -360,14 +336,6 @@ class AffineMap:
 
     def apply_polygon(self, poly: ConvexPolygon) -> ConvexPolygon:
         return validate_polygon(self.apply(poly.vertices))
-
-    def inverse(self) -> "AffineMap":
-        inv = np.linalg.inv(self.linear)
-        return AffineMap(inv, -inv @ self.shift)
-
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.linear))
 
 
 def normalize_edge_to_standard(poly: ConvexPolygon, edge_index: int) -> tuple[ConvexPolygon, AffineMap]:
@@ -457,7 +425,10 @@ def height_profile(body: ConvexBody) -> HeightFn:
     return heights.piecewise(v[:, 0], v[:, 1])
 
 
-def _standard_position_check(poly: ConvexPolygon, tol: float) -> None:
+def _standard_position_check(poly: ConvexPolygon) -> None:
+    """NotStandardPositionError unless the polygon contains the unit square
+    and lies in the slab |x| <= 1/2, both to within 1e-9."""
+    tol = 1e-9
     if np.max(np.abs(poly.vertices[:, 0])) > 0.5 + tol:
         raise NotStandardPositionError("polygon leaks out of the slab |x| <= 1/2")
     corners = np.array([(0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5)])
@@ -465,7 +436,7 @@ def _standard_position_check(poly: ConvexPolygon, tol: float) -> None:
         raise NotStandardPositionError("polygon does not contain the unit square")
 
 
-def decompose_caps(poly: ConvexPolygon, tol: float = 1e-9) -> tuple[ConvexPolygon, GraphBody, GraphBody]:
+def decompose_caps(poly: ConvexPolygon) -> tuple[ConvexPolygon, GraphBody, GraphBody]:
     """Split a standard-position polygon into the unit square and two caps.
 
     Caps are returned as graph bodies over [-1/2, 1/2] with g == 0; their f is
@@ -473,7 +444,7 @@ def decompose_caps(poly: ConvexPolygon, tol: float = 1e-9) -> tuple[ConvexPolygo
     the mirror of the cap below y = -1/2, both in left-to-right x).
     Areas satisfy |poly| = 1 + |upper| + |lower| within 1e-10.
     """
-    _standard_position_check(poly, tol)
+    _standard_position_check(poly)
 
     def cap_from_chain(upper: bool) -> GraphBody:
         idx = _chain_indices(poly, upper=upper)

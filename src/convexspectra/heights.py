@@ -158,26 +158,6 @@ class HeightFn:
         xs = np.linspace(self.a, self.b, 512)
         return float(np.max(self(xs)))
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if self.kind == "poly":
-            return all(abs(c) <= tol for c in self.coeffs)
-        if self.kind == "pw":
-            return all(abs(v) <= tol for v in self.values)
-        return False
-
-    # -- serialization (body-file schema) ------------------------------------
-
-    def to_descriptor(self) -> dict:
-        if self.kind == "poly":
-            return {"kind": "poly", "coeffs": list(self.coeffs)}
-        if self.kind == "tent":
-            return {"kind": "tent"}
-        if self.kind == "semicircle":
-            return {"kind": "semicircle", "r": self.r}
-        if self.kind == "pw":
-            return {"kind": "pw", "knots": list(self.knots), "values": list(self.values)}
-        return {"kind": "power", "p": self.p, "scale": self.scale}
-
 
 def polynomial(coeffs, a: float = -0.5, b: float = 0.5) -> HeightFn:
     return HeightFn("poly", a, b, coeffs=tuple(float(c) for c in coeffs))

@@ -1,4 +1,4 @@
-"""Candidate spectrum tests: orthogonality, separation, completeness, density.
+"""Candidate spectrum tests: orthogonality, completeness, density.
 
 A candidate is a lattice or an explicit point list containing the origin.
 Orthogonality asks every pairwise difference to be a zero of the body
@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 
 from .errors import InsufficientWindowError
 from .fourier import transform_batch
-from .geometry import ConvexBody, Lattice, Point2, area, measures
+from .geometry import ConvexBody, Lattice, Point2, measures
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,6 @@ class SpectrumCandidate:
     kind: str                       # "lattice" | "explicit"
     lattice: Lattice | None = None
     points: tuple | None = None
-    window_radius: float = math.inf
 
     def __post_init__(self):
         if self.kind == "lattice":
@@ -46,9 +45,9 @@ class SpectrumCandidate:
         return SpectrumCandidate("lattice", lattice=lattice)
 
     @staticmethod
-    def from_points(points, window_radius: float) -> "SpectrumCandidate":
+    def from_points(points) -> "SpectrumCandidate":
         pts = tuple(Point2(float(p[0]), float(p[1])) for p in points)
-        return SpectrumCandidate("explicit", points=pts, window_radius=window_radius)
+        return SpectrumCandidate("explicit", points=pts)
 
 
 def lattice_points_in_ball(lattice: Lattice, radius: float) -> np.ndarray:
@@ -97,7 +96,7 @@ def orthogonality_check(body: ConvexBody, candidate: SpectrumCandidate,
     Pass iff all |transform| <= tol * area.  Returns the worst offender as
     (difference point, |transform| there), lexicographic tie-break.
     """
-    a = area(body)
+    a = body.area
     if candidate.kind == "lattice":
         diffs = lattice_points_in_ball(candidate.lattice, 2.0 * radius)
         diffs = diffs[np.hypot(diffs[:, 0], diffs[:, 1]) > 1e-12]
@@ -112,16 +111,6 @@ def orthogonality_check(body: ConvexBody, candidate: SpectrumCandidate,
     worst = float(np.max(vals))
     ties = diffs[vals >= worst * (1.0 - 1e-12)]
     return bool(worst <= tol * a), (_lex_min(ties), worst)
-
-
-def separation_check(points) -> float:
-    """Minimum pairwise distance of the point set (0 for duplicates)."""
-    pts = np.asarray(points, dtype=float)
-    if len(pts) < 2:
-        raise ValueError("separation needs at least two points")
-    tree = cKDTree(pts)
-    d, _ = tree.query(pts, k=2)
-    return float(np.min(d[:, 1]))
 
 
 def parseval_deficiency(body: ConvexBody, candidate: SpectrumCandidate,
@@ -139,7 +128,7 @@ def parseval_deficiency(body: ConvexBody, candidate: SpectrumCandidate,
     if trunc_radius < 10.0:
         raise ValueError("trunc_radius must be >= 10")
     pts = enumerate_points(candidate, trunc_radius)
-    a = area(body)
+    a = body.area
     xs = np.atleast_2d(np.asarray(x_samples, dtype=float))
     max_dev = 0.0
     for x in xs:
@@ -185,24 +174,22 @@ def landau_density(points, R: float, centers) -> DensityReport:
                          d_plus / (2.0 * R) ** 2, d_minus / (2.0 * R) ** 2)
 
 
-def spectral_gap_check(points, body: ConvexBody, C: float = 1.0,
-                       centers=None) -> tuple[bool, float]:
+def spectral_gap_check(points, body: ConvexBody, C: float = 1.0) -> tuple[bool, float]:
     """Every cube of half-side R* = C * perimeter / area must contain a point.
 
+    Cubes are probed at a 41 x 41 grid of centers, kept far enough inside
+    the points' euclidean radius that every probed cube sits inside the
+    ball the points are known in, not just inside their bounding box.
     Returns (pass, largest empty half-side found over the center grid), the
     latter being the max Chebyshev distance from a center to the point set.
     """
     pts = np.asarray(points, dtype=float)
     m = measures(body)
     r_star = C * m.perimeter / m.area
-    if centers is None:
-        # safe for point sets known only inside a euclidean ball: every probed
-        # cube must sit inside the ball, not just inside the bounding box
-        w = float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
-        half = max(w / math.sqrt(2.0) - 2.0 * r_star, r_star)
-        g = np.linspace(-half, half, 41)
-        centers = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-    ctr = np.atleast_2d(np.asarray(centers, dtype=float))
+    w = float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
+    half = max(w / math.sqrt(2.0) - 2.0 * r_star, r_star)
+    g = np.linspace(-half, half, 41)
+    ctr = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
     _window_guard(pts, ctr, 2.0 * r_star)
     tree = cKDTree(pts)
     d, _ = tree.query(ctr, k=1, p=np.inf)

@@ -44,11 +44,11 @@ def tiling_lattice(poly: ConvexPolygon) -> Lattice:
 
 
 def verify_tiling(poly: ConvexPolygon, lattice: Lattice, samples: int = 10_000,
-                  margin: float = 1e-6, seed: int = 0) -> tuple[bool, list[Point2]]:
+                  seed: int = 0) -> tuple[bool, list[Point2]]:
     """Sampled exact-cover check: random fundamental-domain points must be
     covered by exactly one lattice translate of the polygon.
 
-    Points landing within `margin` of any translate boundary are redrawn, so
+    Points landing within 1e-6 of any translate boundary are redrawn, so
     every counted point is decisively inside or outside each translate.
     Returns (pass, list of points with cover count != 1).
     """
@@ -62,6 +62,7 @@ def verify_tiling(poly: ConvexPolygon, lattice: Lattice, samples: int = 10_000,
     rad = float(np.max(np.linalg.norm(poly.vertices, axis=1)))
     offsets = lattice_points_in_ball(lattice, reach + rad + 1.0)
 
+    margin = 1e-6
     rng = np.random.default_rng(seed)
     pts = (B @ rng.random((2, samples))).T
     for _ in range(60):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NoBlowupError, NotStandardPositionError, NoZerosFoundError
 from .fourier import frozen_batch_evaluator
-from .geometry import (ConvexBody, ConvexPolygon, Point2, area, height_profile,
+from .geometry import (ConvexBody, ConvexPolygon, Point2, height_profile,
                        require_origin_symmetric, _standard_position_check)
 from .heights import HeightFn
 
@@ -121,7 +121,7 @@ def zeros_on_segment(body: ConvexBody, p0, p1, step: float = DEFAULT_SCAN_STEP,
     """Zeros of the transform along the segment p0 -> p1, in segment order."""
     require_origin_symmetric(body)
     if tol is None:
-        tol = 1e-9 * area(body)
+        tol = 1e-9 * body.area
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     seg_len = float(np.linalg.norm(p1 - p0))
@@ -135,7 +135,7 @@ def zeros_on_segment(body: ConvexBody, p0, p1, step: float = DEFAULT_SCAN_STEP,
 
 def _slab_standard_position(body: ConvexBody) -> None:
     if isinstance(body, ConvexPolygon):
-        _standard_position_check(body, 1e-9)
+        _standard_position_check(body)
         return
     tol = 1e-9
     if abs(body.a + 0.5) > tol or abs(body.b - 0.5) > tol:
@@ -156,7 +156,7 @@ def slab_zero_alignment(body: ConvexBody, A: float, R_list,
         raise ValueError("slab half-height A must be >= 1")
     if not all(R > 0.0 for R in R_list):
         raise ValueError("slab offset R must be positive")
-    tol = 1e-9 * area(body)
+    tol = 1e-9 * body.area
     reports = []
     # line ordinates offset half a step: never scan exactly on an integer line,
     # where the transform can vanish identically and bracketing degenerates
@@ -263,7 +263,7 @@ def ball_zero_alignment(body: ConvexBody, A: float, eps: float,
     if not wall:
         select_scales(u, eps, A)  # raises NoBlowup for corner/flat endpoints
 
-    tol = 1e-9 * area(body)
+    tol = 1e-9 * body.area
     r_lo, r_hi = float(R_window[0]), float(R_window[1])
     R_grid = np.linspace(r_lo, r_hi, 9)
     ev = frozen_batch_evaluator(body, r_hi + A + 1.0, A + 1.0, 0.01 * tol)

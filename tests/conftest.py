@@ -88,12 +88,25 @@ def random_symmetric_2ngon(rng, n):
             return poly
 
 
+def height_descriptor(h: heights.HeightFn) -> dict:
+    """The body-file descriptor of a height function."""
+    if h.kind == "poly":
+        return {"kind": "poly", "coeffs": list(h.coeffs)}
+    if h.kind == "tent":
+        return {"kind": "tent"}
+    if h.kind == "semicircle":
+        return {"kind": "semicircle", "r": h.r}
+    if h.kind == "pw":
+        return {"kind": "pw", "knots": list(h.knots), "values": list(h.values)}
+    return {"kind": "power", "p": h.p, "scale": h.scale}
+
+
 def write_body(path, body) -> str:
     """Serialize a body to the CLI JSON schema; returns the path as str."""
     if isinstance(body, geometry.ConvexPolygon):
         doc = {"type": "polygon", "vertices": body.vertices.tolist()}
     else:
         doc = {"type": "graph", "a": body.a, "b": body.b,
-               "f": body.f.to_descriptor(), "g": body.g.to_descriptor()}
+               "f": height_descriptor(body.f), "g": height_descriptor(body.g)}
     path.write_text(json.dumps(doc))
     return str(path)

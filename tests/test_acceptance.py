@@ -66,7 +66,7 @@ def test_criterion_03_orthogonality_passes_and_detects_perturbation(
         pts = spectra.lattice_points_in_ball(lat, 10.0)
         k = int(np.argmax(np.hypot(pts[:, 0], pts[:, 1]) > 0.5))
         pts[k] += (0.01, 0.0)
-        cand = spectra.SpectrumCandidate.from_points(pts, window_radius=10.0)
+        cand = spectra.SpectrumCandidate.from_points(pts)
         ok_p, _ = spectra.orthogonality_check(body, cand, 10.0, tol=1e-9)
         assert not ok_p
 

@@ -293,9 +293,12 @@ def test_nonconvex_body_is_input_error(tmp_path, capsys):
     ["gap-check", "--body", "{square}", "--lattice", "1 0; 0 1", "--radius", "-1"],
     ["tile-check", "--body", "{square}", "--samples", "-3"],
     ["tile-check", "--body", "{square}", "--samples", "0"],
+    ["classify", "--body", "{square}", "--out", "{nodir}/x.csv"],
 ])
-def test_bad_input_exits_2_without_traceback(argv, square_file, hexagon_file, capsys):
-    argv = [a.format(square=square_file, hexagon=hexagon_file) for a in argv]
+def test_bad_input_exits_2_without_traceback(argv, square_file, hexagon_file, tmp_path,
+                                             capsys):
+    argv = [a.format(square=square_file, hexagon=hexagon_file, nodir=tmp_path / "nodir")
+            for a in argv]
     try:
         rc = cli.main(argv)
     except SystemExit as e:
@@ -322,8 +325,11 @@ _SLAB = '"type": "graph", "a": -0.5, "b": 0.5'
     ("gap-check", '{%s, "f": {"kind": "poly", "coeffs": []}, "g": {"kind": "poly", "coeffs": []}}'
                   % _SLAB, "zero area"),
     ("classify", '{"type": "polygon", "vertices": [[0, 0], [1, NaN], [0, 1]]}', "finite"),
+    ("classify", '{%s, "f": {"kind": "pw", "knots": [-0.5, 0.0011, 0.0012, 0.0013, 0.5],'
+                 ' "values": [0.5, 0.7, 0.69, 0.7, 0.5]}, "g": {"kind": "poly", "coeffs": [0.5]}}'
+                 % _SLAB, "f is not concave"),
 ], ids=["pw_infinity", "poly_nan", "power_p0", "power_negative_scale", "pw_empty",
-        "zero_area", "polygon_nan"])
+        "zero_area", "polygon_nan", "pw_dip_between_samples"])
 def test_bad_body_file_exits_2(command, text, message, tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(text)

@@ -44,7 +44,7 @@ def test_polygon_edge_sum_matches_square(square):
 def test_value_at_origin_is_area(square, hexagon_h0, octagon, disc_body):
     for body in (square, hexagon_h0, octagon, disc_body):
         s = F.ft_body(body, (0.0, 0.0))
-        assert s.value == pytest.approx(G.area(body), abs=1e-12)
+        assert s.value == pytest.approx(body.area, abs=1e-12)
 
 
 def test_series_and_edge_sum_agree_across_threshold(hexagon_h0):
@@ -164,17 +164,6 @@ def test_frozen_evaluator_matches_pointwise(disc_body, hexagon_h0):
         got = ev(xs)
         want = np.array([F.ft_body(body, x).value for x in xs])
         assert np.max(np.abs(got - want)) < 1e-10
-
-
-def test_decay_diagnostic_runs(hexagon_h0):
-    dirs = [(1.0, 0.0), (0.6, 0.8)]
-    rows = F.decay_diagnostic(hexagon_h0, dirs, radii=(5.0, 10.0, 20.0))
-    assert len(rows) == 2
-    for r in rows:
-        # |xi| |T| stays bounded along rays (first-order decay)
-        assert np.isfinite(r.sup_first_order)
-        assert r.sup_first_order < 10.0 * G.area(hexagon_h0)
-        assert r.theta >= 0.0
 
 
 def test_cap_scan_parabola_and_zero_cap():

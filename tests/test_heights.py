@@ -55,9 +55,10 @@ def test_power_cap():
 
 def test_zero_height():
     z = heights.zero()
-    assert z.is_zero()
+    xs = np.linspace(-0.5, 0.5, 11)
+    assert np.all(z(xs) == 0.0)
     assert z(0.1) == 0.0
-    assert not heights.tent(-0.5, 0.5).is_zero()
+    assert np.any(heights.tent(-0.5, 0.5)(xs) != 0.0)
 
 
 def test_max_value():
@@ -67,15 +68,15 @@ def test_max_value():
     assert f.max_value() == pytest.approx(0.7)
 
 
-@pytest.mark.parametrize("f", [
-    heights.polynomial([0.25, 0.1, -1.0]),
-    heights.tent(-0.5, 0.5),
-    heights.semicircle(0.5),
-    heights.piecewise([-0.5, 0.1, 0.5], [0.0, 0.4, 0.0]),
-    heights.power(0.75, 0.8, -0.5, 0.5),
-])
-def test_descriptor_round_trip(f):
-    d = f.to_descriptor()
+@pytest.mark.parametrize("f, d", [
+    (heights.polynomial([0.25, 0.1, -1.0]), {"kind": "poly", "coeffs": [0.25, 0.1, -1.0]}),
+    (heights.tent(-0.5, 0.5), {"kind": "tent"}),
+    (heights.semicircle(0.5), {"kind": "semicircle", "r": 0.5}),
+    (heights.piecewise([-0.5, 0.1, 0.5], [0.0, 0.4, 0.0]),
+     {"kind": "pw", "knots": [-0.5, 0.1, 0.5], "values": [0.0, 0.4, 0.0]}),
+    (heights.power(0.75, 0.8, -0.5, 0.5), {"kind": "power", "p": 0.75, "scale": 0.8}),
+], ids=["f0", "f1", "f2", "f3", "f4"])
+def test_descriptor_round_trip(f, d):
     g = heights.from_descriptor(d, f.a, f.b)
     xs = np.linspace(f.a, f.b, 37)
     assert np.allclose(f(xs), g(xs), atol=0)

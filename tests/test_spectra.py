@@ -29,12 +29,12 @@ def test_lattice_points_in_ball_matches_brute_force():
 def test_candidate_constructors():
     cand = S.SpectrumCandidate.from_lattice(G.Z2)
     assert cand.kind == "lattice"
-    pts = S.SpectrumCandidate.from_points([(0.0, 0.0), (0.5, 0.25)], 10.0)
+    pts = S.SpectrumCandidate.from_points([(0.0, 0.0), (0.5, 0.25)])
     assert pts.kind == "explicit"
     with pytest.raises(ValueError):
-        S.SpectrumCandidate.from_points([(0.5, 0.25)], 10.0)  # origin missing
+        S.SpectrumCandidate.from_points([(0.5, 0.25)])  # origin missing
     with pytest.raises(ValueError):
-        S.SpectrumCandidate.from_points([(0.0, 0.0), (0.0, 0.0)], 10.0)
+        S.SpectrumCandidate.from_points([(0.0, 0.0), (0.0, 0.0)])
 
 
 def test_orthogonality_square_z2(square):
@@ -47,15 +47,10 @@ def test_orthogonality_square_z2(square):
 def test_orthogonality_perturbed_fails(square):
     pts = [(float(m), float(n)) for m in range(-3, 4) for n in range(-3, 4)]
     pts[10] = (pts[10][0] + 0.01, pts[10][1])
-    cand = S.SpectrumCandidate.from_points(pts, 5.0)
+    cand = S.SpectrumCandidate.from_points(pts)
     ok, (pt, worst) = S.orthogonality_check(square, cand, 5.0)
     assert not ok
     assert worst > 1e-4
-
-
-def test_separation(square):
-    pts = S.lattice_points_in_ball(G.Z2, 5.0)
-    assert S.separation_check(pts) == pytest.approx(1.0)
 
 
 def parseval_1d_truncated(x, trunc):
