@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -352,7 +353,7 @@ def _cap_height(body: ConvexBody):
     if trunk <= 1e-12:
         return f
     if f.kind == "poly":
-        c = list(f.coeffs) or [0.0]
+        c = list(f.coeffs)
         c[0] -= trunk
         return heights.polynomial(c, f.a, f.b)
     if f.kind == "pw":
@@ -407,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=_count, default=0,
                     help="sample count along the segment (default: step %g)"
                          % DEFAULT_SCAN_STEP)
-    sp.add_argument("--tol", type=float, default=None,
+    sp.add_argument("--tol", type=_positive, default=None,
                     help="zero residual tolerance (default 1e-9 * area)")
 
     sp = add("slab-align", _cmd_slab_align,
@@ -429,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
              "orthogonality of a lattice candidate spectrum")
     sp.add_argument("--lattice", required=True, help='basis "a b; c d" (columns)')
     sp.add_argument("--radius", type=_positive, required=True)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_positive, default=1e-9)
 
     sp = add("density", _cmd_density, "Landau counting density of a lattice",
              body=False)
@@ -465,6 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.monotonic()
+    # an unwritable output is bad input: refuse it before the computation runs
+    if args.out and (os.path.isdir(args.out) or not os.access(
+            os.path.dirname(args.out) or ".", os.W_OK | os.X_OK)):
+        print(f"error: cannot write output: {args.out}: no writable directory",
+              file=sys.stderr)
+        return 2
     try:
         body = parse_body_file(args.body) if "body" in args else None
         code, header, rows, tolerances = args.func(args, body)

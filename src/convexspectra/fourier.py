@@ -5,12 +5,14 @@ The transform convention is
     T(xi) = integral over the body of exp(-2*pi*i * xi . x) dx,
 
 so T(0) is the area.  transform_batch gives (values, errors) for any body.
-Polygons get an exact edge-sum closed form, with an exact moment series for
-|xi| <= SINGULAR_THRESHOLD.  Graph-form bodies, and caps with no closed form,
-get one panel rule: Gauss-Legendre panels in x with the inner y-integral in
-closed form, refined by the factor 1.5 until two successive rules agree on a
-set of check points; `err` is the difference between the last two rules.
-_fourier_quad, scipy adaptive quadrature, gives the independent oracle.
+Polygons, and graph bodies bounded by flat arcs (read as the polygon through
+their knots, geometry.as_polygon), get an exact edge-sum closed form, with an
+exact moment series for |xi| <= SINGULAR_THRESHOLD.  Curved graph bodies, and
+caps with no closed form, get one panel rule: Gauss-Legendre panels in x with
+the inner y-integral in closed form, refined by the factor 1.5 until two
+successive rules agree on a set of check points; `err` is the difference
+between the last two rules.  _fourier_quad, scipy adaptive quadrature, gives
+the independent oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import numpy as np
 from scipy import integrate
 
 from .errors import NoConvergenceError
-from .geometry import ConvexBody, ConvexPolygon, GraphBody, Point2, _chain_indices
+from .geometry import (ConvexBody, ConvexPolygon, GraphBody, Point2, _chain_indices,
+                       as_polygon)
 from .heights import HeightFn, zero
 
 _TWO_PI = 2.0 * math.pi
@@ -44,7 +47,7 @@ _REFINE_ROUNDS = 8
 class FourierSample:
     xi: Point2
     value: complex
-    method: str  # "closed_form" (polygon) | "panel_rule" (curved) | "quadrature" (oracle)
+    method: str  # "closed_form" (flat arcs) | "panel_rule" (curved) | "quadrature" (oracle)
     err: float
     converged: bool = True
 
@@ -257,12 +260,14 @@ def frozen_batch_evaluator(body: ConvexBody, max_xi1: float, max_xi2: float,
                            target_abs: float = 1e-12):
     """Callable xis -> transform values, valid for |xi1| <= max_xi1, |xi2| <= max_xi2.
 
-    Polygons use the exact closed form.  Graph bodies get the panel rule
-    checked on a 9 x 7 probe grid at the box corners and interior at
-    0.3 * target_abs; NoConvergenceError if refinement does not get there.
+    Bodies bounded by flat arcs use the exact closed form.  Curved bodies get
+    the panel rule checked on a 9 x 7 probe grid at the box corners and
+    interior at 0.3 * target_abs; NoConvergenceError if refinement does not
+    get there.
     """
-    if isinstance(body, ConvexPolygon):
-        return lambda xis: transform_batch(body, xis)[0]
+    poly = as_polygon(body)
+    if poly is not None:
+        return lambda xis: transform_batch(poly, xis)[0]
     g1 = np.linspace(-max_xi1, max_xi1, 9)
     g2 = np.linspace(-max_xi2, max_xi2, 7)
     probe = np.stack(np.meshgrid(g1, g2), axis=-1).reshape(-1, 2)
@@ -276,24 +281,27 @@ def frozen_batch_evaluator(body: ConvexBody, max_xi1: float, max_xi2: float,
 def transform_batch(body: ConvexBody, xis) -> tuple[np.ndarray, np.ndarray]:
     """Primary-route transform for an (N, 2) frequency batch: (values, errors)."""
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    if not isinstance(body, ConvexPolygon):
+    poly = as_polygon(body)
+    if poly is None:
         return graph_transform_batch(body, xis)
     values = np.empty(len(xis), dtype=complex)
     errs = np.empty(len(xis))
     small = np.linalg.norm(xis, axis=1) <= SINGULAR_THRESHOLD
     if np.any(~small):
-        values[~small], errs[~small] = _edge_sum(body, xis[~small])
+        values[~small], errs[~small] = _edge_sum(poly, xis[~small])
     if np.any(small):
-        values[small], errs[small] = _moment_series(body, xis[small])
+        values[small], errs[small] = _moment_series(poly, xis[small])
     return values, errs
 
 
 def ft_body(body: ConvexBody, xi) -> FourierSample:
-    """Primary-route transform at one frequency: closed form for polygons,
-    the panel rule otherwise (converged when err <= QUAD_TOL)."""
+    """Primary-route transform at one frequency: closed form for bodies
+    bounded by flat arcs, the panel rule otherwise (converged when
+    err <= QUAD_TOL)."""
     xis = np.asarray(xi, dtype=float).reshape(1, 2)
-    vals, errs = transform_batch(body, xis)
-    if isinstance(body, ConvexPolygon):
+    poly = as_polygon(body)
+    vals, errs = transform_batch(body if poly is None else poly, xis)
+    if poly is not None:
         return FourierSample(Point2(*xis[0]), complex(vals[0]), "closed_form",
                              float(errs[0]))
     return FourierSample(Point2(*xis[0]), complex(vals[0]), "panel_rule",
@@ -432,13 +440,14 @@ def _polygon_first_moments(poly: ConvexPolygon, xi: np.ndarray) -> np.ndarray:
 def grad_ft(body: ConvexBody, xi) -> tuple[complex, complex]:
     """Gradient of the transform: -2 pi i (integral of x_k exp(-2 pi i xi.x)).
 
-    Polygons use a dedicated edge-sum identity for the first-moment integrals;
-    graph bodies integrate the moment closed forms with _fourier_quad and
-    raise NoConvergenceError when it does not converge.
+    Bodies bounded by flat arcs use a dedicated edge-sum identity for the
+    first-moment integrals; curved bodies integrate the moment closed forms
+    with _fourier_quad and raise NoConvergenceError when it does not converge.
     """
     xi = np.asarray(xi, dtype=float).reshape(2)
-    if isinstance(body, ConvexPolygon):
-        m = _polygon_first_moments(body, xi)
+    poly = as_polygon(body)
+    if poly is not None:
+        m = _polygon_first_moments(poly, xi)
         g = -2j * math.pi * m
         return complex(g[0]), complex(g[1])
 
@@ -490,15 +499,15 @@ def _interval_linear_ft(x0, x1, y0, y1, R: np.ndarray) -> np.ndarray:
 def height_fourier(f: HeightFn, R) -> np.ndarray:
     """f_hat(R) = integral of f(x) exp(-2 pi i R x) dx, closed form per kind.
 
-    Piecewise-linear kinds sum interval transforms; polynomials use the
+    Piecewise-linear heights sum interval transforms; polynomials use the
     integration-by-parts recurrence (Taylor branch for small R); the
     semicircle is r J1(2 pi r R) / (2 R).  The 'power' kind has no closed
     form: f_hat(R) is the transform of the cap body {0 <= y <= f(x)} at
     (R, 0), taken from the panel rule of frozen_batch_evaluator.
     """
     R = np.atleast_1d(np.asarray(R, dtype=float))
-    if f.kind in ("tent", "pw"):
-        knots, vals = f.polyline()
+    if f.kind == "pw":
+        knots, vals = f.knots, f.values
         out = np.zeros(len(R), dtype=complex)
         for i in range(len(knots) - 1):
             out += _interval_linear_ft(knots[i], knots[i + 1], vals[i], vals[i + 1], R)
@@ -522,8 +531,6 @@ def _poly_height_fourier(f: HeightFn, R: np.ndarray) -> np.ndarray:
     a, b = f.a, f.b
     deg = len(f.coeffs) - 1
     out = np.zeros(len(R), dtype=complex)
-    if deg < 0:
-        return out
     c = _TWO_PI * R
     big = np.abs(c) >= 1.0
     if np.any(big):

@@ -283,16 +283,18 @@ def measures(body: ConvexBody) -> Measures:
 
 
 def is_symmetric(body: ConvexBody) -> tuple[bool, Point2]:
-    """Central symmetry about the centroid; returns (flag, center).
+    """Central symmetry about the only possible center; returns (flag, center).
 
-    Polygons use exact vertex-negation matching; graph bodies compare the
-    reflected upper boundary with the lower one by vertical deviation (which
-    dominates the Hausdorff distance between the two boundary curves).
-    The tolerance is 1e-9 times the bounding-box extent, which never
-    exceeds the largest distance between two points of the body.
+    Polygons use exact vertex-negation matching about the centroid.  A
+    symmetric graph body has its center above the domain midpoint m, at
+    ((a + b) / 2, (f(m) - g(m)) / 2); the reflected upper boundary is
+    compared with the lower one by vertical deviation (which dominates the
+    Hausdorff distance between the two boundary curves).  The tolerance is
+    1e-9 times the bounding-box extent, which never exceeds the largest
+    distance between two points of the body.
     """
-    c = centroid(body)
     if isinstance(body, ConvexPolygon):
+        c = centroid(body)
         tol = 1e-9 * float(np.max(np.ptp(body.vertices, axis=0)))
         v = body.vertices
         m = len(v)
@@ -303,11 +305,13 @@ def is_symmetric(body: ConvexBody) -> tuple[bool, Point2]:
         dev = float(np.max(np.linalg.norm(w - np.roll(v, -j, axis=0), axis=1)))
         return dev <= tol, c
 
+    mid = 0.5 * (body.a + body.b)
+    c = Point2(mid, 0.5 * (float(body.f(mid)) - float(body.g(mid))))
     tol = 1e-9 * max(body.b - body.a, body.f.max_value() + body.g.max_value())
-    if abs(c.x - 0.5 * (body.a + body.b)) > tol:
-        return False, c
+    # the reversed grid is the reflected one, ends included exactly: a wall
+    # with unbounded slope would magnify the rounding of 2 m - x
     xs = np.linspace(body.a, body.b, 257)
-    dev = np.max(np.abs(body.f(xs) - (2.0 * c.y + body.g(2.0 * c.x - xs))))
+    dev = np.max(np.abs(body.f(xs) - (2.0 * c.y + body.g(xs[::-1]))))
     return float(dev) <= tol, c
 
 
@@ -425,14 +429,22 @@ def height_profile(body: ConvexBody) -> HeightFn:
     return heights.piecewise(v[:, 0], v[:, 1])
 
 
-def _standard_position_check(poly: ConvexPolygon) -> None:
-    """NotStandardPositionError unless the polygon contains the unit square
+def require_standard_position(body: ConvexBody) -> None:
+    """NotStandardPositionError unless the body contains the unit square
     and lies in the slab |x| <= 1/2, both to within 1e-9."""
     tol = 1e-9
-    if np.max(np.abs(poly.vertices[:, 0])) > 0.5 + tol:
+    if isinstance(body, GraphBody):
+        if abs(body.a + 0.5) > tol or abs(body.b - 0.5) > tol:
+            raise NotStandardPositionError("graph body domain must be [-1/2, 1/2]")
+        # concave heights take their minimum at an end of the domain
+        ends = [float(h(x)) for h in (body.f, body.g) for x in (body.a, body.b)]
+        if min(ends) < 0.5 - tol:
+            raise NotStandardPositionError("graph body does not contain the unit square")
+        return
+    if np.max(np.abs(body.vertices[:, 0])) > 0.5 + tol:
         raise NotStandardPositionError("polygon leaks out of the slab |x| <= 1/2")
     corners = np.array([(0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5)])
-    if np.min(inside_margin(poly, corners)) < -tol:
+    if np.min(inside_margin(body, corners)) < -tol:
         raise NotStandardPositionError("polygon does not contain the unit square")
 
 
@@ -444,7 +456,7 @@ def decompose_caps(poly: ConvexPolygon) -> tuple[ConvexPolygon, GraphBody, Graph
     the mirror of the cap below y = -1/2, both in left-to-right x).
     Areas satisfy |poly| = 1 + |upper| + |lower| within 1e-10.
     """
-    _standard_position_check(poly)
+    require_standard_position(poly)
 
     def cap_from_chain(upper: bool) -> GraphBody:
         idx = _chain_indices(poly, upper=upper)

@@ -4,6 +4,10 @@ A body in graph form is { (x, y) : a <= x <= b, -g(x) <= y <= f(x) } with f, g
 concave and non-negative.  The descriptors here are closed-form so downstream
 code (quadrature, 1D Fourier transforms, cap scans) can evaluate them exactly
 and stably, including within 1e-13 of the domain endpoints.
+
+Flatness is a property of the representation: every piecewise-linear height
+(a tent, a power with p = 1 or scale 0, a polynomial of degree <= 1) is built
+as a "pw" height, so a height is flat exactly when it has a polyline().
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 from .errors import BodyFileError
 
-KINDS = ("poly", "tent", "semicircle", "pw", "power")
+KINDS = ("poly", "semicircle", "pw", "power")
 
 
 @dataclass(frozen=True)
@@ -22,7 +26,6 @@ class HeightFn:
     """One concave boundary function on a fixed interval [a, b].
 
     kind "poly":       sum_i coeffs[i] * x**i
-    kind "tent":       min(x - a, b - x)
     kind "semicircle": sqrt((r - x) * (r + x)) on [-r, r]
     kind "pw":         piecewise linear through (knots[i], values[i])
     kind "power":      scale * min(x - a, b - x) ** p   (0 < p <= 1)
@@ -75,8 +78,6 @@ class HeightFn:
             y = np.zeros_like(x)
             for c in reversed(self.coeffs):
                 y = y * x + c
-        elif self.kind == "tent":
-            y = np.minimum(x - self.a, self.b - x)
         elif self.kind == "semicircle":
             # factored form keeps full precision within eps of the endpoints
             y = np.sqrt(np.maximum((self.r - x) * (self.r + x), 0.0))
@@ -97,9 +98,6 @@ class HeightFn:
             for i, c in reversed(list(enumerate(self.coeffs))):
                 if i >= 1:
                     d = d * x + i * c
-        elif self.kind == "tent":
-            mid = 0.5 * (self.a + self.b)
-            d = np.where(x < mid, 1.0, -1.0)
         elif self.kind == "semicircle":
             under = np.maximum((self.r - x) * (self.r + x), 1e-300)
             d = -x / np.sqrt(under)
@@ -121,34 +119,20 @@ class HeightFn:
         """Interior x where the function is not analytic (panel/quad split points)."""
         if self.kind == "pw":
             return [float(k) for k in self.knots[1:-1]]
-        if self.kind in ("tent", "power"):
+        if self.kind == "power":
             return [0.5 * (self.a + self.b)]
         return []
 
     @property
     def endpoint_singular(self) -> bool:
         """True when f' is unbounded at the domain endpoints (needs graded panels)."""
-        if self.kind == "semicircle":
-            return True
-        if self.kind == "power" and self.p < 1.0:
-            return True
-        return False
+        return self.kind == "semicircle" or (self.kind == "power" and self.p < 1.0)
 
     def polyline(self):
         """(knots, values) of a piecewise-linear height, None for a curved one."""
-        if self.kind == "pw":
-            return self.knots, self.values
-        if self.kind == "tent" or (self.kind == "power" and self.p == 1.0):
-            mid = 0.5 * (self.a + self.b)
-            peak = mid - self.a if self.kind == "tent" else self.scale * (mid - self.a)
-            return (self.a, mid, self.b), (0.0, peak, 0.0)
-        if self.kind == "poly" and not any(self.coeffs[2:]):
-            return (self.a, self.b), (self(self.a), self(self.b))
-        return None
+        return (self.knots, self.values) if self.kind == "pw" else None
 
     def max_value(self) -> float:
-        if self.kind == "tent":
-            return 0.5 * (self.b - self.a)
         if self.kind == "semicircle":
             return self.r
         if self.kind == "pw":
@@ -160,11 +144,16 @@ class HeightFn:
 
 
 def polynomial(coeffs, a: float = -0.5, b: float = 0.5) -> HeightFn:
-    return HeightFn("poly", a, b, coeffs=tuple(float(c) for c in coeffs))
+    """sum_i coeffs[i] * x**i; degree <= 1 gives the "pw" chord through the ends."""
+    f = HeightFn("poly", a, b, coeffs=tuple(float(c) for c in coeffs))
+    if any(f.coeffs[2:]):
+        return f
+    return piecewise((f.a, f.b), (f(f.a), f(f.b)))
 
 
 def tent(a: float = -0.5, b: float = 0.5) -> HeightFn:
-    return HeightFn("tent", a, b)
+    """min(x - a, b - x), as a "pw" height."""
+    return power(1.0, 1.0, a, b)
 
 
 def semicircle(r: float) -> HeightFn:
@@ -180,12 +169,17 @@ def piecewise(knots, values) -> HeightFn:
 
 
 def power(p: float, scale: float = 1.0, a: float = -0.5, b: float = 0.5) -> HeightFn:
-    return HeightFn("power", a, b, p=float(p), scale=float(scale))
+    """scale * min(x - a, b - x) ** p; with p = 1 or scale = 0 the "pw" tent."""
+    f = HeightFn("power", a, b, p=float(p), scale=float(scale))
+    if f.p < 1.0 and f.scale > 0.0:
+        return f
+    mid = 0.5 * (f.a + f.b)
+    return piecewise((f.a, mid, f.b), (0.0, f.scale * (mid - f.a), 0.0))
 
 
 def zero(a: float = -0.5, b: float = 0.5) -> HeightFn:
-    """The identically-zero height (empty cap)."""
-    return HeightFn("poly", a, b, coeffs=())
+    """The identically-zero height (empty cap), as a "pw" height."""
+    return polynomial((), a, b)
 
 
 def from_descriptor(d: dict, a: float, b: float, path: str = "f") -> HeightFn:

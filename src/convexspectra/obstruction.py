@@ -41,9 +41,10 @@ def feature_points(body: ConvexBody) -> list[FeaturePoint]:
     """Boundary points anchoring orthogonality constraints.
 
     Polygons contribute every edge midpoint (each bisects a maximal boundary
-    interval).  Graph bodies contribute samples at curved boundary points,
-    where the normal direction is unique; flat arcs and corner points are
-    excluded.  Right/left extreme points with a vertical tangent qualify.
+    interval).  Graph bodies contribute probes on each curved height (one
+    with no polyline), where the normal direction is unique and comes from
+    the height's derivative; flat arcs are excluded.  Right/left extreme
+    points with a vertical tangent qualify.
     """
     require_origin_symmetric(body)
     if isinstance(body, ConvexPolygon):
@@ -58,30 +59,20 @@ def feature_points(body: ConvexBody) -> list[FeaturePoint]:
                                     (Point2(*v[i]), Point2(*v[j]))))
         return out
 
-    width = body.b - body.a
-    # arc spacing ~ 1e-3 * perimeter, so ~500 probes per boundary half
+    # arc spacing ~ 1e-3 * perimeter, so ~500 probes per boundary half; an
+    # even count puts no probe on the midpoint, the only kink a curved height has
     n = 500
-    xs = body.a + width * 0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, n + 2)[1:-1]))
+    xs = body.a + (body.b - body.a) * 0.5 * (
+        1.0 - np.cos(np.linspace(0.0, math.pi, n + 2)[1:-1]))
     out = []
-    h = 1e-5 * width
-    for upper, fn in ((True, body.f), (False, body.g)):
-        ys = np.asarray(fn(xs), dtype=float)
-        yp = np.asarray(fn(np.minimum(xs + h, body.b)), dtype=float)
-        ym = np.asarray(fn(np.maximum(xs - h, body.a)), dtype=float)
-        d1 = (yp - ym) / (2 * h)
-        d2 = (yp + ym - 2 * ys) / (h * h)
-        keep = np.abs(d2) > 1e-3        # flat arcs have no curvature
-        for brk in fn.breakpoints():    # corner points have no single normal
-            keep &= np.abs(xs - brk) > 2 * h
-        # clamped stencils near the walls are one-sided; endpoints get their
-        # own vertical-tangent rule below
-        keep &= (xs - body.a > 2 * h) & (body.b - xs > 2 * h)
-        for k in np.nonzero(keep)[0]:
-            nvec = np.array([-d1[k], 1.0]) if upper else np.array([-d1[k], -1.0])
-            nvec = nvec / np.linalg.norm(nvec)
-            out.append(FeaturePoint(Point2(float(xs[k]),
-                                           float(ys[k] if upper else -ys[k])),
-                                    "unique_normal", Point2(*nvec)))
+    for side, fn in ((1.0, body.f), (-1.0, body.g)):
+        if fn.polyline() is not None:
+            continue
+        ys = side * np.asarray(fn(xs), dtype=float)
+        nvec = np.stack([-np.asarray(fn.derivative(xs)), np.full(n, side)], axis=1)
+        nvec /= np.linalg.norm(nvec, axis=1, keepdims=True)
+        out.extend(FeaturePoint(Point2(float(x), float(y)), "unique_normal", Point2(*nv))
+                   for x, y, nv in zip(xs, ys, nvec))
     for xe, direction in ((body.b, 1.0), (body.a, -1.0)):
         if float(body.f(xe)) + float(body.g(xe)) <= 1e-12 and (
                 body.f.endpoint_singular or body.g.endpoint_singular):
@@ -114,8 +105,6 @@ def _symmetric_vertex_order(poly: ConvexPolygon) -> np.ndarray:
     require_origin_symmetric(poly)
     v = poly.vertices
     m = poly.m
-    if m % 2 != 0:
-        raise NotSymmetricError("a centrally symmetric polygon has an even vertex count")
     n = m // 2
     tol = 1e-9 * poly.scale()
     if np.max(np.abs(v[(np.arange(m) + n) % m] + v)) > tol:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import NoBlowupError, NotStandardPositionError, NoZerosFoundError
 from .fourier import frozen_batch_evaluator
 from .geometry import (ConvexBody, ConvexPolygon, Point2, height_profile,
-                       require_origin_symmetric, _standard_position_check)
+                       require_origin_symmetric, require_standard_position)
 from .heights import HeightFn
 
 DEFAULT_SCAN_STEP = 0.02  # below half the square fixture's unit zero spacing
@@ -25,7 +25,6 @@ DEFAULT_SCAN_STEP = 0.02  # below half the square fixture's unit zero spacing
 @dataclass(frozen=True)
 class ZeroPoint:
     xi: Point2
-    bracket: tuple[Point2, Point2]
     residual: float
 
 
@@ -86,8 +85,7 @@ def _bisect_zeros(ev, p_lo: np.ndarray, p_hi: np.ndarray, v_lo: np.ndarray,
     out = []
     for i in range(len(mid)):
         if res[i] <= tol:
-            out.append(ZeroPoint(Point2(*mid[i]), (Point2(*lo[i]), Point2(*hi[i])),
-                                 float(res[i])))
+            out.append(ZeroPoint(Point2(*mid[i]), float(res[i])))
     return out
 
 
@@ -133,25 +131,13 @@ def zeros_on_segment(body: ConvexBody, p0, p1, step: float = DEFAULT_SCAN_STEP,
     return zeros
 
 
-def _slab_standard_position(body: ConvexBody) -> None:
-    if isinstance(body, ConvexPolygon):
-        _standard_position_check(body)
-        return
-    tol = 1e-9
-    if abs(body.a + 0.5) > tol or abs(body.b - 0.5) > tol:
-        raise NotStandardPositionError("graph body domain must be [-1/2, 1/2]")
-    xs = np.linspace(body.a, body.b, 1001)
-    if float(np.min(body.f(xs))) < 0.5 - tol or float(np.min(body.g(xs))) < 0.5 - tol:
-        raise NotStandardPositionError("graph body does not contain the unit square")
-
-
 def slab_zero_alignment(body: ConvexBody, A: float, R_list,
                         step: float = DEFAULT_SCAN_STEP) -> list[AlignmentReport]:
     """Scan horizontal lines across each slab [R, R+10] x [-A, A]; report the
     located zeros and their distance statistics to the punctured grid Z_Q.
     Needs A >= 1 and every R > 0 (ValueError otherwise)."""
     require_origin_symmetric(body)
-    _slab_standard_position(body)
+    require_standard_position(body)
     if not (A >= 1.0):
         raise ValueError("slab half-height A must be >= 1")
     if not all(R > 0.0 for R in R_list):

@@ -92,8 +92,6 @@ def height_descriptor(h: heights.HeightFn) -> dict:
     """The body-file descriptor of a height function."""
     if h.kind == "poly":
         return {"kind": "poly", "coeffs": list(h.coeffs)}
-    if h.kind == "tent":
-        return {"kind": "tent"}
     if h.kind == "semicircle":
         return {"kind": "semicircle", "r": h.r}
     if h.kind == "pw":

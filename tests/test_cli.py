@@ -294,6 +294,9 @@ def test_nonconvex_body_is_input_error(tmp_path, capsys):
     ["tile-check", "--body", "{square}", "--samples", "-3"],
     ["tile-check", "--body", "{square}", "--samples", "0"],
     ["classify", "--body", "{square}", "--out", "{nodir}/x.csv"],
+    ["spectrum-check", "--body", "{square}", "--lattice", "1 0; 0 1", "--radius", "3",
+     "--tol", "nan"],
+    ["zeros", "--body", "{square}", "--xi=0.5,0.5", "--xi=3.5,0.5", "--tol", "nan"],
 ])
 def test_bad_input_exits_2_without_traceback(argv, square_file, hexagon_file, tmp_path,
                                              capsys):
@@ -306,6 +309,18 @@ def test_bad_input_exits_2_without_traceback(argv, square_file, hexagon_file, tm
     assert rc == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "reshape" not in err
+
+
+def test_unwritable_out_is_refused_before_the_subcommand(square_file, tmp_path,
+                                                         monkeypatch, capsys):
+    def must_not_run(args, body):
+        raise AssertionError("the subcommand ran")
+    monkeypatch.setattr(cli, "_cmd_slab_align", must_not_run)
+    out = tmp_path / "nodir" / "x.csv"
+    rc = cli.main(["slab-align", "--body", square_file, "--R-list", "20", "--out", str(out)])
+    assert rc == 2
+    assert "error: cannot write output" in capsys.readouterr().err
+    assert not (tmp_path / "nodir").exists()
 
 
 _SLAB = '"type": "graph", "a": -0.5, "b": 0.5'

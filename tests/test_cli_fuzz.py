@@ -4,7 +4,7 @@ returns 0, 1 or 2 and never lets an exception or a traceback escape.
 Body files are polygons, random graph bodies and symmetric graph bodies,
 with numbers within +-1e3 mixed with NaN, +-Infinity, 0, 1e-300, empty
 lists and unknown kinds.  Magnitudes near the float limit are out of scope:
-a scale of 1e154, for one, overflows f**2 in geometry.centroid.
+at 1e154, for one, intermediate products overflow.
 """
 
 import contextlib

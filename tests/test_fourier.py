@@ -102,6 +102,23 @@ def test_method_labels_name_the_route(disc_body, hexagon_h0):
     assert F.ft_quadrature(disc_body, (0.5, 0.25)).method == "quadrature"
 
 
+def test_tent_diamond_takes_the_closed_form(diamond_body):
+    # |x| + |y| <= 1/2: the unit square turned by 45 degrees, scaled by 1/sqrt(2)
+    xis = np.vstack([np.random.default_rng(29).uniform(-9, 9, size=(20, 2)),
+                     [(1e-3, 2e-3), (0.0, 0.0)]])
+    for x in xis:
+        s = F.ft_body(diamond_body, x)
+        ref = 0.5 * sinc((x[0] + x[1]) / 2) * sinc((x[1] - x[0]) / 2)
+        assert s.method == "closed_form"
+        assert abs(s.value - ref) < 1e-14
+
+
+def test_tent_diamond_gradient_is_its_polygon_gradient(diamond_body):
+    poly = G.as_polygon(diamond_body)
+    for x in [(1.3, 0.4), (3.7, -2.1), (2e-3, 1e-3)]:
+        assert F.grad_ft(diamond_body, x) == F.grad_ft(poly, x)
+
+
 def test_graph_quadrature_oracle(parabola_capped):
     rng = np.random.default_rng(17)
     xs = rng.uniform(-6, 6, size=(8, 2))

@@ -85,6 +85,20 @@ def test_is_symmetric_graph(disc_body, parabola_capped):
                       heights.tent(-0.5, 0.5))
     assert not G.is_symmetric(lop)[0]
     assert G.is_symmetric(parabola_capped)[0]
+    # the center comes from the heights at the midpoint, with no quadrature
+    # to warn about its identically zero y-moment
+    assert G.is_symmetric(G.disc(10.0)) == (True, (0.0, 0.0))
+    shifted = G.GraphBody(-1.0, 3.0, heights.power(0.5, 1.0, -1.0, 3.0),
+                          heights.power(0.5, 1.0, -1.0, 3.0))
+    assert G.is_symmetric(shifted) == (True, (1.0, 0.0))
+
+
+def test_standard_position_of_graph_bodies(disc_body, parabola_capped):
+    G.require_standard_position(parabola_capped)  # f = g = 1/2 at the walls
+    with pytest.raises(NotStandardPositionError, match="unit square"):
+        G.require_standard_position(disc_body)
+    with pytest.raises(NotStandardPositionError, match="domain"):
+        G.require_standard_position(G.disc(1.0))
 
 
 def test_height_profile(square, hexagon_h0, disc_body):

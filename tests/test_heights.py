@@ -131,3 +131,9 @@ def test_polyline_of_piecewise_linear_kinds():
     assert heights.polynomial([0.5, 0.0, -1.0]).polyline() is None
     assert heights.power(0.75).polyline() is None
     assert heights.semicircle(0.5).polyline() is None
+
+
+def test_flat_factories_return_pw():
+    for f in (heights.tent(-0.5, 0.5), heights.power(1.0, 2.0), heights.power(0.5, 0.0),
+              heights.polynomial([0.5, 0.25, 0.0]), heights.zero()):
+        assert f.kind == "pw"

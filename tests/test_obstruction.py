@@ -50,6 +50,13 @@ def test_disc_features_cover_curved_boundary(disc_body):
             assert f.normal.y == pytest.approx(f.location.y / r, abs=1e-6)
 
 
+def test_curved_features_do_not_depend_on_scale():
+    def curved(r):
+        return sum(f.kind == "unique_normal"
+                   for f in obstruction.feature_points(geometry.disc(r)))
+    assert curved(2000.0) == curved(0.5)
+
+
 def test_flat_graph_body_has_no_curved_features(diamond_body):
     assert obstruction.feature_points(diamond_body) == []
 
