@@ -345,8 +345,9 @@ def _cmd_certify(args, body):
 
 def _cap_height(body: ConvexBody):
     """Upper cap of the body as a height function vanishing at the walls."""
-    if isinstance(body, ConvexPolygon):
-        _, upper, _ = decompose_caps(body)
+    poly = as_polygon(body)
+    if poly is not None:
+        _, upper, _ = decompose_caps(poly)
         return upper.f
     f = body.f
     trunk = min(float(f(body.a)), float(f(body.b)))

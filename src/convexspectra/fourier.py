@@ -6,20 +6,20 @@ The transform convention is
 
 so T(0) is the area.  transform_batch gives (values, errors) for any body.
 Polygons, and graph bodies bounded by flat arcs (read as the polygon through
-their knots, geometry.as_polygon), get an exact edge-sum closed form, with an
-exact moment series for |xi| <= SINGULAR_THRESHOLD.  Curved graph bodies, and
-caps with no closed form, get one panel rule: Gauss-Legendre panels in x with
-the inner y-integral in closed form, refined by the factor 1.5 until two
-successive rules agree on a set of check points; `err` is the difference
-between the last two rules.  _fourier_quad, scipy adaptive quadrature, gives
-the independent oracle.
+their knots, geometry.as_polygon), get an exact edge-sum closed form, and for
+|xi| <= SINGULAR_THRESHOLD a Gauss rule on the origin fan.  Curved graph
+bodies, and caps with no closed form, get one panel rule: Gauss-Legendre
+panels in x with the inner y-integral in closed form, refined by the factor
+1.5 until two successive rules agree on a set of check points; `err` is the
+difference between the last two rules.  Gradients are sums over the same
+nodes.  _fourier_quad, scipy adaptive quadrature, serves only the independent
+oracle and the confirmation step of the cap scan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -32,7 +32,7 @@ from .heights import HeightFn, zero
 _TWO_PI = 2.0 * math.pi
 _EPS = np.finfo(float).eps
 
-# |xi| below which the polygon closed form switches to the exact moment series
+# |xi| below which the polygon closed form switches to the origin-fan rule
 # (the edge sum loses ~|xi|^-1 digits to cancellation near the origin)
 SINGULAR_THRESHOLD = 1e-2
 # absolute tolerance requested from adaptive quadrature
@@ -79,74 +79,41 @@ def _edge_sum(poly: ConvexPolygon, xis: np.ndarray) -> tuple[np.ndarray, np.ndar
     return values, err
 
 
-@lru_cache(maxsize=128)
-def _factorials(n: int) -> tuple:
-    out = [1]
-    for k in range(1, n + 1):
-        out.append(out[-1] * k)
-    return tuple(out)
-
-
-def polygon_moments(poly: ConvexPolygon, kmax: int) -> np.ndarray:
-    """Exact monomial moments M[a, b] = integral of x^a y^b, a + b <= kmax.
-
-    Computed by the signed origin-fan over edges: for the triangle (0, p, q)
-    with Jacobian cross(p, q), expand (u p + v q) binomially and use
-    integral over the unit simplex of u^i v^j = i! j! / (i + j + 2)!.
-    Each table is kept on the polygon, so it lives exactly as long as it does.
-    """
-    cached = poly.moment_tables.get(kmax)
-    if cached is not None:
-        return cached
-    fac = _factorials(2 * kmax + 2)
-    M = np.zeros((kmax + 1, kmax + 1))
-    v = poly.vertices
-    for e in range(len(v)):
-        p, q = v[e], v[(e + 1) % len(v)]
-        jac = p[0] * q[1] - p[1] * q[0]
-        if jac == 0.0:
-            continue
-        ppow = np.vander([p[0], p[1], q[0], q[1]], kmax + 1, increasing=True)
-        for a in range(kmax + 1):
-            for b in range(kmax + 1 - a):
-                s = 0.0
-                for i in range(a + 1):
-                    ca = math.comb(a, i) * ppow[0, i] * ppow[2, a - i]
-                    for j in range(b + 1):
-                        cb = math.comb(b, j) * ppow[1, j] * ppow[3, b - j]
-                        s += ca * cb * fac[i + j] * fac[a + b - i - j] / fac[a + b + 2]
-                M[a, b] += jac * s
-    M.setflags(write=False)
-    poly.moment_tables[kmax] = M
-    return M
-
-
 def _moment_series(poly: ConvexPolygon, xis: np.ndarray, extra_x: int = 0,
                    extra_y: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Taylor series at the origin for integral of x^extra * exp(-2 pi i xi.x).
+    """integral of x^extra_x y^extra_y exp(-2 pi i xi.x) near the origin.
 
-    Returns (values, remainder bounds).  Terms: sum_k (-2 pi i)^k / k! *
-    integral of (xi . x)^k x^extra; the remainder is bounded by the first
-    omitted term with all moments bounded by area * r^order.
+    A collapsed Gauss-Legendre rule on the origin fan: the triangle (0, p, q)
+    of each edge is the image of the unit square under (s, t) -> s p +
+    t (1 - s) q, whose Jacobian is (1 - s) cross(p, q).  n points per
+    direction integrate total degree 2n - 2 exactly, so the rule errs only by
+    the Taylor remainder of the exponential past degree d = 2n - 2 - extra:
+    at most 2 sum|w| r^extra amp^(d+1) / (d+1)! with amp = 2 pi |xi| r, plus
+    a rounding floor.  Returns (values, error bounds).
     """
+    e = extra_x + extra_y
     r = float(np.max(np.linalg.norm(poly.vertices, axis=1)))
     amp = _TWO_PI * np.linalg.norm(xis, axis=1) * r
     amax = float(np.max(amp, initial=0.0))
     kmax = 4
     while kmax < 40 and (amax ** (kmax + 1)) / math.factorial(kmax + 1) > 1e-16:
         kmax += 2
-    M = polygon_moments(poly, kmax + extra_x + extra_y)
-    vals = np.zeros(len(xis), dtype=complex)
-    coef = 1.0 + 0.0j
-    for k in range(kmax + 1):
-        inner = np.zeros(len(xis))
-        for j in range(k + 1):
-            mom = M[j + extra_x, k - j + extra_y]
-            if mom != 0.0:
-                inner = inner + math.comb(k, j) * xis[:, 0] ** j * xis[:, 1] ** (k - j) * mom
-        vals += coef * inner
-        coef *= -2j * math.pi / (k + 1)
-    bound = poly.area * (r ** (extra_x + extra_y)) * amp ** (kmax + 1) / math.factorial(kmax + 1)
+    n = (kmax + e + 3) // 2
+    d = 2 * n - 2 - e
+    x, w = np.polynomial.legendre.leggauss(n)
+    s = 0.5 * (x + 1.0)
+    ref_w = np.outer(0.5 * w * (1.0 - s), 0.5 * w).ravel()
+    sp = np.repeat(s, n)
+    tq = np.tile(s, n) * (1.0 - sp)
+    p = poly.vertices
+    q = np.roll(p, -1, axis=0)
+    nodes = (sp[None, :, None] * p[:, None, :] + tq[None, :, None] * q[:, None, :]).reshape(-1, 2)
+    cr = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+    weights = (cr[:, None] * ref_w[None, :]).ravel()
+    wx = weights * nodes[:, 0] ** extra_x * nodes[:, 1] ** extra_y
+    vals = np.exp((-2j * math.pi) * (xis @ nodes.T)) @ wx
+    bound = (2.0 * np.abs(weights).sum() * r ** e * amp ** (d + 1) / math.factorial(d + 1)
+             + 32.0 * _EPS * np.abs(wx).sum())
     return vals, bound
 
 
@@ -161,13 +128,15 @@ def _panel_edges(body: GraphBody, max_xi1: float, max_xi2: float, factor: float)
     breakpoints, geometrically graded toward endpoints with unbounded slope."""
     brk = sorted({body.a, body.b, *body.f.breakpoints(), *body.g.breakpoints()})
     hmax = body.f.max_value() + body.g.max_value()
-    edges = []
-    for s0, s1 in zip(brk[:-1], brk[1:]):
-        ell = s1 - s0
-        periods = max_xi1 * ell + max_xi2 * hmax
-        n = max(2, int(math.ceil(factor * (1.1 * periods + 2.0))))
-        edges.append(np.linspace(s0, s1, n + 1))
-    edges = np.unique(np.concatenate(edges))
+    counts = [max(2, int(math.ceil(factor * (1.1 * (max_xi1 * (s1 - s0) + max_xi2 * hmax)
+                                             + 2.0))))
+              for s0, s1 in zip(brk[:-1], brk[1:])]
+    # the rule keeps four float arrays of len(_GL_NODES) nodes per panel
+    if 32 * len(_GL_NODES) * sum(counts) > 256 * 2**20:
+        raise ValueError(f"panel rule too large: {sum(counts):.3g} panels for frequencies "
+                         f"up to ({max_xi1:g}, {max_xi2:g})")
+    edges = np.unique(np.concatenate([np.linspace(s0, s1, n + 1)
+                                      for s0, s1, n in zip(brk[:-1], brk[1:], counts)]))
 
     graded = [edges]
     if body.f.endpoint_singular or body.g.endpoint_singular:
@@ -214,6 +183,19 @@ class _FrozenGraphEval:
             phase = np.exp((-2j * math.pi) * np.outer(sl[:, 0], self.nodes))
             out[lo:lo + chunk] = (inner * phase) @ self.weights
         return out
+
+    def gradient(self, xi) -> tuple[complex, complex]:
+        """-2 pi i times the integrals of x and y against exp(-2 pi i xi.x),
+        on the same nodes and weights.  The inner y-integral over
+        [-G, F] = (F - G)/2 + (F + G) [-1/2, 1/2] is
+        (F+G) exp(-pi i xi2 (F-G)) ((F-G)/2 sinc(u) + (F+G) T(u)), u = xi2 (F+G)."""
+        u = xi[1] * self.tot
+        snc = np.sinc(u)
+        shifted = self.tot * np.exp((-1j * math.pi) * xi[1] * self.dif)
+        wphase = self.weights * np.exp((-2j * math.pi) * xi[0] * self.nodes)
+        mx = (self.nodes * shifted * snc) @ wphase
+        my = (shifted * (0.5 * self.dif * snc + self.tot * _t_kernel(u))) @ wphase
+        return complex(-2j * math.pi * mx), complex(-2j * math.pi * my)
 
 
 # perfbench/spans.py times the kernel under this name as well as through the
@@ -441,44 +423,15 @@ def grad_ft(body: ConvexBody, xi) -> tuple[complex, complex]:
     """Gradient of the transform: -2 pi i (integral of x_k exp(-2 pi i xi.x)).
 
     Bodies bounded by flat arcs use a dedicated edge-sum identity for the
-    first-moment integrals; curved bodies integrate the moment closed forms
-    with _fourier_quad and raise NoConvergenceError when it does not converge.
+    first-moment integrals; curved bodies use the panel rule that
+    frozen_batch_evaluator builds for the box |xi1|, |xi2| (NoConvergenceError
+    when its refinement does not converge).
     """
     xi = np.asarray(xi, dtype=float).reshape(2)
     poly = as_polygon(body)
-    if poly is not None:
-        m = _polygon_first_moments(poly, xi)
-        g = -2j * math.pi * m
-        return complex(g[0]), complex(g[1])
-
-    upper, lower, a, b, brk = _graph_form(body)
-    c = _TWO_PI * xi[1]
-    ybound = 1.0 + max(abs(float(upper(a))), abs(float(lower(a))),
-                       abs(float(upper(0.5 * (a + b)))), abs(float(lower(0.5 * (a + b)))))
-    small_c = abs(c) * ybound < 1e-6
-
-    inner0 = _strip_transform(upper, lower, xi[1])
-
-    def inner1(x):
-        # integral of y exp(-i c y) dy over [l, u]
-        u = np.asarray(upper(x), dtype=float)
-        l = np.asarray(lower(x), dtype=float)
-        if small_c:
-            val = 0.5 * (u**2 - l**2) + (-1j * c) / 3.0 * (u**3 - l**3) \
-                + (-1j * c) ** 2 / 8.0 * (u**4 - l**4)
-        else:
-            anti = lambda y: np.exp(-1j * c * y) * (1j * y / c + 1.0 / (c * c))
-            val = anti(u) - anti(l)
-        return val
-
-    out = []
-    for kern in (lambda x: x * inner0(x), inner1):
-        val, _, ok = _fourier_quad(kern, a, b, brk, xi[0])
-        if not ok:
-            raise NoConvergenceError(
-                f"gradient quadrature did not converge at xi = ({xi[0]:g}, {xi[1]:g})")
-        out.append(val)
-    g = -2j * math.pi * np.array(out)
+    if poly is None:
+        return frozen_batch_evaluator(body, abs(xi[0]), abs(xi[1])).gradient(xi)
+    g = -2j * math.pi * _polygon_first_moments(poly, xi)
     return complex(g[0]), complex(g[1])
 
 

@@ -10,7 +10,7 @@ Conventions (fixed package-wide):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Union
 
@@ -21,6 +21,7 @@ from . import heights
 from .errors import (
     DegenerateError,
     EdgeThroughOriginError,
+    NoConvergenceError,
     NotConvexError,
     NotStandardPositionError,
     NotSymmetricError,
@@ -57,8 +58,6 @@ class ConvexPolygon:
 
     vertices: np.ndarray  # (m, 2), counterclockwise
     area: float
-    # exact monomial moment tables by order, filled by fourier.polygon_moments
-    moment_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -186,9 +185,8 @@ class GraphBody:
 
     @cached_property
     def area(self) -> float:
-        val, _ = _quad_height(lambda x: self.f(x) + self.g(x), self.a, self.b,
-                              self.f.breakpoints() + self.g.breakpoints())
-        return val
+        return _quad_height(lambda x: self.f(x) + self.g(x), self.a, self.b,
+                            self.f.breakpoints() + self.g.breakpoints())
 
     def height(self, x):
         return self.f(x) + self.g(x)
@@ -200,11 +198,16 @@ class GraphBody:
 ConvexBody = Union[ConvexPolygon, GraphBody]
 
 
-def _quad_height(fn, a, b, breakpoints, epsabs=1e-13):
+def _quad_height(fn, a, b, breakpoints, epsabs=1e-13) -> float:
+    """integral of fn over [a, b]; NoConvergenceError when scipy reports a
+    problem instead of the value."""
     pts = sorted(p for p in breakpoints if a < p < b)
-    val, err = integrate.quad(fn, a, b, points=pts or None, limit=200,
-                              epsabs=epsabs, epsrel=1e-13)
-    return float(val), float(err)
+    res = integrate.quad(fn, a, b, points=pts or None, limit=200,
+                         epsabs=epsabs, epsrel=1e-13, full_output=1)
+    if len(res) > 3:
+        raise NoConvergenceError(f"quadrature on [{a:g}, {b:g}] did not converge "
+                                 f"(scipy: {res[3].splitlines()[0]})")
+    return float(res[0])
 
 
 def disc(radius: float = 0.5) -> GraphBody:
@@ -246,21 +249,14 @@ class Measures(NamedTuple):
     perimeter: float
 
 
-def centroid(body: ConvexBody) -> Point2:
-    if isinstance(body, ConvexPolygon):
-        v = body.vertices
-        w = np.roll(v, -1, axis=0)
-        cr = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
-        cx = float(np.sum((v[:, 0] + w[:, 0]) * cr)) / (6.0 * body.area)
-        cy = float(np.sum((v[:, 1] + w[:, 1]) * cr)) / (6.0 * body.area)
-        return Point2(cx, cy)
-    a = body.area
-    if a <= 0.0:
-        return Point2(0.5 * (body.a + body.b), 0.0)
-    brk = body.f.breakpoints() + body.g.breakpoints()
-    mx, _ = _quad_height(lambda x: x * (body.f(x) + body.g(x)), body.a, body.b, brk)
-    my, _ = _quad_height(lambda x: 0.5 * (body.f(x) ** 2 - body.g(x) ** 2), body.a, body.b, brk)
-    return Point2(mx / a, my / a)
+def centroid(poly: ConvexPolygon) -> Point2:
+    """Area centroid of a polygon, from its vertices."""
+    v = poly.vertices
+    w = np.roll(v, -1, axis=0)
+    cr = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
+    cx = float(np.sum((v[:, 0] + w[:, 0]) * cr)) / (6.0 * poly.area)
+    cy = float(np.sum((v[:, 1] + w[:, 1]) * cr)) / (6.0 * poly.area)
+    return Point2(cx, cy)
 
 
 def measures(body: ConvexBody) -> Measures:
@@ -270,9 +266,8 @@ def measures(body: ConvexBody) -> Measures:
 
     per = 0.0
     for h in (body.f, body.g):
-        val, _ = _quad_height(lambda x, h=h: math.hypot(1.0, float(h.derivative(x))),
-                              body.a, body.b, h.breakpoints(), epsabs=1e-10)
-        per += val
+        per += _quad_height(lambda x, h=h: math.hypot(1.0, float(h.derivative(x))),
+                            body.a, body.b, h.breakpoints(), epsabs=1e-10)
     for xe in (body.a, body.b):
         per += float(body.f(xe)) + float(body.g(xe))
     return Measures(body.area, per)

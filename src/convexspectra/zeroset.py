@@ -96,16 +96,9 @@ def _scan_lines(ev, starts: np.ndarray, stops: np.ndarray, n_samples: int,
     pts = starts[:, None, :] + ts[None, :, None] * (stops - starts)[:, None, :]
     flat = pts.reshape(-1, 2)
     vals = ev(flat).real.reshape(len(starts), -1)
-    # nudge exact-zero samples off the node so the sign logic stays two-sided
-    exact = np.argwhere(vals == 0.0)
-    if len(exact):
-        h = ts[1] - ts[0]
-        for r, c in exact:
-            tshift = min(ts[c] + 0.37 * h * 1e-3, 1.0)
-            q = starts[r] + tshift * (stops[r] - starts[r])
-            pts[r, c] = q
-        vals = ev(pts.reshape(-1, 2)).real.reshape(len(starts), -1)
-    sign_change = vals[:, :-1] * vals[:, 1:] < 0.0
+    # the sign rule of _bisect_zeros: an exact zero counts as negative
+    pos = vals > 0.0
+    sign_change = pos[:, :-1] != pos[:, 1:]
     rr, cc = np.nonzero(sign_change)
     if len(rr) == 0:
         return []

@@ -5,7 +5,7 @@ import pytest
 
 from convexspectra import cli, heights
 from convexspectra.errors import BodyParseError, BodyValidationError
-from convexspectra.geometry import ConvexPolygon, GraphBody
+from convexspectra.geometry import ConvexPolygon, GraphBody, validate_polygon
 
 from conftest import write_body
 
@@ -253,6 +253,33 @@ def test_cap_scan_parabola(tmp_path, parabola_capped, capsys):
 def test_cap_scan_flat_cap_fails(square_file, capsys):
     rc = cli.main(["cap-scan", "--body", square_file, "--delta", "0.1"])
     assert rc == 1
+
+
+def test_cap_scan_reads_a_flat_graph_body_as_its_polygon(tmp_path, capsys):
+    # one hexagon, written as a polygon and as a graph body with pw heights
+    poly = validate_polygon([(0.5, -0.6), (0.5, 0.6), (0.0, 0.8),
+                             (-0.5, 0.6), (-0.5, -0.6), (0.0, -0.8)])
+    f = heights.piecewise([-0.5, 0.0, 0.5], [0.6, 0.8, 0.6])
+    lines = []
+    for name, body in (("poly", poly), ("graph", GraphBody(-0.5, 0.5, f, f))):
+        path = write_body(tmp_path / f"{name}.json", body)
+        assert cli.main(["cap-scan", "--body", path, "--delta", "0.1"]) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1]
+
+
+def test_cap_scan_flat_graph_outside_standard_position(tmp_path, diamond_body, capsys):
+    path = write_body(tmp_path / "diamond.json", diamond_body)
+    assert cli.main(["cap-scan", "--body", path, "--delta", "0.1"]) == 2
+    assert "does not contain the unit square" in capsys.readouterr().err
+
+
+def test_gap_check_unconverged_perimeter_is_input_error(tmp_path, capsys):
+    f = heights.power(0.05)
+    path = write_body(tmp_path / "steep.json", GraphBody(-0.5, 0.5, f, f))
+    assert cli.main(["gap-check", "--body", path, "--lattice", "1 0; 0 1"]) == 2
+    err = capsys.readouterr().err
+    assert "did not converge" in err and "Traceback" not in err
 
 
 def test_slab_align_square(square_file, capsys):

@@ -1,13 +1,19 @@
 import math
+import types
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from convexspectra import fourier as F
 from convexspectra import geometry as G
 from convexspectra import heights
 from convexspectra.errors import NoConvergenceError
+
+from conftest import random_symmetric_2ngon
 
 
 def sinc(t):
@@ -74,6 +80,32 @@ def test_moment_series_follows_the_polygon_it_is_given():
         assert abs(v - rh.area) < 1e-4 * rh.area
         if k % 60 == 0:
             assert abs(v - F.ft_quadrature(rh, xi).value) < 1e-9
+
+
+def _mp_edge_sum(vertices, xi):
+    """The polygon transform as an edge sum in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        x1, x2 = mpmath.mpf(float(xi[0])), mpmath.mpf(float(xi[1]))
+        V = [(mpmath.mpf(float(p[0])), mpmath.mpf(float(p[1]))) for p in vertices]
+        tot = mpmath.mpc(0)
+        for p, q in zip(V, V[1:] + V[:1]):
+            dx, dy = q[0] - p[0], q[1] - p[1]
+            tot += ((x1 * dy - x2 * dx) * mpmath.sincpi(x1 * dx + x2 * dy)
+                    * mpmath.expjpi(-(x1 * (p[0] + q[0]) + x2 * (p[1] + q[1]))))
+        return complex(1j * tot / (2 * mpmath.pi * (x1 * x1 + x2 * x2)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8),
+       log_r=st.floats(-6.0, -2.0), theta=st.floats(0.0, 2 * math.pi))
+def test_near_origin_error_bars_hold(seed, n, log_r, theta):
+    # |xi| <= SINGULAR_THRESHOLD takes the origin-fan rule; its err must
+    # bound the distance to the exact transform, rounding included
+    poly = random_symmetric_2ngon(np.random.default_rng(seed), n)
+    r = 10.0 ** log_r
+    xi = (r * math.cos(theta), r * math.sin(theta))
+    s = F.ft_body(poly, xi)
+    assert abs(s.value - _mp_edge_sum(poly.vertices, xi)) <= s.err
 
 
 def test_polygon_vs_quadrature_oracle(hexagon_h0):
@@ -153,6 +185,19 @@ def test_gradient_matches_finite_differences(hexagon_h0, parabola_capped):
             assert abs(gy - fy) < 5e-6
 
 
+def test_disc_gradient_matches_bessel(disc_body):
+    # grad T = -2 pi r^2 J2(2 pi r rho) / rho * xi / rho, r = 1/2
+    xis = np.vstack([np.random.default_rng(31).uniform(-12, 12, size=(6, 2)),
+                     [(9.5, 0.4), (-11.2, 3.3), (0.3, 1e-3), (1.3, 0.4)]])
+    assert np.sum(np.abs(xis[:, 0]) > 8) >= 3
+    for x in xis:
+        rho = math.hypot(*x)
+        dT = -2 * math.pi * 0.25 * special.jv(2, math.pi * rho) / rho
+        gx, gy = F.grad_ft(disc_body, x)
+        assert abs(gx - dT * x[0] / rho) < 1e-12
+        assert abs(gy - dT * x[1] / rho) < 1e-12
+
+
 def test_height_fourier_against_quadrature():
     cap = heights.polynomial([0.25, 0.0, -1.0])
     for R in (0.3, 1.7, 6.4):
@@ -195,7 +240,8 @@ def test_cap_scan_parabola_and_zero_cap():
 
 @pytest.fixture
 def quad_warns(monkeypatch):
-    """scipy.integrate.quad that reports a warning on every full-output call."""
+    """fourier's scipy.integrate.quad reports a warning on every full-output
+    call (the body's area, from geometry, is still computed normally)."""
     real = integrate.quad
 
     def quad(*args, **kwargs):
@@ -203,17 +249,28 @@ def quad_warns(monkeypatch):
         if kwargs.get("full_output"):
             return (*res[:3], "maximum number of subdivisions reached")
         return res
-    monkeypatch.setattr(integrate, "quad", quad)
+    monkeypatch.setattr(F, "integrate", types.SimpleNamespace(quad=quad))
 
 
 def test_unconverged_quadrature_is_never_dropped(disc_body, quad_warns):
     # |xi1| (b - a) below and above 8: the QAGS and the QAWO branch
     for xi in ((1.3, 0.4), (9.5, 0.4)):
         assert not F.ft_quadrature(disc_body, xi).converged
-        with pytest.raises(NoConvergenceError):
-            F.grad_ft(disc_body, xi)
     with pytest.raises(NoConvergenceError):
         F.cap_lower_bound_scan(heights.tent(-0.5, 0.5), 0.1)
+
+
+def test_unconverged_panel_rule_is_never_dropped(disc_body, monkeypatch):
+    # uniform panels with no grading toward the disc's vertical walls: the
+    # rule never reaches the tolerance within _REFINE_ROUNDS refinements
+    monkeypatch.setattr(F, "_panel_edges", lambda body, m1, m2, factor:
+                        np.linspace(body.a, body.b, 3 + int(4 * factor)))
+    for xi in ((1.3, 0.4), (9.5, 0.4)):
+        assert not F.ft_body(disc_body, xi).converged
+        with pytest.raises(NoConvergenceError):
+            F.grad_ft(disc_body, xi)
+        with pytest.raises(NoConvergenceError):
+            F.frozen_batch_evaluator(disc_body, abs(xi[0]), abs(xi[1]))
 
 
 @pytest.mark.parametrize("p", [0.5, 0.75])
@@ -244,3 +301,16 @@ def test_power_cap_scan_memory_is_bounded():
         tracemalloc.stop()
     assert 1.0 <= res.R <= 100.0 and res.ratio > 0
     assert peak < 256 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+
+
+def test_oversized_panel_rule_fails_fast():
+    # the panel count grows with the height; the rule is refused before any
+    # node array is built
+    import time
+    for scale in (1e154, 1e7):
+        f = heights.power(0.5, scale)
+        body = G.GraphBody(-0.5, 0.5, f, f)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="panel rule too large"):
+            F.ft_body(body, (1.0, 1.0))
+        assert time.perf_counter() - t0 < 1.0

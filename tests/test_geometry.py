@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from convexspectra import geometry as G
 from convexspectra import heights
 from convexspectra.errors import (DegenerateError, EdgeThroughOriginError,
-                                  NotConvexError, NotStandardPositionError)
+                                  NoConvergenceError, NotConvexError,
+                                  NotStandardPositionError)
 
 
 def test_validate_polygon_orientation():
@@ -35,6 +36,14 @@ def test_measures(square, hexagon_h0, octagon):
     assert octagon.area == pytest.approx(2.0 * math.sqrt(2.0))
     m = G.measures(hexagon_h0)
     assert m.area == pytest.approx(1.25)
+
+
+def test_measures_raises_when_the_arc_length_does_not_converge():
+    # arc length of a p = 0.05 power height: scipy stops short (5.3638 against
+    # 5.3561 from mpmath), which must not pass as a perimeter
+    f = heights.power(0.05)
+    with pytest.raises(NoConvergenceError):
+        G.measures(G.GraphBody(-0.5, 0.5, f, f))
 
 
 def test_regular_polygon_area():
