@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from . import errors, heights
 from .geometry import (AffineMap, ConvexBody, ConvexPolygon, GraphBody,
                        Lattice, Point2, Z2, as_polygon, centroid, decompose_caps,
-                       disc, height_profile, is_symmetric, measures,
+                       disc, graph_heights, is_symmetric, measures,
                        normalize_edge_to_standard, point_in_polygon,
                        regular_polygon, unit_square, validate_polygon)
 from .fourier import (CapScanResult, FourierSample, cap_lower_bound_scan,
@@ -32,7 +32,7 @@ __all__ = [
     "cap_lower_bound_scan", "cap_slope", "centroid", "check_certificate",
     "classify", "constraint_density", "decompose_caps", "disc", "dual_lattice",
     "errors", "feature_points", "ft_body", "ft_quadrature", "grad_ft",
-    "grid_distance", "height_fourier", "height_profile", "heights",
+    "graph_heights", "grid_distance", "height_fourier", "heights",
     "is_symmetric", "landau_density", "lattice_points_in_ball", "measures",
     "nonspectral_certificate", "normalize_edge_to_standard",
     "orthogonality_check", "parseval_deficiency", "point_in_polygon",

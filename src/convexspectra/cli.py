@@ -343,28 +343,8 @@ def _cmd_certify(args, body):
             {"area_recheck_tol": 1e-12, "kind": cert.kind, "margin": cert.margin})
 
 
-def _cap_height(body: ConvexBody):
-    """Upper cap of the body as a height function vanishing at the walls."""
-    poly = as_polygon(body)
-    if poly is not None:
-        _, upper, _ = decompose_caps(poly)
-        return upper.f
-    f = body.f
-    trunk = min(float(f(body.a)), float(f(body.b)))
-    if trunk <= 1e-12:
-        return f
-    if f.kind == "poly":
-        c = list(f.coeffs)
-        c[0] -= trunk
-        return heights.polynomial(c, f.a, f.b)
-    if f.kind == "pw":
-        return heights.piecewise(f.knots, np.asarray(f.values) - trunk)
-    raise BodyValidationError(
-        "cap-scan: cannot subtract the wall height from this height kind")
-
-
 def _cmd_cap_scan(args, body):
-    f = _cap_height(body)
+    f = decompose_caps(as_polygon(body) or body)[1].f
     window = _parse_pair(args.window, "--window")
     res = cap_lower_bound_scan(f, args.delta, window)
     print("R %.12g  |transform| %.6g  ratio %.6g"

@@ -415,57 +415,63 @@ def _chain_indices(poly: ConvexPolygon, upper: bool) -> list[int]:
     return chain
 
 
-def height_profile(body: ConvexBody) -> HeightFn:
-    """Upper boundary y = u(x) as a height function on [xmin, xmax]."""
+def graph_heights(body: ConvexBody) -> tuple[HeightFn, HeightFn]:
+    """(f, g) with body = { -g(x) <= y <= f(x) }: a graph body's own heights,
+    a polygon's upper chain and negated lower chain as "pw" heights.  The
+    converse of as_polygon."""
     if isinstance(body, GraphBody):
-        return body.f
-    idx = _chain_indices(body, upper=True)
-    v = body.vertices[idx]
-    return heights.piecewise(v[:, 0], v[:, 1])
+        return body.f, body.g
+    up = body.vertices[_chain_indices(body, upper=True)]
+    lo = body.vertices[_chain_indices(body, upper=False)]
+    return heights.piecewise(up[:, 0], up[:, 1]), heights.piecewise(lo[:, 0], -lo[:, 1])
 
 
-def require_standard_position(body: ConvexBody) -> None:
-    """NotStandardPositionError unless the body contains the unit square
-    and lies in the slab |x| <= 1/2, both to within 1e-9."""
-    tol = 1e-9
-    if isinstance(body, GraphBody):
-        if abs(body.a + 0.5) > tol or abs(body.b - 0.5) > tol:
-            raise NotStandardPositionError("graph body domain must be [-1/2, 1/2]")
-        # concave heights take their minimum at an end of the domain
-        ends = [float(h(x)) for h in (body.f, body.g) for x in (body.a, body.b)]
-        if min(ends) < 0.5 - tol:
-            raise NotStandardPositionError("graph body does not contain the unit square")
-        return
-    if np.max(np.abs(body.vertices[:, 0])) > 0.5 + tol:
-        raise NotStandardPositionError("polygon leaks out of the slab |x| <= 1/2")
-    corners = np.array([(0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5)])
-    if np.min(inside_margin(body, corners)) < -tol:
-        raise NotStandardPositionError("polygon does not contain the unit square")
+def require_slab_span(body: ConvexBody) -> tuple[HeightFn, HeightFn]:
+    """The body's graph heights; NotStandardPositionError unless their
+    domain is [-1/2, 1/2] to within 1e-9."""
+    f, g = graph_heights(body)
+    if any(abs(h.a + 0.5) > 1e-9 or abs(h.b - 0.5) > 1e-9 for h in (f, g)):
+        raise NotStandardPositionError("body must span exactly the slab |x| <= 1/2")
+    return f, g
 
 
-def decompose_caps(poly: ConvexPolygon) -> tuple[ConvexPolygon, GraphBody, GraphBody]:
-    """Split a standard-position polygon into the unit square and two caps.
+def require_standard_position(body: ConvexBody) -> tuple[HeightFn, HeightFn]:
+    """The body's graph heights; NotStandardPositionError unless the body
+    lies in the slab |x| <= 1/2 and contains the unit square, both to
+    within 1e-9 (a vertical distance, no looser than the perpendicular one)."""
+    f, g = require_slab_span(body)
+    # concave heights take their minimum at an end of the domain
+    if min(float(h(x)) for h in (f, g) for x in (h.a, h.b)) < 0.5 - 1e-9:
+        raise NotStandardPositionError("body does not contain the unit square")
+    return f, g
+
+
+def decompose_caps(body: ConvexBody) -> tuple[ConvexPolygon, GraphBody, GraphBody]:
+    """Split a body in standard position into the unit square and two caps.
 
     Caps are returned as graph bodies over [-1/2, 1/2] with g == 0; their f is
     the cap height measured from the square's edge (the cap above y = 1/2 and
-    the mirror of the cap below y = -1/2, both in left-to-right x).
-    Areas satisfy |poly| = 1 + |upper| + |lower| within 1e-10.
+    the mirror of the cap below y = -1/2, both in left-to-right x): a "pw"
+    height with its knots clipped to the slab, or a "poly" height with its
+    constant coefficient lowered by 1/2.  The other kinds vanish at the walls
+    and never pass the standard-position guard.
+    Areas satisfy |body| = 1 + |upper| + |lower| within 1e-10.
     """
-    require_standard_position(poly)
-
-    def cap_from_chain(upper: bool) -> GraphBody:
-        idx = _chain_indices(poly, upper=upper)
-        v = poly.vertices[idx]
-        knots = np.clip(v[:, 0], -0.5, 0.5)
+    def cap(h: HeightFn) -> GraphBody:
+        line = h.polyline()
+        if line is None:
+            c = list(h.coeffs)
+            c[0] -= 0.5
+            return GraphBody(-0.5, 0.5, heights.polynomial(c), heights.zero())
+        knots = np.clip(line[0], -0.5, 0.5)
         knots[0], knots[-1] = -0.5, 0.5
-        hts = v[:, 1] - 0.5 if upper else -0.5 - v[:, 1]
-        hts = np.maximum(hts, 0.0)
+        hts = np.maximum(np.asarray(line[1]) - 0.5, 0.0)
         # merge knots that collide after clipping
         keep = np.concatenate([[True], np.diff(knots) > 1e-12])
-        f = heights.piecewise(knots[keep], hts[keep])
-        return GraphBody(-0.5, 0.5, f, heights.zero())
+        return GraphBody(-0.5, 0.5, heights.piecewise(knots[keep], hts[keep]), heights.zero())
 
-    return unit_square(), cap_from_chain(True), cap_from_chain(False)
+    f, g = require_standard_position(body)
+    return unit_square(), cap(f), cap(g)
 
 
 # ---------------------------------------------------------------------------

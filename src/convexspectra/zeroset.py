@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoBlowupError, NotStandardPositionError, NoZerosFoundError
+from .errors import NoBlowupError, NoZerosFoundError
 from .fourier import frozen_batch_evaluator
-from .geometry import (ConvexBody, ConvexPolygon, Point2, height_profile,
-                       require_origin_symmetric, require_standard_position)
+from .geometry import (ConvexBody, Point2, require_origin_symmetric, require_slab_span,
+                       require_standard_position)
 from .heights import HeightFn
 
 DEFAULT_SCAN_STEP = 0.02  # below half the square fixture's unit zero spacing
@@ -89,9 +89,17 @@ def _bisect_zeros(ev, p_lo: np.ndarray, p_hi: np.ndarray, v_lo: np.ndarray,
     return out
 
 
+def _require_scan_size(n_lines: int, n_samples: int) -> None:
+    """ValueError past _panel_edges' budget, 256 MiB of points and values."""
+    n = n_lines * (n_samples + 1)
+    if 32 * n > 256 * 2**20:
+        raise ValueError(f"scan grid too large: {n:.3g} points, over 256 MiB")
+
+
 def _scan_lines(ev, starts: np.ndarray, stops: np.ndarray, n_samples: int,
                 tol: float) -> list[ZeroPoint]:
     """Sample each segment uniformly, bracket sign changes, bisect them all."""
+    _require_scan_size(len(starts), n_samples)
     ts = np.linspace(0.0, 1.0, n_samples + 1)
     pts = starts[:, None, :] + ts[None, :, None] * (stops - starts)[:, None, :]
     flat = pts.reshape(-1, 2)
@@ -128,7 +136,7 @@ def slab_zero_alignment(body: ConvexBody, A: float, R_list,
                         step: float = DEFAULT_SCAN_STEP) -> list[AlignmentReport]:
     """Scan horizontal lines across each slab [R, R+10] x [-A, A]; report the
     located zeros and their distance statistics to the punctured grid Z_Q.
-    Needs A >= 1 and every R > 0 (ValueError otherwise)."""
+    Needs A >= 1, every R > 0 and step <= 2 A (ValueError otherwise)."""
     require_origin_symmetric(body)
     require_standard_position(body)
     if not (A >= 1.0):
@@ -140,12 +148,16 @@ def slab_zero_alignment(body: ConvexBody, A: float, R_list,
     # line ordinates offset half a step: never scan exactly on an integer line,
     # where the transform can vanish identically and bracketing degenerates
     n_lines = int(math.floor(2.0 * A / step))
+    n_samples = int(math.ceil(10.0 / step))
+    if n_lines == 0:
+        raise ValueError(f"step {step:g} leaves no scan line in |xi2| <= A = {A:g}")
+    _require_scan_size(n_lines, n_samples)
     xi2s = -A + (np.arange(n_lines) + 0.5) * step
     for R in R_list:
         ev = frozen_batch_evaluator(body, R + 10.0 + 1.0, A + 1.0, 0.01 * tol)
         starts = np.stack([np.full(n_lines, float(R)), xi2s], axis=1)
         stops = np.stack([np.full(n_lines, float(R) + 10.0), xi2s], axis=1)
-        zeros = _scan_lines(ev, starts, stops, int(math.ceil(10.0 / step)), tol)
+        zeros = _scan_lines(ev, starts, stops, n_samples, tol)
         dists = [grid_distance(z.xi, "Z_Q") for z in zeros]
         reports.append(AlignmentReport(
             zeros=zeros,
@@ -230,34 +242,32 @@ def ball_zero_alignment(body: ConvexBody, A: float, eps: float,
     shifted-grid structure is not expected (NoBlowup).
     """
     require_origin_symmetric(body)
-    if isinstance(body, ConvexPolygon):
-        half_width = float(np.max(body.vertices[:, 0]))
-    else:
-        half_width = body.b
-    if abs(half_width - 0.5) > 1e-6:
-        raise NotStandardPositionError("body must span exactly the slab |x| <= 1/2")
+    u = require_slab_span(body)[0]
+    r_lo, r_hi = float(R_window[0]), float(R_window[1])
+    if not r_lo < r_hi:
+        raise ValueError(f"R window must have lo < hi, got ({r_lo:g}, {r_hi:g})")
+    n_lines = max(4, int(math.ceil(12.0 * min(1.0, 2.0 * A))))
+    dy = 2.0 * A / n_lines
+    xi2s = -A + (np.arange(n_lines) + 0.5) * dy
+    chords = np.sqrt(np.maximum(A * A - xi2s * xi2s, 0.0))
+    keep = chords > step
+    if not np.any(keep):
+        raise ValueError(f"step {step:g} is longer than every chord of the ball of "
+                         f"radius A = {A:g}")
+    n = max(2, int(math.ceil(2.0 * A / step)))
 
-    u = height_profile(body)
     wall = float(u(0.5)) > 1e-9
     if not wall:
         select_scales(u, eps, A)  # raises NoBlowup for corner/flat endpoints
 
     tol = 1e-9 * body.area
-    r_lo, r_hi = float(R_window[0]), float(R_window[1])
     R_grid = np.linspace(r_lo, r_hi, 9)
     ev = frozen_batch_evaluator(body, r_hi + A + 1.0, A + 1.0, 0.01 * tol)
 
-    n_lines = max(4, int(math.ceil(12.0 * min(1.0, 2.0 * A))))
-    dy = 2.0 * A / n_lines
-    xi2s = -A + (np.arange(n_lines) + 0.5) * dy
-
     best = None
     for R in R_grid:
-        chords = np.sqrt(np.maximum(A * A - xi2s * xi2s, 0.0))
-        keep = chords > step
         starts = np.stack([R - chords[keep], xi2s[keep]], axis=1)
         stops = np.stack([R + chords[keep], xi2s[keep]], axis=1)
-        n = max(2, int(math.ceil(2.0 * A / step)))
         zeros = _scan_lines(ev, starts, stops, n, tol)
         if not zeros:
             continue

@@ -217,6 +217,6 @@ def test_criterion_12_ball_alignment_trend(disc_body, diamond_body):
         maxes.append(rep.max_dist)
     assert maxes[0] > maxes[1] > maxes[2], maxes
     with pytest.raises(NoBlowupError):
-        zeroset.select_scales(geometry.height_profile(diamond_body), 0.05, 1.0)
-    d0, d = zeroset.select_scales(geometry.height_profile(disc_body), 0.05, 1.0)
+        zeroset.select_scales(geometry.graph_heights(diamond_body)[0], 0.05, 1.0)
+    d0, d = zeroset.select_scales(geometry.graph_heights(disc_body)[0], 0.05, 1.0)
     assert 0.0 < d < d0

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -268,6 +269,42 @@ def test_cap_scan_reads_a_flat_graph_body_as_its_polygon(tmp_path, capsys):
     assert lines[0] == lines[1]
 
 
+def test_cap_scan_measures_a_curved_cap_from_y_one_half(tmp_path, capsys):
+    f = heights.polynomial([0.85, 0.0, -1.0])
+    path = write_body(tmp_path / "p.json", GraphBody(-0.5, 0.5, f, f))
+    assert cli.main(["cap-scan", "--body", path, "--delta", "0.1"]) == 0
+    assert capsys.readouterr().out == "R 1  |transform| 0.0506606  ratio 2.66635\n"
+
+
+@pytest.mark.parametrize("f, message", [
+    (heights.semicircle(0.5), "does not contain the unit square"),
+    (heights.power(0.5), "does not contain the unit square"),
+    (heights.polynomial([0.75, 0.0, -1.0], -0.3, 0.3), r"slab \|x\| <= 1/2"),
+], ids=["disc", "power", "narrow_parabola"])
+def test_cap_scan_refuses_curved_bodies_outside_standard_position(f, message, tmp_path,
+                                                                 capsys):
+    path = write_body(tmp_path / "b.json", GraphBody(f.a, f.b, f, f))
+    assert cli.main(["cap-scan", "--body", path, "--delta", "0.1"]) == 2
+    assert re.search(message, capsys.readouterr().err)
+
+
+def test_ball_align_refuses_a_polygon_just_inside_the_slab(tmp_path, capsys):
+    w = 0.5 - 2e-9
+    path = write_body(tmp_path / "narrow.json",
+                      validate_polygon([(w, -0.5), (w, 0.5), (-w, 0.5), (-w, -0.5)]))
+    assert cli.main(["ball-align", "--body", path, "--A", "1", "--window", "5,8",
+                     "--step", "0.1"]) == 2
+    assert "must span exactly the slab" in capsys.readouterr().err
+
+
+def test_oversized_scan_grid_is_refused_before_allocating(hexagon_file, capsys):
+    t0 = time.monotonic()
+    rc = cli.main(["slab-align", "--body", hexagon_file, "--A", "3", "--R-list", "50",
+                   "--step", "1e-5"])
+    assert rc == 2 and time.monotonic() - t0 < 1.0
+    assert "scan grid too large" in capsys.readouterr().err
+
+
 def test_cap_scan_flat_graph_outside_standard_position(tmp_path, diamond_body, capsys):
     path = write_body(tmp_path / "diamond.json", diamond_body)
     assert cli.main(["cap-scan", "--body", path, "--delta", "0.1"]) == 2
@@ -324,11 +361,15 @@ def test_nonconvex_body_is_input_error(tmp_path, capsys):
     ["spectrum-check", "--body", "{square}", "--lattice", "1 0; 0 1", "--radius", "3",
      "--tol", "nan"],
     ["zeros", "--body", "{square}", "--xi=0.5,0.5", "--xi=3.5,0.5", "--tol", "nan"],
+    ["slab-align", "--body", "{square}", "--A", "1", "--R-list", "50", "--step", "5"],
+    ["ball-align", "--body", "{disc}", "--A", "1", "--window", "20,40", "--step", "2"],
+    ["cap-scan", "--body", "{hexagon}", "--delta", "0.1", "--window", "10,0.1"],
+    ["ball-align", "--body", "{disc}", "--A", "1", "--window", "30,20", "--eps", "0.05"],
 ])
-def test_bad_input_exits_2_without_traceback(argv, square_file, hexagon_file, tmp_path,
-                                             capsys):
-    argv = [a.format(square=square_file, hexagon=hexagon_file, nodir=tmp_path / "nodir")
-            for a in argv]
+def test_bad_input_exits_2_without_traceback(argv, square_file, hexagon_file, disc_file,
+                                             tmp_path, capsys):
+    argv = [a.format(square=square_file, hexagon=hexagon_file, disc=disc_file,
+                     nodir=tmp_path / "nodir") for a in argv]
     try:
         rc = cli.main(argv)
     except SystemExit as e:

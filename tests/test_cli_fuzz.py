@@ -1,5 +1,6 @@
-"""Fuzz the CLI exit-code contract: whatever body file it is given, `main`
-returns 0, 1 or 2 and never lets an exception or a traceback escape.
+"""Fuzz the CLI exit-code contract: whatever body file or flag values it is
+given, `main` returns 0, 1 or 2 and never lets an exception or a traceback
+escape, and it returns 2 with a message naming the fault for invalid flags.
 
 Body files are polygons, random graph bodies and symmetric graph bodies,
 with numbers within +-1e3 mixed with NaN, +-Infinity, 0, 1e-300, empty
@@ -12,10 +13,13 @@ import io
 import json
 import math
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from convexspectra import cli
+from convexspectra import cli, geometry, heights
+
+from conftest import write_body
 
 SPECIAL = [math.nan, math.inf, -math.inf, 0.0, 1e-300]
 numbers = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(SPECIAL))
@@ -88,3 +92,93 @@ def test_cli_exit_codes_under_fuzzed_bodies(tmp_path_factory, doc, command):
         rc = cli.main([command[0], "--body", str(path), *command[1:]])
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# flags on the fixture bodies: scan steps too large for any scan line and too
+# small for the memory budget, reversed and empty windows, unwritable outputs
+
+
+@pytest.fixture(scope="module")
+def bodies(tmp_path_factory):
+    d = tmp_path_factory.mktemp("bodies")
+    parabola = heights.polynomial([0.75, 0.0, -1.0])
+    paths = {name: write_body(d / f"{name}.json", body) for name, body in (
+        ("square", geometry.unit_square()),
+        ("hexagon", geometry.validate_polygon([(0.5, -0.5), (0.5, 0.5), (0.0, 0.75),
+                                               (-0.5, 0.5), (-0.5, -0.5), (0.0, -0.75)])),
+        ("disc", geometry.disc(0.5)),
+        ("parabola", geometry.GraphBody(-0.5, 0.5, parabola, parabola)))}
+    return dict(paths, dir=str(d))
+
+
+# per command, flag -> (valid values, {invalid value: word its error must name})
+FLAGS = {
+    "slab-align": {
+        "--A": ((1.0, 3.0), {0.0: "A", 0.5: "A"}),
+        "--step": ((0.1, 0.25), {0.0: "step", 7.0: "step", 1e-5: "too large"}),
+        "--R-list": (("10", "5,30"), {"-5": "R", "ten": "R"}),
+    },
+    "ball-align": {
+        "--A": ((0.5, 1.0), {0.0: "A"}),
+        "--step": ((0.1, 0.25), {0.0: "step", 2.5: "step", 1e-11: "too large"}),
+        "--window": (("5,8", "2,6"), {"8,5": "window", "6,6": "window", "inf,8": "window"}),
+    },
+    "cap-scan": {
+        "--delta": ((0.05, 0.2), {-0.1: "delta", 0.0: "delta"}),
+        "--window": (("0.1,10", "0.5,3"), {"10,0.1": "window", "2,2": "window",
+                                           "nan,1": "window"}),
+    },
+    "zeros": {"--samples": ((0, 50), {-4: "samples", 10**12: "too large"})},
+}
+BODIES = {"slab-align": ("{square}", "{hexagon}"),
+          "ball-align": ("{square}", "{hexagon}", "{disc}"),
+          "cap-scan": ("{square}", "{hexagon}", "{parabola}"),
+          "zeros": ("{square}", "{disc}")}
+OUT = (("{dir}/run.csv",), {"{dir}/nodir/run.csv": "output"})
+
+
+@st.composite
+def flag_cases(draw):
+    """(argv, bad): at most one flag takes an invalid value, and bad holds
+    the word its error must name (empty when every value is valid)."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = dict(FLAGS[command], **{"--out": OUT})
+    broken = draw(st.sampled_from([None, *flags]))
+    argv = [command, "--body", draw(st.sampled_from(BODIES[command]))]
+    if command == "zeros":
+        argv += ["--xi", "0.25,0.1", "--xi", "3.5,0.1"]
+    bad = []
+    for flag, (valid, invalid) in flags.items():
+        value = draw(st.sampled_from(list(invalid) if flag == broken else valid))
+        argv += [flag, str(value)]
+        if flag == broken:
+            bad.append(invalid[value])
+    return argv, bad
+
+
+# derandomized like the body fuzz above; the examples are the three scan and
+# window faults a random draw might miss
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=flag_cases())
+@example(case=(["slab-align", "--body", "{square}", "--A", "1", "--step", "7",
+                "--R-list", "10"], ["step"]))
+@example(case=(["slab-align", "--body", "{hexagon}", "--A", "3", "--step", "1e-05",
+                "--R-list", "50"], ["too large"]))
+@example(case=(["ball-align", "--body", "{disc}", "--A", "1", "--step", "0.1",
+                "--window", "8,5"], ["window"]))
+def test_cli_exit_codes_under_fuzzed_flags(bodies, case):
+    argv, bad = case
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main([a.format(**bodies) for a in argv])
+        except SystemExit as e:  # argparse rejects the value
+            rc = e.code
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if bad:
+        assert rc == 2 and bad[0] in err, (argv, rc, err)
+    else:
+        assert rc in (0, 1), (argv, rc, err)

@@ -11,6 +11,8 @@ from convexspectra.errors import (DegenerateError, EdgeThroughOriginError,
                                   NoConvergenceError, NotConvexError,
                                   NotStandardPositionError)
 
+from conftest import random_symmetric_2ngon
+
 
 def test_validate_polygon_orientation():
     ccw = G.validate_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -104,22 +106,40 @@ def test_is_symmetric_graph(disc_body, parabola_capped):
 
 def test_standard_position_of_graph_bodies(disc_body, parabola_capped):
     G.require_standard_position(parabola_capped)  # f = g = 1/2 at the walls
+    _, upper, lower = G.decompose_caps(parabola_capped)  # caps 1/4 - x^2
+    assert upper.area == pytest.approx(1.0 / 6.0) and lower.area == pytest.approx(1.0 / 6.0)
     with pytest.raises(NotStandardPositionError, match="unit square"):
         G.require_standard_position(disc_body)
-    with pytest.raises(NotStandardPositionError, match="domain"):
+    with pytest.raises(NotStandardPositionError, match="slab"):
         G.require_standard_position(G.disc(1.0))
 
 
 def test_height_profile(square, hexagon_h0, disc_body):
     # upper boundary y = u(x)
-    u = G.height_profile(square)
+    u = G.graph_heights(square)[0]
     assert u(0.0) == pytest.approx(0.5)
     assert u(0.5) == pytest.approx(0.5)
-    v = G.height_profile(hexagon_h0)
+    v = G.graph_heights(hexagon_h0)[0]
     assert v(0.0) == pytest.approx(0.75)
     assert v(0.25) == pytest.approx(0.625)
-    w = G.height_profile(disc_body)
+    w = G.graph_heights(disc_body)[0]
     assert w(0.3) == pytest.approx(0.4)
+
+
+def test_graph_heights_is_the_converse_of_as_polygon(hexagon_h0):
+    rng = np.random.default_rng(7)
+    polys = [hexagon_h0]
+    for n in range(2, 8):
+        # shear the extreme vertices onto the x-axis, so that both chains
+        # are non-negative heights over it
+        p = random_symmetric_2ngon(rng, n).vertices
+        right = p[np.argmax(p[:, 0])]
+        polys.append(G.validate_polygon(p - np.outer(p[:, 0], (0.0, right[1] / right[0]))))
+    for poly in polys:
+        f, g = G.graph_heights(poly)
+        back = G.as_polygon(G.GraphBody(f.a, f.b, f, g)).vertices
+        j = int(np.flatnonzero(np.all(back == poly.vertices[0], axis=1))[0])
+        np.testing.assert_array_equal(np.roll(back, -j, axis=0), poly.vertices)
 
 
 def test_standard_position_and_caps(square, hexagon_h0, octagon):
