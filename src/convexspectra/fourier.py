@@ -9,11 +9,11 @@ Polygons, and graph bodies bounded by flat arcs (read as the polygon through
 their knots, geometry.as_polygon), get an exact edge-sum closed form, and for
 |xi| <= SINGULAR_THRESHOLD a Gauss rule on the origin fan.  Curved graph
 bodies, and caps with no closed form, get one panel rule: Gauss-Legendre
-panels in x with the inner y-integral in closed form, refined by the factor
-1.5 until two successive rules agree on a set of check points; `err` is the
-difference between the last two rules.  Gradients are sums over the same
-nodes.  _fourier_quad, scipy adaptive quadrature, serves only the independent
-oracle and the confirmation step of the cap scan.
+panels in x with the inner y-integral in closed form, sized once for the
+requested frequency box from the Gauss-Legendre error bound on each panel's
+Bernstein ellipse; `err` is that bound plus a rounding floor.  Gradients are
+sums over the same nodes.  _fourier_quad, scipy adaptive quadrature, serves
+only the independent oracle and the confirmation step of the cap scan.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ SINGULAR_THRESHOLD = 1e-2
 QUAD_TOL = 1e-10
 # subdivision limit for scipy quadrature routines
 _MAX_SUBDIVISIONS = 200
-# panel refinements tried before a curved-body rule is reported unconverged
-_REFINE_ROUNDS = 8
+# the panel rule's error target, relative to the body's area
+_PANEL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -63,20 +63,22 @@ def _edge_sum(poly: ConvexPolygon, xis: np.ndarray) -> tuple[np.ndarray, np.ndar
         cross(xi, d) * exp(-2*pi*i xi.m) * sinc(xi.d),
     and the total is multiplied by i / (2*pi*|xi|^2).  sinc is entire, so
     there is no per-edge singularity; returns (values, roundoff estimate).
+    Points go in chunks of 2**20 point-edge terms, as in the panel rule.
     """
     v = poly.vertices
     d = np.roll(v, -1, axis=0) - v
     mid = 0.5 * (v + np.roll(v, -1, axis=0))
-    u = xis @ d.T
-    phases = np.exp((-2j * math.pi) * (xis @ mid.T))
-    cr = xis[:, 0:1] * d[None, :, 1] - xis[:, 1:2] * d[None, :, 0]
-    terms = cr * phases * np.sinc(u)
-    total = terms.sum(axis=1)
-    norm2 = np.einsum("ij,ij->i", xis, xis)
-    scale = 1.0 / (_TWO_PI * norm2)
-    values = 1j * total * scale
-    err = 32.0 * _EPS * np.abs(cr * np.sinc(u)).sum(axis=1) * scale
-    return values, err
+    total = np.empty(len(xis), dtype=complex)
+    mag = np.empty(len(xis))
+    chunk = max(1, 2**20 // len(v))
+    for lo in range(0, len(xis), chunk):
+        sl = xis[lo:lo + chunk]
+        cr = sl[:, 0:1] * d[None, :, 1] - sl[:, 1:2] * d[None, :, 0]
+        snc = np.sinc(sl @ d.T)
+        total[lo:lo + chunk] = (cr * np.exp((-2j * math.pi) * (sl @ mid.T)) * snc).sum(axis=1)
+        mag[lo:lo + chunk] = np.abs(cr * snc).sum(axis=1)
+    scale = 1.0 / (_TWO_PI * np.einsum("ij,ij->i", xis, xis))
+    return 1j * total * scale, 32.0 * _EPS * mag * scale
 
 
 def _moment_series(poly: ConvexPolygon, xis: np.ndarray, extra_x: int = 0,
@@ -121,56 +123,72 @@ def _moment_series(poly: ConvexPolygon, xis: np.ndarray, extra_x: int = 0,
 # graph bodies: panelized Gauss-Legendre with exact inner integral
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# Bernstein ellipse parameters tried for each panel's error bound
+_RHO = 1.0 + np.geomspace(0.05, 40.0, 24)
 
 
-def _panel_edges(body: GraphBody, max_xi1: float, max_xi2: float, factor: float) -> np.ndarray:
-    """Panel boundaries: ~1 oscillation period per panel, split at height-fn
-    breakpoints, geometrically graded toward endpoints with unbounded slope."""
+def _panel_edges(body: GraphBody, max_xi1: float, max_xi2: float, factor: float,
+                 end_tol: float) -> np.ndarray:
+    """Panel boundaries: ~1/factor oscillation periods per panel, split at
+    height-fn breakpoints, and at an end where a height is singular halved
+    until the end panel's bound 2 * width * (max height) is below end_tol."""
     brk = sorted({body.a, body.b, *body.f.breakpoints(), *body.g.breakpoints()})
     hmax = body.f.max_value() + body.g.max_value()
     counts = [max(2, int(math.ceil(factor * (1.1 * (max_xi1 * (s1 - s0) + max_xi2 * hmax)
                                              + 2.0))))
               for s0, s1 in zip(brk[:-1], brk[1:])]
+    h_lo, h_hi = (brk[1] - brk[0]) / counts[0], (brk[-1] - brk[-2]) / counts[-1]
+    levels = (max(1, math.ceil(math.log2(2.0 * max(h_lo, h_hi) * hmax / end_tol)))
+              if body.f.endpoint_singular or body.g.endpoint_singular else 0)
     # the rule keeps four float arrays of len(_GL_NODES) nodes per panel
-    if 32 * len(_GL_NODES) * sum(counts) > 256 * 2**20:
+    if 32 * len(_GL_NODES) * (sum(counts) + 2 * levels) > 256 * 2**20:
         raise ValueError(f"panel rule too large: {sum(counts):.3g} panels for frequencies "
                          f"up to ({max_xi1:g}, {max_xi2:g})")
-    edges = np.unique(np.concatenate([np.linspace(s0, s1, n + 1)
-                                      for s0, s1, n in zip(brk[:-1], brk[1:], counts)]))
-
-    graded = [edges]
-    if body.f.endpoint_singular or body.g.endpoint_singular:
-        h_lo = edges[1] - edges[0]
-        h_hi = edges[-1] - edges[-2]
-        lev = np.exp2(-np.arange(1, 47, dtype=float))
-        graded.append(body.a + h_lo * lev)
-        graded.append(body.b - h_hi * lev)
-    return np.unique(np.concatenate(graded))
+    lev = np.exp2(-np.arange(1, levels + 1, dtype=float))
+    return np.unique(np.concatenate(
+        [np.linspace(s0, s1, n + 1) for s0, s1, n in zip(brk[:-1], brk[1:], counts)]
+        + [body.a + h_lo * lev, body.b - h_hi * lev]))
 
 
-def _gl_nodes_weights(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gl_bound(body: GraphBody, edges: np.ndarray, max_xi1: float, max_xi2: float) -> float:
+    """Summed error bound of the panel rule on `edges` for the box
+    |xi1| <= max_xi1, |xi2| <= max_xi2.  n-point Gauss-Legendre on a panel of
+    half-width h errs by at most (64/15) M rho^(-2n) / (rho^2 - 1) h with M
+    the integrand's bound on the Bernstein ellipse E_rho (Trefethen, ATAP,
+    Thm 19.3), here |F + G| exp(2 pi |Im z| (max_xi1 + max_xi2 max(|F'|, |G'|))),
+    minimized over _RHO.  A panel at a singular end takes 2 width (max height).
+    """
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return nodes, weights
+    bound = np.full(len(mid), np.inf)
+    for rho in _RHO:
+        fm, fd = body.f.ellipse_bounds(mid, 0.5 * (rho + 1.0 / rho) * half)
+        gm, gd = body.g.ellipse_bounds(mid, 0.5 * (rho + 1.0 / rho) * half)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = (fm + gm) * np.exp(math.pi * (rho - 1.0 / rho) * half
+                                   * (max_xi1 + max_xi2 * np.maximum(fd, gd)))
+        bound = np.fmin(bound, (64.0 / 15.0) * m * rho ** (-2 * len(_GL_NODES))
+                           / (rho * rho - 1.0) * half)
+    if body.f.endpoint_singular or body.g.endpoint_singular:
+        bound[[0, -1]] = 4.0 * half[[0, -1]] * (body.f.max_value() + body.g.max_value())
+    return float(bound.sum())
 
 
 class _FrozenGraphEval:
-    """One panel rule: callable xis -> transform values.
+    """One panel rule: callable xis -> transform values, erring by at most
+    `err` for frequencies in the box it was sized for.
 
     Evaluates sum_k w_k * (F+G) * exp(-pi i xi2 (F-G)) * sinc(xi2 (F+G))
     * exp(-2 pi i xi1 x_k).  The bracket is the exact closed form of the
     inner integral over [-g(x), f(x)]; the sinc form is branch-free in xi2.
     """
 
-    def __init__(self, body: GraphBody, nodes: np.ndarray, weights: np.ndarray):
-        self.nodes = nodes
-        self.weights = weights
-        F = body.f(nodes)
-        G = body.g(nodes)
-        self.tot = F + G
-        self.dif = F - G
+    def __init__(self, body: GraphBody, edges: np.ndarray, err: float):
+        half = 0.5 * np.diff(edges)
+        self.nodes = ((edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES).ravel()
+        self.weights = (half[:, None] * _GL_WEIGHTS).ravel()
+        F, G = body.f(self.nodes), body.g(self.nodes)
+        self.tot, self.dif, self.err = F + G, F - G, err
 
     def __call__(self, xis: np.ndarray) -> np.ndarray:
         xis = np.atleast_2d(np.asarray(xis, dtype=float))
@@ -203,60 +221,53 @@ class _FrozenGraphEval:
 _graph_eval = _FrozenGraphEval.__call__
 
 
-def _refine_panels(body: GraphBody, max_xi1: float, max_xi2: float,
-                   check: np.ndarray, tol: float):
-    """Panel rules at factors 1, 1.5, 2.25, ... for the box |xi1| <= max_xi1,
-    |xi2| <= max_xi2, until two successive rules agree on `check` within tol.
-
-    Returns (finer rule, its values at check, |difference| per point,
-    converged); after _REFINE_ROUNDS comparisons the last pair is returned
-    with converged False.
+def _panel_rule(body: GraphBody, max_xi1: float, max_xi2: float) -> _FrozenGraphEval:
+    """The panel rule for the box |xi1| <= max_xi1, |xi2| <= max_xi2, built
+    once, with no frequency evaluated.  The panel count starts at half of ~1
+    per oscillation period and grows by 1.5x until the bound meets
+    _PANEL_TOL * area, the next layout is over budget or the bound stops
+    shrinking.  rule.err is the bound plus a rounding floor of 32 eps * area,
+    the sum of |w_k (F+G)_k|.
     """
-    factor = 1.0
-    prev = None
-    for _ in range(_REFINE_ROUNDS + 1):
-        rule = _FrozenGraphEval(body, *_gl_nodes_weights(
-            _panel_edges(body, max_xi1, max_xi2, factor)))
-        vals = rule(check)
-        if prev is not None:
-            diff = np.abs(vals - prev)
-            if float(np.max(diff, initial=0.0)) <= tol:
-                return rule, vals, diff, True
-        prev = vals
-        factor *= 1.5
-    return rule, vals, diff, False
+    target, floor = _PANEL_TOL * body.area, 32.0 * _EPS * body.area
+    best, factor = None, 0.5
+    while best is None or best[1] > target:
+        try:
+            edges = _panel_edges(body, max_xi1, max_xi2, factor, 0.25 * target)
+        except ValueError:
+            if best is None:
+                raise
+            break
+        err = _gl_bound(body, edges, max_xi1, max_xi2) + floor
+        if best is not None and err >= best[1]:
+            break
+        best, factor = (edges, err), 1.5 * factor
+    return _FrozenGraphEval(body, *best)
 
 
 def graph_transform_batch(body: GraphBody, xis) -> tuple[np.ndarray, np.ndarray]:
-    """Panel-rule transform for a batch of frequencies, checked on the batch
-    itself at 0.1 * QUAD_TOL; returns (values, |difference from the previous
-    rule|), the latter above the tolerance when refinement did not converge."""
+    """Panel-rule transform for a batch of frequencies: (values, the rule's
+    err at every point), err above _PANEL_TOL * area when the bound missed."""
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     m1 = float(np.max(np.abs(xis[:, 0]), initial=0.0))
     m2 = float(np.max(np.abs(xis[:, 1]), initial=0.0))
-    _, vals, err, _ = _refine_panels(body, m1, m2, xis, 0.1 * QUAD_TOL)
-    return vals, err
+    rule = _panel_rule(body, m1, m2)
+    return rule(xis), np.full(len(xis), rule.err)
 
 
-def frozen_batch_evaluator(body: ConvexBody, max_xi1: float, max_xi2: float,
-                           target_abs: float = 1e-12):
+def frozen_batch_evaluator(body: ConvexBody, max_xi1: float, max_xi2: float):
     """Callable xis -> transform values, valid for |xi1| <= max_xi1, |xi2| <= max_xi2.
 
     Bodies bounded by flat arcs use the exact closed form.  Curved bodies get
-    the panel rule checked on a 9 x 7 probe grid at the box corners and
-    interior at 0.3 * target_abs; NoConvergenceError if refinement does not
-    get there.
+    the panel rule, NoConvergenceError when its bound misses _PANEL_TOL * area.
     """
     poly = as_polygon(body)
     if poly is not None:
         return lambda xis: transform_batch(poly, xis)[0]
-    g1 = np.linspace(-max_xi1, max_xi1, 9)
-    g2 = np.linspace(-max_xi2, max_xi2, 7)
-    probe = np.stack(np.meshgrid(g1, g2), axis=-1).reshape(-1, 2)
-    rule, _, _, converged = _refine_panels(body, max_xi1, max_xi2, probe, 0.3 * target_abs)
-    if not converged:
-        raise NoConvergenceError(
-            f"panel refinement did not converge to {target_abs:g} on the probe grid")
+    rule = _panel_rule(body, max_xi1, max_xi2)
+    if rule.err > _PANEL_TOL * body.area:
+        raise NoConvergenceError(f"panel rule bound {rule.err:.3g} misses the target "
+                                 f"{_PANEL_TOL * body.area:.3g}")
     return rule
 
 
@@ -425,7 +436,7 @@ def grad_ft(body: ConvexBody, xi) -> tuple[complex, complex]:
     Bodies bounded by flat arcs use a dedicated edge-sum identity for the
     first-moment integrals; curved bodies use the panel rule that
     frozen_batch_evaluator builds for the box |xi1|, |xi2| (NoConvergenceError
-    when its refinement does not converge).
+    when its bound misses the target).
     """
     xi = np.asarray(xi, dtype=float).reshape(2)
     poly = as_polygon(body)

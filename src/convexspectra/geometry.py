@@ -188,9 +188,6 @@ class GraphBody:
         return _quad_height(lambda x: self.f(x) + self.g(x), self.a, self.b,
                             self.f.breakpoints() + self.g.breakpoints())
 
-    def height(self, x):
-        return self.f(x) + self.g(x)
-
     def scale(self) -> float:
         return max(abs(self.a), abs(self.b), self.f.max_value(), self.g.max_value()) or 1.0
 

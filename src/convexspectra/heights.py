@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import BodyFileError
 
@@ -127,6 +128,33 @@ class HeightFn:
     def endpoint_singular(self) -> bool:
         """True when f' is unbounded at the domain endpoints (needs graded panels)."""
         return self.kind == "semicircle" or (self.kind == "power" and self.p < 1.0)
+
+    def ellipse_bounds(self, mid, reach):
+        """(max |h|, max |h'|) on ellipses about real `mid` reaching `reach`
+        along the real axis, h continued from mid's piece (a power from its
+        half); inf where one reaches a singular point s, which lies |s - mid|
+        - reach away at the vertex.  Every point is within reach of mid."""
+        mid, reach = np.broadcast_arrays(np.asarray(mid, float), np.asarray(reach, float))
+        if self.kind == "poly":
+            # |z| <= |mid| + reach, and |sum c_i z^i| <= sum |c_i| |z|^i
+            c, z = np.abs(self.coeffs), np.abs(mid) + reach
+            return npoly.polyval(z, c), npoly.polyval(z, np.arange(1, len(c)) * c[1:])
+        if self.kind == "pw":
+            slope = np.abs(self.derivative(mid))
+            return np.abs(self(mid)) + slope * reach, slope
+        if self.kind == "semicircle":
+            near, far = self.r - np.abs(mid), self.r + np.abs(mid)
+            gap = near - reach
+            val = np.sqrt((near + reach) * (far + reach))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                der = (np.abs(mid) + reach) / np.sqrt(gap * (far - reach))
+        else:  # power: scale * |z - s|^p about the nearer end s
+            d = np.minimum(mid - self.a, self.b - mid)
+            gap = d - reach
+            val = self.scale * (d + reach) ** self.p
+            with np.errstate(divide="ignore", invalid="ignore"):
+                der = self.scale * self.p * gap ** (self.p - 1.0)
+        return np.where(gap > 0.0, val, np.inf), np.where(gap > 0.0, der, np.inf)
 
     def polyline(self):
         """(knots, values) of a piecewise-linear height, None for a curved one."""

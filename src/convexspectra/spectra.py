@@ -56,10 +56,11 @@ def lattice_points_in_ball(lattice: Lattice, radius: float) -> np.ndarray:
     Binv = np.linalg.inv(B)
     mmax = int(math.floor(radius * np.linalg.norm(Binv[0]))) + 1
     nmax = int(math.floor(radius * np.linalg.norm(Binv[1]))) + 1
-    if (2 * mmax + 1) * (2 * nmax + 1) > 50_000_000:
+    # ~68 B of temporaries per coefficient pair; the panel rule's 256 MiB budget
+    if 68 * (2 * mmax + 1) * (2 * nmax + 1) > 256 * 2**20:
         raise ValueError(
             f"lattice too dense for radius {radius:g}: "
-            f"{(2 * mmax + 1) * (2 * nmax + 1)} coefficient pairs")
+            f"{(2 * mmax + 1) * (2 * nmax + 1)} coefficient pairs, over 256 MiB")
     ms, ns = np.meshgrid(np.arange(-mmax, mmax + 1), np.arange(-nmax, nmax + 1),
                          indexing="ij")
     coeffs = np.stack([ms.ravel(), ns.ravel()], axis=1)

@@ -90,9 +90,10 @@ def _bisect_zeros(ev, p_lo: np.ndarray, p_hi: np.ndarray, v_lo: np.ndarray,
 
 
 def _require_scan_size(n_lines: int, n_samples: int) -> None:
-    """ValueError past _panel_edges' budget, 256 MiB of points and values."""
+    """ValueError past _panel_edges' budget, 256 MiB of what _scan_lines keeps:
+    34 B a point (points, values, signs; tracemalloc).  Evaluators chunk."""
     n = n_lines * (n_samples + 1)
-    if 32 * n > 256 * 2**20:
+    if 34 * n > 256 * 2**20:
         raise ValueError(f"scan grid too large: {n:.3g} points, over 256 MiB")
 
 
@@ -126,7 +127,7 @@ def zeros_on_segment(body: ConvexBody, p0, p1, step: float = DEFAULT_SCAN_STEP,
     seg_len = float(np.linalg.norm(p1 - p0))
     n = max(1, int(math.ceil(seg_len / step)))
     box = np.max(np.abs(np.stack([p0, p1])), axis=0)
-    ev = frozen_batch_evaluator(body, box[0] + 1.0, box[1] + 1.0, 0.01 * tol)
+    ev = frozen_batch_evaluator(body, box[0] + 1.0, box[1] + 1.0)
     zeros = _scan_lines(ev, p0[None, :], p1[None, :], n, tol)
     zeros.sort(key=lambda z: float(np.dot(np.asarray(z.xi) - p0, p1 - p0)))
     return zeros
@@ -154,7 +155,7 @@ def slab_zero_alignment(body: ConvexBody, A: float, R_list,
     _require_scan_size(n_lines, n_samples)
     xi2s = -A + (np.arange(n_lines) + 0.5) * step
     for R in R_list:
-        ev = frozen_batch_evaluator(body, R + 10.0 + 1.0, A + 1.0, 0.01 * tol)
+        ev = frozen_batch_evaluator(body, R + 10.0 + 1.0, A + 1.0)
         starts = np.stack([np.full(n_lines, float(R)), xi2s], axis=1)
         stops = np.stack([np.full(n_lines, float(R) + 10.0), xi2s], axis=1)
         zeros = _scan_lines(ev, starts, stops, n_samples, tol)
@@ -262,7 +263,7 @@ def ball_zero_alignment(body: ConvexBody, A: float, eps: float,
 
     tol = 1e-9 * body.area
     R_grid = np.linspace(r_lo, r_hi, 9)
-    ev = frozen_batch_evaluator(body, r_hi + A + 1.0, A + 1.0, 0.01 * tol)
+    ev = frozen_batch_evaluator(body, r_hi + A + 1.0, A + 1.0)
 
     best = None
     for R in R_grid:

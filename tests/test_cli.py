@@ -365,6 +365,7 @@ def test_nonconvex_body_is_input_error(tmp_path, capsys):
     ["ball-align", "--body", "{disc}", "--A", "1", "--window", "20,40", "--step", "2"],
     ["cap-scan", "--body", "{hexagon}", "--delta", "0.1", "--window", "10,0.1"],
     ["ball-align", "--body", "{disc}", "--A", "1", "--window", "30,20", "--eps", "0.05"],
+    ["density", "--lattice", "1 0; 0 1", "--radius", "400"],
 ])
 def test_bad_input_exits_2_without_traceback(argv, square_file, hexagon_file, disc_file,
                                              tmp_path, capsys):

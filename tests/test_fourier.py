@@ -128,6 +128,56 @@ def test_disc_matches_bessel(disc_body):
     assert F.transform_batch(disc_body, np.empty((0, 2)))[0].shape == (0,)
 
 
+def test_disc_error_bars_hold_against_bessel(disc_body):
+    # 84 frequencies with 0.3 <= |xi| <= 60 in every direction
+    rng = np.random.default_rng(17)
+    mags = np.geomspace(0.3, 60.0, 84)
+    theta = rng.uniform(0.0, 2.0 * math.pi, 84)
+    for k, t in zip(mags, theta):
+        s = F.ft_body(disc_body, (k * math.cos(t), k * math.sin(t)))
+        with mpmath.workdps(30):
+            ref = float(mpmath.besselj(1, mpmath.pi * mpmath.mpf(float(k)))
+                        / (2 * mpmath.mpf(float(k))))
+        assert s.converged
+        assert abs(s.value - ref) <= s.err, (k, abs(s.value - ref), s.err)
+
+
+def test_parabola_capped_error_bars_hold_against_mpmath(parabola_capped):
+    # the transform is real: 2 cos(2 pi xi1 x) sin(2 pi xi2 f) / (pi xi2) over [0, 1/2]
+    f = lambda x: mpmath.mpf(3) / 4 - x * x
+    for xi in ((0.3, 0.7), (1.9, -0.4), (-4.2, 2.5), (7.7, 0.1), (0.2, 9.3),
+               (12.5, -6.1), (-18.0, 3.3), (25.4, 1.2), (3.1, 21.7), (40.2, -2.0)):
+        s = F.ft_body(parabola_capped, xi)
+        with mpmath.workdps(30):
+            x1, x2 = mpmath.mpf(xi[0]), mpmath.mpf(xi[1])
+            h = lambda x: 2 * mpmath.cos(2 * mpmath.pi * x1 * x) * mpmath.sin(
+                2 * mpmath.pi * x2 * f(x)) / (mpmath.pi * x2)
+            ref = float(mpmath.quad(h, mpmath.linspace(0, 0.5, 33)))
+        assert s.converged
+        assert abs(s.value - ref) <= s.err, (xi, abs(s.value - ref), s.err)
+
+
+def test_power_body_meets_the_panel_target_in_fewer_nodes():
+    # the factor-1.5 rule of the former refinement loop used 2272 nodes here
+    f = heights.power(0.05)
+    body = G.GraphBody(-0.5, 0.5, f, f)
+    rule = F._panel_rule(body, 11.0, 4.0)
+    assert rule.err <= F._PANEL_TOL * body.area
+    assert len(rule.nodes) <= 2272
+
+
+def test_polygon_evaluation_memory_is_bounded(octagon):
+    import tracemalloc
+    xis = np.random.default_rng(3).uniform(-50.0, 50.0, (800_000, 2))
+    tracemalloc.start()
+    try:
+        F.transform_batch(octagon, xis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+
+
 def test_method_labels_name_the_route(disc_body, hexagon_h0):
     assert F.ft_body(hexagon_h0, (0.5, 0.25)).method == "closed_form"
     assert F.ft_body(disc_body, (0.5, 0.25)).method == "panel_rule"
@@ -219,7 +269,7 @@ def test_height_fourier_semicircle_closed_form():
 
 def test_frozen_evaluator_matches_pointwise(disc_body, hexagon_h0):
     for body in (disc_body, hexagon_h0):
-        ev = F.frozen_batch_evaluator(body, 20.0, 4.0, 1e-12)
+        ev = F.frozen_batch_evaluator(body, 20.0, 4.0)
         rng = np.random.default_rng(29)
         xs = np.stack([rng.uniform(0.5, 19, 40), rng.uniform(-3.5, 3.5, 40)],
                       axis=1)
@@ -261,10 +311,9 @@ def test_unconverged_quadrature_is_never_dropped(disc_body, quad_warns):
 
 
 def test_unconverged_panel_rule_is_never_dropped(disc_body, monkeypatch):
-    # uniform panels with no grading toward the disc's vertical walls: the
-    # rule never reaches the tolerance within _REFINE_ROUNDS refinements
-    monkeypatch.setattr(F, "_panel_edges", lambda body, m1, m2, factor:
-                        np.linspace(body.a, body.b, 3 + int(4 * factor)))
+    # heights unbounded on every Bernstein ellipse: no layout meets the bound
+    monkeypatch.setattr(heights.HeightFn, "ellipse_bounds",
+                        lambda self, mid, reach: (np.inf, np.inf))
     for xi in ((1.3, 0.4), (9.5, 0.4)):
         assert not F.ft_body(disc_body, xi).converged
         with pytest.raises(NoConvergenceError):

@@ -34,7 +34,11 @@ tracer.begin_op("ray")
 zs = zeroset.zeros_on_segment(geometry.disc(0.5), (0.5, 0.0), (3.0, 0.0))
 tracer.end_op()
 metrics, _ = spans.layer_metrics(tracer)
-print(json.dumps({"metrics": metrics, "points": counted[0], "zeros": len(zs)}))
+in_build = sum(s[spans.POINTS] for i, s in enumerate(tracer.spans)
+               if s[spans.NAME] == "fourier.panel_eval"
+               and spans._has_ancestor(tracer.spans, i, {"fourier.panel_build"}))
+print(json.dumps({"metrics": metrics, "points": counted[0], "zeros": len(zs),
+                  "in_build": in_build}))
 """
 
 
@@ -56,4 +60,6 @@ def test_traced_disc_ray_reports_every_layer():
     assert out["points"] > 0 and out["zeros"] > 0
     assert metrics["fourier.panel_eval.points"] == out["points"]
     assert metrics["fourier.panel_build.calls"] == 1
+    # the rule is sized from its bound: building it evaluates no frequency
+    assert out["in_build"] == 0
     assert metrics["zeroset.zeros"] == out["zeros"]
