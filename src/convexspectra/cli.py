@@ -230,15 +230,13 @@ def _cmd_zeros(args, body):
         raise BodyParseError("zeros: pass --xi twice (segment start and end)")
     p0 = _parse_pair(args.xi[0], "--xi")
     p1 = _parse_pair(args.xi[1], "--xi")
-    seg_len = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
-    step = seg_len / args.samples if args.samples else DEFAULT_SCAN_STEP
-    zs = zeros_on_segment(body, p0, p1, step=step, tol=args.tol)
+    zs = zeros_on_segment(body, p0, p1, tol=args.tol)
     for z in zs:
         print("%.12g %.12g  residual %.3g" % (z.xi[0], z.xi[1], z.residual))
     print(f"{len(zs)} zeros on segment")
     return (0, ["xi1", "xi2", "residual"],
             [[z.xi[0], z.xi[1], z.residual] for z in zs],
-            {"residual_tol": args.tol, "step": step})
+            {"residual_tol": args.tol})
 
 
 def _cmd_slab_align(args, body):
@@ -386,9 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("zeros", _cmd_zeros, "locate transform zeros on a segment")
     sp.add_argument("--xi", action="append", required=True,
                     help="segment endpoint as x,y (pass twice)")
-    sp.add_argument("--samples", type=_count, default=0,
-                    help="sample count along the segment (default: step %g)"
-                         % DEFAULT_SCAN_STEP)
     sp.add_argument("--tol", type=_positive, default=None,
                     help="zero residual tolerance (default 1e-9 * area)")
 
@@ -397,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--A", type=_positive, default=3.0, help="slab half-height")
     sp.add_argument("--R-list", dest="R_list", required=True,
                     help="comma-separated slab offsets")
-    sp.add_argument("--step", type=_positive, default=DEFAULT_SCAN_STEP)
+    sp.add_argument("--step", type=_positive, default=DEFAULT_SCAN_STEP,
+                    help="spacing of the horizontal scan lines")
 
     sp = add("ball-align", _cmd_ball_align,
              "best shifted-grid fit of zeros in balls along the axis")
@@ -405,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--window", required=True, help="R range as lo,hi")
     sp.add_argument("--eps", type=_positive, default=0.1,
                     help="scale-gate tolerance")
-    sp.add_argument("--step", type=_positive, default=DEFAULT_SCAN_STEP)
+    sp.add_argument("--step", type=_positive, default=DEFAULT_SCAN_STEP,
+                    help="shortest horizontal chord scanned")
 
     sp = add("spectrum-check", _cmd_spectrum_check,
              "orthogonality of a lattice candidate spectrum")

@@ -191,16 +191,33 @@ class _FrozenGraphEval:
         self.tot, self.dif, self.err = F + G, F - G, err
 
     def __call__(self, xis: np.ndarray) -> np.ndarray:
+        """Values at xis.  When the distinct xi1 and xi2 span a product grid at
+        most 4x the batch, the phases are formed once per xi1, the inner
+        factor once per xi2, and one complex GEMM combines them."""
         xis = np.atleast_2d(np.asarray(xis, dtype=float))
-        out = np.empty(len(xis), dtype=complex)
+        u1, i1 = np.unique(xis[:, 0], return_inverse=True)
+        u2, i2 = np.unique(xis[:, 1], return_inverse=True)
         chunk = max(1, int(2**20 // max(len(self.nodes), 1)))
+        if len(u1) * len(u2) <= 4 * len(xis):
+            grid = np.empty((len(u1), len(u2)), dtype=complex)
+            for lo2 in range(0, len(u2), chunk):
+                inner = self._inner(u2[lo2:lo2 + chunk])
+                for lo1 in range(0, len(u1), chunk):
+                    phase = self._phase(u1[lo1:lo1 + chunk]) * self.weights
+                    grid[lo1:lo1 + chunk, lo2:lo2 + chunk] = phase @ inner.T
+            return grid[i1, i2]
+        out = np.empty(len(xis), dtype=complex)
         for lo in range(0, len(xis), chunk):
             sl = xis[lo:lo + chunk]
-            inner = self.tot[None, :] * np.exp((-1j * math.pi) * np.outer(sl[:, 1], self.dif)) \
-                * np.sinc(np.outer(sl[:, 1], self.tot))
-            phase = np.exp((-2j * math.pi) * np.outer(sl[:, 0], self.nodes))
-            out[lo:lo + chunk] = (inner * phase) @ self.weights
+            out[lo:lo + chunk] = (self._inner(sl[:, 1]) * self._phase(sl[:, 0])) @ self.weights
         return out
+
+    def _inner(self, xi2: np.ndarray) -> np.ndarray:
+        return self.tot * np.exp((-1j * math.pi) * np.outer(xi2, self.dif)) \
+            * np.sinc(np.outer(xi2, self.tot))
+
+    def _phase(self, xi1: np.ndarray) -> np.ndarray:
+        return np.exp((-2j * math.pi) * np.outer(xi1, self.nodes))
 
     def gradient(self, xi) -> tuple[complex, complex]:
         """-2 pi i times the integrals of x and y against exp(-2 pi i xi.x),

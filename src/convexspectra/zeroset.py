@@ -1,9 +1,15 @@
 """Zeros of the body transform and their alignment with structured grids.
 
-For an origin-symmetric body the transform is real-valued, so zeros are
-located by sign-change bisection along scan lines.  Alignment targets:
-the punctured integer grid lines ("Z_Q"), the full Cartesian grid ("G"),
-and vertical lines at a fractional shift ("shifted_vertical_grid").
+For an origin-symmetric body the transform is real-valued and, along any
+segment, entire of exponential type.  Each scan line gets one Chebyshev
+interpolant (a long line one per piece, so that no degree passes 106), its
+degree fixed in advance from the interpolation bound on Bernstein ellipses
+(Trefethen, ATAP, Thm 8.2), and the real roots of every line come from one
+eigenvalue problem on the stacked colleague matrices (Boyd, SIAM J. Numer.
+Anal. 40 (2002)).  A root counts as a zero when the transform there is at
+most the residual tolerance.  Alignment targets: the punctured integer grid
+lines ("Z_Q"), the full Cartesian grid ("G"), and vertical lines at a
+fractional shift ("shifted_vertical_grid").
 """
 
 from __future__ import annotations
@@ -12,14 +18,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 
 from .errors import NoBlowupError, NoZerosFoundError
-from .fourier import frozen_batch_evaluator
-from .geometry import (ConvexBody, Point2, require_origin_symmetric, require_slab_span,
-                       require_standard_position)
+from .fourier import _PANEL_TOL, frozen_batch_evaluator
+from .geometry import (ConvexBody, Point2, graph_heights, require_origin_symmetric,
+                       require_slab_span, require_standard_position)
 from .heights import HeightFn
 
-DEFAULT_SCAN_STEP = 0.02  # below half the square fixture's unit zero spacing
+# line spacing of slab scans, and the shortest chord a ball scan keeps
+DEFAULT_SCAN_STEP = 0.02
+_EPS = np.finfo(float).eps
+# Bernstein ellipse parameters tried for each line's interpolation bound
+_RHO = 1.0 + np.geomspace(1e-4, 1e3, 400)
+# how far past an end of [-1, 1] a computed root may fall and count as the end
+_EDGE = 1e-12
+# the largest tau interpolated in one piece (degree 106): past it the
+# eigenvalue cost, cubic in the degree, outgrows the evaluations it saves
+_PIECE_TAU = 64.0
 
 
 @dataclass(frozen=True)
@@ -65,79 +81,119 @@ def grid_distance(xi, target: str, beta: float = 0.0) -> float:
     raise ValueError(f"unknown grid target {target!r}")
 
 
-def _bisect_zeros(ev, p_lo: np.ndarray, p_hi: np.ndarray, v_lo: np.ndarray,
-                  tol: float) -> list[ZeroPoint]:
-    """Vectorized bisection on brackets with opposite signs of Re(transform)."""
-    lo = p_lo.copy()
-    hi = p_hi.copy()
-    s_lo = np.where(v_lo > 0, 1.0, -1.0)
-    width = float(np.max(np.linalg.norm(hi - lo, axis=1), initial=0.0))
-    n_iter = max(1, int(math.ceil(math.log2(max(width, 1e-10) / 1e-10))) + 2)
-    for _ in range(n_iter):
-        mid = 0.5 * (lo + hi)
-        vm = ev(mid).real
-        s_m = np.where(vm > 0, 1.0, -1.0)
-        take_lo = s_m == s_lo          # root in the upper half
-        lo = np.where(take_lo[:, None], mid, lo)
-        hi = np.where(take_lo[:, None], hi, mid)
-    mid = 0.5 * (lo + hi)
-    res = np.abs(ev(mid))
-    out = []
-    for i in range(len(mid)):
-        if res[i] <= tol:
-            out.append(ZeroPoint(Point2(*mid[i]), float(res[i])))
-    return out
+def _line_pieces(body: ConvexBody, extent, n_lines: int) -> tuple[int, int]:
+    """(k, n) for n_lines scan segments of extent (|dxi1|, |dxi2|): each is
+    cut into k equal pieces, and each piece gets a Chebyshev interpolant of
+    the transform of degree n.
+
+    On a piece's Bernstein ellipse E_rho, |T| <= M = area exp(tau (rho -
+    1/rho) / 2) with tau = pi (X |dxi1| + Y |dxi2|) / k, X and Y the
+    half-widths of the body's bounding box, and the degree-n interpolant errs
+    by at most 4 M rho^-n / (rho - 1) (Trefethen, ATAP, Thm 8.2).  n is the
+    smallest degree that brings this to _PANEL_TOL * area for some rho in
+    _RHO.  ValueError when the scan would keep over 256 MiB.
+    """
+    f, g = graph_heights(body)
+    tau = math.pi * (max(abs(f.a), abs(f.b)) * abs(extent[0])
+                     + max(f.max_value(), g.max_value()) * abs(extent[1]))
+    k = max(1, math.ceil(tau / _PIECE_TAU))
+    need = (math.log(4.0 / _PANEL_TOL) + 0.5 * (tau / k) * (_RHO - 1.0 / _RHO)
+            - np.log(_RHO - 1.0)) / np.log(_RHO)
+    n = max(2, int(math.ceil(float(np.min(need)))))
+    _require_scan_size(n_lines * k, n)
+    return k, n
 
 
-def _require_scan_size(n_lines: int, n_samples: int) -> None:
-    """ValueError past _panel_edges' budget, 256 MiB of what _scan_lines keeps:
-    34 B a point (points, values, signs; tracemalloc).  Evaluators chunk."""
-    n = n_lines * (n_samples + 1)
-    if 34 * n > 256 * 2**20:
-        raise ValueError(f"scan grid too large: {n:.3g} points, over 256 MiB")
+def _require_scan_size(n_pieces: int, n: int) -> None:
+    """ValueError past _panel_edges' budget, 256 MiB of what _scan_lines
+    keeps (tracemalloc): 72 B a point (points, values, coefficients), and for
+    each piece its n x n colleague matrix and n eigenvalues.  Evaluators chunk."""
+    size = n_pieces * (72 * (n + 1) + 8 * n * (n + 2))
+    if size > 256 * 2**20:
+        raise ValueError(f"scan grid too large: {n_pieces * (n + 1):.3g} points on "
+                         f"{n_pieces:.3g} degree-{n} pieces, over 256 MiB")
 
 
-def _scan_lines(ev, starts: np.ndarray, stops: np.ndarray, n_samples: int,
-                tol: float) -> list[ZeroPoint]:
-    """Sample each segment uniformly, bracket sign changes, bisect them all."""
-    _require_scan_size(len(starts), n_samples)
-    ts = np.linspace(0.0, 1.0, n_samples + 1)
-    pts = starts[:, None, :] + ts[None, :, None] * (stops - starts)[:, None, :]
-    flat = pts.reshape(-1, 2)
-    vals = ev(flat).real.reshape(len(starts), -1)
-    # the sign rule of _bisect_zeros: an exact zero counts as negative
-    pos = vals > 0.0
-    sign_change = pos[:, :-1] != pos[:, 1:]
-    rr, cc = np.nonzero(sign_change)
-    if len(rr) == 0:
+def _real_roots(coef: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """(i, t) of the real roots t in [-1, 1] of the Chebyshev series coef[i]
+    (lowest degree first), sorted by i and then t.
+
+    Each series is cut after its last coefficient above floor.  Its colleague
+    matrix (numpy's chebcompanion) fills the top left of a common n x n block
+    whose remaining diagonal is 2, outside [-1, 1], so one eigvals call takes
+    the roots of every series.
+    """
+    n_series, n = coef.shape[0], coef.shape[1] - 1
+    big = np.abs(coef) > floor
+    deg = np.where(big.any(axis=1), n - np.argmax(big[:, ::-1], axis=1), 0)
+    j = np.arange(n)
+    mats = np.zeros((n_series, n, n))
+    off = np.where(j[:-1] == 0, math.sqrt(0.5), 0.5) * (j[:-1] < deg[:, None] - 1)
+    mats[:, j[:-1], j[1:]] = off
+    mats[:, j[1:], j[:-1]] = off
+    mats[:, j, j] = np.where(j >= deg[:, None], 2.0, 0.0)
+    rows = np.nonzero(deg > 0)[0]
+    d = deg[rows]
+    scl = np.where(j == 0, 1.0, math.sqrt(0.5))
+    col = (-0.5 * coef[rows, :n] / coef[rows, d][:, None] * scl / scl[d - 1][:, None]
+           * (j < d[:, None]))
+    col[d == 1] *= 2.0  # degree 1: the root -c0 / c1 itself
+    mats[rows[:, None], j, (d - 1)[:, None]] += col
+    lam = np.linalg.eigvals(mats)
+    i, k = np.nonzero((lam.imag == 0.0) & (np.abs(lam.real) <= 1.0 + _EDGE))
+    t = np.clip(lam.real[i, k], -1.0, 1.0)
+    order = np.lexsort((t, i))
+    return i[order], t[order]
+
+
+def _scan_lines(ev, starts: np.ndarray, stops: np.ndarray, k: int, n: int, tol: float,
+                area: float) -> list[ZeroPoint]:
+    """Zeros on the segments starts[i] -> stops[i], line by line in segment order.
+
+    Each line is cut into k equal pieces, and each piece gets one degree-n
+    interpolant on the Chebyshev-Lobatto points, with coefficients from a
+    DCT-I; a root is kept when |T| <= tol there.  Lines with the same
+    abscissae share one evaluation of each (the panel rule factors its kernel
+    over the product grid).
+    """
+    frac = np.arange(k + 1) / k
+    ends = starts[:, None, :] + frac[None, :, None] * (stops - starts)[:, None, :]
+    a, b = ends[:, :-1].reshape(-1, 2), ends[:, 1:].reshape(-1, 2)
+    t = np.cos(np.pi * np.arange(n + 1) / n)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    vals = ev((mid[:, None, :] + t[None, :, None] * half[:, None, :]).reshape(-1, 2))
+    coef = fft.dct(vals.real.reshape(len(a), n + 1), type=1, axis=1) / n
+    coef[:, [0, n]] *= 0.5
+    piece, root = _real_roots(coef, _EPS * area)
+    if len(piece) == 0:
         return []
-    p_lo = pts[rr, cc]
-    p_hi = pts[rr, cc + 1]
-    return _bisect_zeros(ev, p_lo, p_hi, vals[rr, cc], tol)
+    pts = mid[piece] + root[:, None] * half[piece]
+    # a zero where two pieces meet is found by both: keep it once
+    gap = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    twin = (np.diff(piece // k) == 0) & (gap <= 1e-10 * np.linalg.norm(half[piece[1:]], axis=1))
+    pts = pts[np.r_[True, ~twin]]
+    res = np.abs(ev(pts))
+    return [ZeroPoint(Point2(*p), float(r)) for p, r in zip(pts, res) if r <= tol]
 
 
-def zeros_on_segment(body: ConvexBody, p0, p1, step: float = DEFAULT_SCAN_STEP,
-                     tol: float | None = None) -> list[ZeroPoint]:
+def zeros_on_segment(body: ConvexBody, p0, p1, tol: float | None = None) -> list[ZeroPoint]:
     """Zeros of the transform along the segment p0 -> p1, in segment order."""
     require_origin_symmetric(body)
     if tol is None:
         tol = 1e-9 * body.area
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
-    seg_len = float(np.linalg.norm(p1 - p0))
-    n = max(1, int(math.ceil(seg_len / step)))
+    k, n = _line_pieces(body, p1 - p0, 1)
     box = np.max(np.abs(np.stack([p0, p1])), axis=0)
     ev = frozen_batch_evaluator(body, box[0] + 1.0, box[1] + 1.0)
-    zeros = _scan_lines(ev, p0[None, :], p1[None, :], n, tol)
-    zeros.sort(key=lambda z: float(np.dot(np.asarray(z.xi) - p0, p1 - p0)))
-    return zeros
+    return _scan_lines(ev, p0[None, :], p1[None, :], k, n, tol, body.area)
 
 
 def slab_zero_alignment(body: ConvexBody, A: float, R_list,
                         step: float = DEFAULT_SCAN_STEP) -> list[AlignmentReport]:
-    """Scan horizontal lines across each slab [R, R+10] x [-A, A]; report the
-    located zeros and their distance statistics to the punctured grid Z_Q.
-    Needs A >= 1, every R > 0 and step <= 2 A (ValueError otherwise)."""
+    """Scan horizontal lines, step apart, across each slab [R, R+10] x [-A, A];
+    report the located zeros and their distance statistics to the punctured
+    grid Z_Q.  Needs A >= 1, every R > 0 and step <= 2 A (ValueError otherwise)."""
     require_origin_symmetric(body)
     require_standard_position(body)
     if not (A >= 1.0):
@@ -147,18 +203,17 @@ def slab_zero_alignment(body: ConvexBody, A: float, R_list,
     tol = 1e-9 * body.area
     reports = []
     # line ordinates offset half a step: never scan exactly on an integer line,
-    # where the transform can vanish identically and bracketing degenerates
+    # where the transform can vanish identically
     n_lines = int(math.floor(2.0 * A / step))
-    n_samples = int(math.ceil(10.0 / step))
     if n_lines == 0:
         raise ValueError(f"step {step:g} leaves no scan line in |xi2| <= A = {A:g}")
-    _require_scan_size(n_lines, n_samples)
+    k, n = _line_pieces(body, (10.0, 0.0), n_lines)
     xi2s = -A + (np.arange(n_lines) + 0.5) * step
     for R in R_list:
         ev = frozen_batch_evaluator(body, R + 10.0 + 1.0, A + 1.0)
         starts = np.stack([np.full(n_lines, float(R)), xi2s], axis=1)
         stops = np.stack([np.full(n_lines, float(R) + 10.0), xi2s], axis=1)
-        zeros = _scan_lines(ev, starts, stops, n_samples, tol)
+        zeros = _scan_lines(ev, starts, stops, k, n, tol, body.area)
         dists = [grid_distance(z.xi, "Z_Q") for z in zeros]
         reports.append(AlignmentReport(
             zeros=zeros,
@@ -235,7 +290,8 @@ def ball_zero_alignment(body: ConvexBody, A: float, eps: float,
                         R_window: tuple[float, float],
                         step: float = DEFAULT_SCAN_STEP) -> AlignmentReport:
     """Zeros inside balls B(R e1, A) for R across R_window, reported against
-    the best-fitting family of shifted vertical lines beta + Z.
+    the best-fitting family of shifted vertical lines beta + Z.  Horizontal
+    chords shorter than step are not scanned.
 
     A body whose right boundary is a vertical wall segment (interval case)
     is scanned directly.  Otherwise the cap-slope gate must pass: a bounded
@@ -255,7 +311,8 @@ def ball_zero_alignment(body: ConvexBody, A: float, eps: float,
     if not np.any(keep):
         raise ValueError(f"step {step:g} is longer than every chord of the ball of "
                          f"radius A = {A:g}")
-    n = max(2, int(math.ceil(2.0 * A / step)))
+    xi2s, chords = xi2s[keep], chords[keep]
+    k, n = _line_pieces(body, (2.0 * A, 0.0), len(xi2s))
 
     wall = float(u(0.5)) > 1e-9
     if not wall:
@@ -265,11 +322,15 @@ def ball_zero_alignment(body: ConvexBody, A: float, eps: float,
     R_grid = np.linspace(r_lo, r_hi, 9)
     ev = frozen_batch_evaluator(body, r_hi + A + 1.0, A + 1.0)
 
+    # every line spans [R - A, R + A], so all share their abscissae; a zero
+    # counts inside its line's chord
+    chord = dict(zip(xi2s, chords))
     best = None
     for R in R_grid:
-        starts = np.stack([R - chords[keep], xi2s[keep]], axis=1)
-        stops = np.stack([R + chords[keep], xi2s[keep]], axis=1)
-        zeros = _scan_lines(ev, starts, stops, n, tol)
+        starts = np.stack([np.full(len(xi2s), R - A), xi2s], axis=1)
+        stops = np.stack([np.full(len(xi2s), R + A), xi2s], axis=1)
+        zeros = [z for z in _scan_lines(ev, starts, stops, k, n, tol, body.area)
+                 if abs(z.xi[0] - R) <= chord[z.xi[1]]]
         if not zeros:
             continue
         fracs = np.array([z.xi[0] for z in zeros])

@@ -95,8 +95,8 @@ def test_cli_exit_codes_under_fuzzed_bodies(tmp_path_factory, doc, command):
 
 
 # ---------------------------------------------------------------------------
-# flags on the fixture bodies: scan steps too large for any scan line and too
-# small for the memory budget, reversed and empty windows, unwritable outputs
+# flags on the fixture bodies: scan steps too large for any scan line, scans
+# over the memory budget, reversed and empty windows, unwritable outputs
 
 
 @pytest.fixture(scope="module")
@@ -120,8 +120,8 @@ FLAGS = {
         "--R-list": (("10", "5,30"), {"-5": "R", "ten": "R"}),
     },
     "ball-align": {
-        "--A": ((0.5, 1.0), {0.0: "A"}),
-        "--step": ((0.1, 0.25), {0.0: "step", 2.5: "step", 1e-11: "too large"}),
+        "--A": ((0.5, 1.0), {0.0: "A", 1e7: "too large"}),
+        "--step": ((0.1, 0.25, 1e-11), {0.0: "step", 2.5: "step"}),
         "--window": (("5,8", "2,6"), {"8,5": "window", "6,6": "window", "inf,8": "window"}),
     },
     "cap-scan": {
@@ -129,7 +129,7 @@ FLAGS = {
         "--window": (("0.1,10", "0.5,3"), {"10,0.1": "window", "2,2": "window",
                                            "nan,1": "window"}),
     },
-    "zeros": {"--samples": ((0, 50), {-4: "samples", 10**12: "too large"})},
+    "zeros": {"--tol": ((1e-9, 1e-6), {0.0: "tol", -1.0: "tol"})},
 }
 BODIES = {"slab-align": ("{square}", "{hexagon}"),
           "ball-align": ("{square}", "{hexagon}", "{disc}"),

@@ -278,6 +278,19 @@ def test_frozen_evaluator_matches_pointwise(disc_body, hexagon_h0):
         assert np.max(np.abs(got - want)) < 1e-10
 
 
+def test_factored_kernel_matches_pointwise_on_a_product_grid(disc_body, parabola_capped):
+    # a 30 x 12 product grid alone takes the factored kernel; with 360
+    # scattered points added the batch spans 720 x 372 distinct values, over
+    # 4x its size, and every point goes through the pointwise kernel
+    rng = np.random.default_rng(5)
+    g1, g2 = rng.uniform(-40.0, 40.0, 30), rng.uniform(-5.0, 5.0, 12)
+    grid = np.stack(np.meshgrid(g1, g2, indexing="ij"), axis=-1).reshape(-1, 2)
+    mixed = np.vstack([grid, rng.uniform(-5.0, 5.0, (len(grid), 2))])
+    for body in (disc_body, parabola_capped):
+        ev = F.frozen_batch_evaluator(body, 40.0, 5.0)
+        assert np.max(np.abs(ev(grid) - ev(mixed)[:len(grid)])) <= 1e-15 * body.area
+
+
 def test_cap_scan_parabola_and_zero_cap():
     cap = heights.polynomial([0.25, 0.0, -1.0])
     res = F.cap_lower_bound_scan(cap, 0.05)

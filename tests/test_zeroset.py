@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from convexspectra import geometry as G
 from convexspectra import heights
@@ -36,7 +39,7 @@ def test_slab_validation(square):
 
 
 def test_zeros_on_segment_square(square):
-    zs = Z.zeros_on_segment(square, (0.5, 0.5), (5.5, 0.5), step=0.05)
+    zs = Z.zeros_on_segment(square, (0.5, 0.5), (5.5, 0.5))
     got = sorted(z.xi[0] for z in zs)
     assert len(got) == 5
     assert np.allclose(got, [1, 2, 3, 4, 5], atol=1e-9)
@@ -45,8 +48,57 @@ def test_zeros_on_segment_square(square):
 
 def test_zeros_on_segment_h0_dual_point(hexagon_h0):
     # Poisson summation: the dual point (1, -2/5) of the tiling lattice is a zero
-    zs = Z.zeros_on_segment(hexagon_h0, (1.0, -0.6), (1.0, -0.2), step=0.01)
+    zs = Z.zeros_on_segment(hexagon_h0, (1.0, -0.6), (1.0, -0.2))
     assert any(abs(z.xi[1] - (-0.4)) < 1e-9 for z in zs)
+
+
+def test_zeros_on_segment_square_keeps_the_end_zero(square):
+    # sinc(xi1) sinc(0.3) vanishes at the integers, the segment's end included
+    zs = Z.zeros_on_segment(square, (1.0, 0.3), (4.0, 0.3))
+    got = np.array([z.xi[0] for z in zs])
+    assert len(got) == 4
+    assert np.max(np.abs(got - [1.0, 2.0, 3.0, 4.0])) <= 1e-12
+
+
+def test_zeros_on_segment_tent_diamond_close_pair(diamond_body):
+    # the transform is sinc((xi1 + xi2)/2) sinc((xi1 - xi2)/2) / 2; along
+    # (0.3 + 20 s, 0.2 + 3 s) it vanishes at s = (2k - 0.5)/23, k = 1..11, and
+    # s = (2k - 0.1)/17, k = 1..8, two of them near xi1 = 18.996 and 19.006
+    zs = Z.zeros_on_segment(diamond_body, (0.3, 0.2), (20.3, 3.2))
+    s = np.sort(np.concatenate([(2.0 * np.arange(1, 12) - 0.5) / 23.0,
+                                (2.0 * np.arange(1, 9) - 0.1) / 17.0]))
+    got = np.array([z.xi[0] for z in zs])
+    assert len(got) == 19
+    assert np.max(np.abs(got - (0.3 + 20.0 * s))) <= 1e-10
+    assert np.sum(np.abs(got - 19.0) < 0.01) == 2
+
+
+def test_long_segment_pieces_keep_each_joint_zero_once(square):
+    # 280 units along xi1 are cut into 7 pieces of 40, so every joint is a
+    # zero that the pieces on both sides find
+    assert Z._line_pieces(square, (280.0, 0.0), 1)[0] == 7
+    zs = Z.zeros_on_segment(square, (0.0, 0.3), (280.0, 0.3))
+    got = np.array([z.xi[0] for z in zs])
+    assert len(got) == 280
+    assert np.max(np.abs(got - np.arange(1.0, 281.0))) <= 1e-12
+
+
+_DISC_ZEROS = special.jn_zeros(1, 40) / math.pi  # |xi| of the zeros of the r = 1/2 disc
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(theta=st.floats(0.0, 2.0 * math.pi), r0=st.floats(0.0, 5.0),
+       length=st.floats(0.5, 20.0))
+def test_disc_ray_zeros_are_every_bessel_zero(theta, r0, length):
+    # the interpolant's degree comes from its bound: on a ray of the disc it
+    # finds each zero j_{1,k}/pi in range once, and nothing else
+    d = np.array([math.cos(theta), math.sin(theta)])
+    zs = Z.zeros_on_segment(G.disc(0.5), r0 * d, (r0 + length) * d)
+    radii = np.array([math.hypot(*z.xi) for z in zs])
+    hit = np.argmin(np.abs(radii[:, None] - _DISC_ZEROS[None, :]), axis=1)
+    assert np.all(np.abs(radii - _DISC_ZEROS[hit]) <= 1e-10), radii
+    inside = np.nonzero((_DISC_ZEROS > r0 + 1e-9) & (_DISC_ZEROS < r0 + length - 1e-9))[0]
+    assert set(inside) <= set(hit) and len(set(hit)) == len(hit), (radii, inside)
 
 
 def test_zeros_requires_symmetry():
