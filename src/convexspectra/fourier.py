@@ -41,6 +41,8 @@ QUAD_TOL = 1e-10
 _MAX_SUBDIVISIONS = 200
 # the panel rule's error target, relative to the body's area
 _PANEL_TOL = 1e-13
+# bytes one request may allocate: panel rules, scan grids, lattice enumeration
+_MEMORY_BUDGET = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ def _panel_edges(body: GraphBody, max_xi1: float, max_xi2: float, factor: float,
     levels = (max(1, math.ceil(math.log2(2.0 * max(h_lo, h_hi) * hmax / end_tol)))
               if body.f.endpoint_singular or body.g.endpoint_singular else 0)
     # the rule keeps four float arrays of len(_GL_NODES) nodes per panel
-    if 32 * len(_GL_NODES) * (sum(counts) + 2 * levels) > 256 * 2**20:
+    if 32 * len(_GL_NODES) * (sum(counts) + 2 * levels) > _MEMORY_BUDGET:
         raise ValueError(f"panel rule too large: {sum(counts):.3g} panels for frequencies "
                          f"up to ({max_xi1:g}, {max_xi2:g})")
     lev = np.exp2(-np.arange(1, levels + 1, dtype=float))
@@ -516,16 +518,14 @@ def _poly_height_fourier(f: HeightFn, R: np.ndarray) -> np.ndarray:
     big = np.abs(c) >= 1.0
     if np.any(big):
         cb = c[big]
-        ik = np.empty((deg + 1, big.sum()), dtype=complex)
         ea = np.exp(-1j * cb * a)
         eb = np.exp(-1j * cb * b)
-        ik[0] = (ea - eb) / (1j * cb)
+        ik = (ea - eb) / (1j * cb)
+        acc = f.coeffs[0] * ik
         for k in range(1, deg + 1):
-            ik[k] = (a**k * ea - b**k * eb) / (1j * cb) + (k / (1j * cb)) * ik[k - 1]
-        acc = np.zeros(big.sum(), dtype=complex)
-        for k, ck in enumerate(f.coeffs):
-            if ck != 0.0:
-                acc += ck * ik[k]
+            ik = (a**k * ea - b**k * eb) / (1j * cb) + (k / (1j * cb)) * ik
+            if f.coeffs[k] != 0.0:
+                acc += f.coeffs[k] * ik
         out[big] = acc
     if np.any(~big):
         cs = c[~big]
@@ -553,33 +553,65 @@ class CapScanResult:
     ratio: float          # value / (delta * f(b - delta)); NaN for a zero cap
     delta: float
     window: tuple[float, float]
-    grid_step: float
+    grid_step: float      # step of the coarse grid, at most 1/(8(b - a))
+
+
+# height_fourier's peak temporaries per point, over every height kind (tracemalloc)
+_CAP_BYTES_PER_POINT = 160
+# zoom points across +-1 current step, and the step's shrink per zoom level
+_ZOOM_POINTS, _ZOOM_SHRINK = 33, 16
+
+
+def _require_cap_grid(points: float) -> None:
+    if not _CAP_BYTES_PER_POINT * points <= _MEMORY_BUDGET:
+        raise ValueError(f"cap scan grid too large: {points:.3g} points, over 256 MiB")
 
 
 def cap_lower_bound_scan(f: HeightFn, delta: float,
                          window: tuple[float, float] = (0.1, 10.0)) -> CapScanResult:
     """Scan R in [window[0]/delta, window[1]/delta] for the largest |f_hat(R)|.
 
-    The grid (step delta/20) is evaluated with height_fourier; the winning R
-    is then confirmed by adaptive quadrature (_fourier_quad) and the
-    quadrature value is reported, NoConvergenceError if it does not converge.
-    ratio uses the cap height at distance delta from the right endpoint; an
-    identically-zero denominator yields ratio = NaN; the window needs lo < hi.
+    |f_hat|^2 is the transform of f's autocorrelation, which vanishes outside
+    [-(b-a), b-a]; so |f_hat|^2 is band-limited with Nyquist spacing
+    1/(2(b-a)), and by Bernstein's inequality its samples on a grid of step
+    1/(8(b-a)), 4x oversampled, fall at most ~8% below the largest value
+    near them.  That coarse grid, both window ends included, does not depend
+    on delta.  Every coarse local maximum (a window end counts when it is
+    not below its neighbour) at least half the best sample is then zoomed:
+    each level evaluates _ZOOM_POINTS across +-1 current step around every
+    candidate in one height_fourier call and shrinks the step _ZOOM_SHRINK
+    times, until it is below 1e-11 * R_hi.  The winning R is confirmed by
+    adaptive quadrature (_fourier_quad) and the quadrature value is
+    reported, NoConvergenceError if it does not converge.  An identically
+    zero cap refines nothing.  ValueError before allocating a grid over
+    _MEMORY_BUDGET.  ratio uses the cap height at distance delta from the
+    right endpoint; an identically-zero denominator yields ratio = NaN; the
+    window needs lo < hi.  grid_step is the coarse step.
     """
     lo, hi = window
     if not lo < hi:
         raise ValueError(f"window must have lo < hi, got ({lo:g}, {hi:g})")
     r_lo, r_hi = lo / delta, hi / delta
-    step = delta / 20.0
-    n = int(math.floor((r_hi - r_lo) / step)) + 1
-    # cap grid memory; the transform is entire with O(1) oscillation scale in R
-    if n > 4_000_000:
-        step = (r_hi - r_lo) / 4_000_000
-        n = 4_000_001
-    grid = r_lo + step * np.arange(n)
+    n = 8.0 * (f.b - f.a) * (r_hi - r_lo)
+    _require_cap_grid(n + 1.0)
+    grid, step = np.linspace(r_lo, r_hi, math.ceil(n) + 1, retstep=True)
     mags = np.abs(height_fourier(f, grid))
-    k = int(np.argmax(mags))
-    r_star = float(grid[k])
+    best = float(np.max(mags))
+    r_star = float(grid[np.argmax(mags)])
+    if best > 0.0:
+        pad = np.concatenate([[-np.inf], mags, [-np.inf]])
+        keep = (mags >= pad[:-2]) & (mags >= pad[2:]) & (mags >= 0.5 * best)
+        peaks, pmags = grid[keep], mags[keep]
+        _require_cap_grid(_ZOOM_POINTS * len(peaks))
+        offsets, rows = np.linspace(-1.0, 1.0, _ZOOM_POINTS), np.arange(len(peaks))
+        half = step
+        while half >= 1e-11 * r_hi:
+            zoom = np.clip(peaks[:, None] + half * offsets, r_lo, r_hi)
+            zmags = np.abs(height_fourier(f, zoom.ravel())).reshape(zoom.shape)
+            at = np.argmax(zmags, axis=1)
+            peaks, pmags = zoom[rows, at], zmags[rows, at]
+            half /= _ZOOM_SHRINK
+        r_star = float(peaks[np.argmax(pmags)])
 
     val, _, ok = _fourier_quad(f, f.a, f.b, f.breakpoints(), r_star)
     if not ok:
@@ -588,4 +620,4 @@ def cap_lower_bound_scan(f: HeightFn, delta: float,
 
     denom = delta * float(f(f.b - delta))
     ratio = value / denom if denom > 0.0 else math.nan
-    return CapScanResult(r_star, float(value), float(ratio), delta, (lo, hi), step)
+    return CapScanResult(r_star, float(value), float(ratio), delta, (lo, hi), float(step))

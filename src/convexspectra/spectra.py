@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InsufficientWindowError
-from .fourier import transform_batch
+from .fourier import _MEMORY_BUDGET, transform_batch
 from .geometry import ConvexBody, Lattice, Point2, measures
 
 
@@ -56,8 +56,8 @@ def lattice_points_in_ball(lattice: Lattice, radius: float) -> np.ndarray:
     Binv = np.linalg.inv(B)
     mmax = int(math.floor(radius * np.linalg.norm(Binv[0]))) + 1
     nmax = int(math.floor(radius * np.linalg.norm(Binv[1]))) + 1
-    # ~68 B of temporaries per coefficient pair; the panel rule's 256 MiB budget
-    if 68 * (2 * mmax + 1) * (2 * nmax + 1) > 256 * 2**20:
+    # ~68 B of temporaries per coefficient pair
+    if 68 * (2 * mmax + 1) * (2 * nmax + 1) > _MEMORY_BUDGET:
         raise ValueError(
             f"lattice too dense for radius {radius:g}: "
             f"{(2 * mmax + 1) * (2 * nmax + 1)} coefficient pairs, over 256 MiB")

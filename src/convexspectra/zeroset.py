@@ -21,7 +21,7 @@ import numpy as np
 from scipy import fft
 
 from .errors import NoBlowupError, NoZerosFoundError
-from .fourier import _PANEL_TOL, frozen_batch_evaluator
+from .fourier import _MEMORY_BUDGET, _PANEL_TOL, frozen_batch_evaluator
 from .geometry import (ConvexBody, Point2, graph_heights, require_origin_symmetric,
                        require_slab_span, require_standard_position)
 from .heights import HeightFn
@@ -105,11 +105,11 @@ def _line_pieces(body: ConvexBody, extent, n_lines: int) -> tuple[int, int]:
 
 
 def _require_scan_size(n_pieces: int, n: int) -> None:
-    """ValueError past _panel_edges' budget, 256 MiB of what _scan_lines
-    keeps (tracemalloc): 72 B a point (points, values, coefficients), and for
+    """ValueError past _MEMORY_BUDGET, 256 MiB of what _scan_lines keeps
+    (tracemalloc): 72 B a point (points, values, coefficients), and for
     each piece its n x n colleague matrix and n eigenvalues.  Evaluators chunk."""
     size = n_pieces * (72 * (n + 1) + 8 * n * (n + 2))
-    if size > 256 * 2**20:
+    if size > _MEMORY_BUDGET:
         raise ValueError(f"scan grid too large: {n_pieces * (n + 1):.3g} points on "
                          f"{n_pieces:.3g} degree-{n} pieces, over 256 MiB")
 

@@ -125,7 +125,7 @@ FLAGS = {
         "--window": (("5,8", "2,6"), {"8,5": "window", "6,6": "window", "inf,8": "window"}),
     },
     "cap-scan": {
-        "--delta": ((0.05, 0.2), {-0.1: "delta", 0.0: "delta"}),
+        "--delta": ((0.05, 0.2), {-0.1: "delta", 0.0: "delta", 1e-9: "too large"}),
         "--window": (("0.1,10", "0.5,3"), {"10,0.1": "window", "2,2": "window",
                                            "nan,1": "window"}),
     },
