@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, heights
 from .errors import (BodyParseError, BodyValidationError, ConvexSpectraError,
                      NoBlowupError, NotTileableError, NoZerosFoundError)
-from .fourier import QUAD_TOL, SINGULAR_THRESHOLD, cap_lower_bound_scan, ft_body
+from .fourier import _PANEL_TOL, QUAD_TOL, SINGULAR_THRESHOLD, cap_lower_bound_scan, ft_body
 from .geometry import (ConvexBody, ConvexPolygon, GraphBody, Lattice, as_polygon,
                        decompose_caps, measures, validate_polygon)
 from .obstruction import check_certificate, nonspectral_certificate
@@ -222,7 +222,7 @@ def _cmd_ft(args, body):
         else:
             print("%.6g%+.6gj" % (v.real, v.imag))
     return (0, ["xi1", "xi2", "re", "im", "abs_err", "method", "converged"], rows,
-            {"singular_threshold": SINGULAR_THRESHOLD, "quad_tol": QUAD_TOL})
+            {"singular_threshold": SINGULAR_THRESHOLD, "panel_tol": _PANEL_TOL})
 
 
 def _cmd_zeros(args, body):

@@ -11,7 +11,8 @@ their knots, geometry.as_polygon), get an exact edge-sum closed form, and for
 bodies, and caps with no closed form, get one panel rule: Gauss-Legendre
 panels in x with the inner y-integral in closed form, sized once for the
 requested frequency box from the Gauss-Legendre error bound on each panel's
-Bernstein ellipse; `err` is that bound plus a rounding floor.  Gradients are
+Bernstein ellipse; `err` is that bound plus a rounding floor, and a rule
+whose bound misses its target raises NoConvergenceError.  Gradients are
 sums over the same nodes.  _fourier_quad, scipy adaptive quadrature, serves
 only the independent oracle and the confirmation step of the cap scan.
 """
@@ -169,8 +170,8 @@ def _gl_bound(body: GraphBody, edges: np.ndarray, max_xi1: float, max_xi2: float
         with np.errstate(over="ignore", invalid="ignore"):
             m = (fm + gm) * np.exp(math.pi * (rho - 1.0 / rho) * half
                                    * (max_xi1 + max_xi2 * np.maximum(fd, gd)))
-        bound = np.fmin(bound, (64.0 / 15.0) * m * rho ** (-2 * len(_GL_NODES))
-                           / (rho * rho - 1.0) * half)
+            bound = np.fmin(bound, (64.0 / 15.0) * m * rho ** (-2 * len(_GL_NODES))
+                               / (rho * rho - 1.0) * half)
     if body.f.endpoint_singular or body.g.endpoint_singular:
         bound[[0, -1]] = 4.0 * half[[0, -1]] * (body.f.max_value() + body.g.max_value())
     return float(bound.sum())
@@ -246,7 +247,8 @@ def _panel_rule(body: GraphBody, max_xi1: float, max_xi2: float) -> _FrozenGraph
     per oscillation period and grows by 1.5x until the bound meets
     _PANEL_TOL * area, the next layout is over budget or the bound stops
     shrinking.  rule.err is the bound plus a rounding floor of 32 eps * area,
-    the sum of |w_k (F+G)_k|.
+    the sum of |w_k (F+G)_k|.  NoConvergenceError, before any node is built,
+    when the best layout still misses the target.
     """
     target, floor = _PANEL_TOL * body.area, 32.0 * _EPS * body.area
     best, factor = None, 0.5
@@ -261,12 +263,17 @@ def _panel_rule(body: GraphBody, max_xi1: float, max_xi2: float) -> _FrozenGraph
         if best is not None and err >= best[1]:
             break
         best, factor = (edges, err), 1.5 * factor
+    if best[1] > target:
+        raise NoConvergenceError(f"panel rule bound {best[1]:.3g} misses the target "
+                                 f"{target:.3g} for frequencies up to "
+                                 f"({max_xi1:g}, {max_xi2:g})")
     return _FrozenGraphEval(body, *best)
 
 
 def graph_transform_batch(body: GraphBody, xis) -> tuple[np.ndarray, np.ndarray]:
     """Panel-rule transform for a batch of frequencies: (values, the rule's
-    err at every point), err above _PANEL_TOL * area when the bound missed."""
+    err at every point), NoConvergenceError when the bound misses
+    _PANEL_TOL * area."""
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     m1 = float(np.max(np.abs(xis[:, 0]), initial=0.0))
     m2 = float(np.max(np.abs(xis[:, 1]), initial=0.0))
@@ -278,16 +285,13 @@ def frozen_batch_evaluator(body: ConvexBody, max_xi1: float, max_xi2: float):
     """Callable xis -> transform values, valid for |xi1| <= max_xi1, |xi2| <= max_xi2.
 
     Bodies bounded by flat arcs use the exact closed form.  Curved bodies get
-    the panel rule, NoConvergenceError when its bound misses _PANEL_TOL * area.
+    the panel rule, which _panel_rule refuses (NoConvergenceError) when its
+    bound misses _PANEL_TOL * area.
     """
     poly = as_polygon(body)
     if poly is not None:
         return lambda xis: transform_batch(poly, xis)[0]
-    rule = _panel_rule(body, max_xi1, max_xi2)
-    if rule.err > _PANEL_TOL * body.area:
-        raise NoConvergenceError(f"panel rule bound {rule.err:.3g} misses the target "
-                                 f"{_PANEL_TOL * body.area:.3g}")
-    return rule
+    return _panel_rule(body, max_xi1, max_xi2)
 
 
 def transform_batch(body: ConvexBody, xis) -> tuple[np.ndarray, np.ndarray]:
@@ -308,16 +312,13 @@ def transform_batch(body: ConvexBody, xis) -> tuple[np.ndarray, np.ndarray]:
 
 def ft_body(body: ConvexBody, xi) -> FourierSample:
     """Primary-route transform at one frequency: closed form for bodies
-    bounded by flat arcs, the panel rule otherwise (converged when
-    err <= QUAD_TOL)."""
+    bounded by flat arcs, the panel rule otherwise (NoConvergenceError when
+    its bound misses _PANEL_TOL * area, so a returned sample is converged)."""
     xis = np.asarray(xi, dtype=float).reshape(1, 2)
     poly = as_polygon(body)
     vals, errs = transform_batch(body if poly is None else poly, xis)
-    if poly is not None:
-        return FourierSample(Point2(*xis[0]), complex(vals[0]), "closed_form",
-                             float(errs[0]))
-    return FourierSample(Point2(*xis[0]), complex(vals[0]), "panel_rule",
-                         float(errs[0]), bool(errs[0] <= QUAD_TOL))
+    return FourierSample(Point2(*xis[0]), complex(vals[0]),
+                         "panel_rule" if poly is None else "closed_form", float(errs[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +593,8 @@ def cap_lower_bound_scan(f: HeightFn, delta: float,
     if not lo < hi:
         raise ValueError(f"window must have lo < hi, got ({lo:g}, {hi:g})")
     r_lo, r_hi = lo / delta, hi / delta
-    n = 8.0 * (f.b - f.a) * (r_hi - r_lo)
+    # counted from the window, not r_hi - r_lo: both ends overflow together
+    n = 8.0 * (f.b - f.a) * (hi - lo) / delta
     _require_cap_grid(n + 1.0)
     grid, step = np.linspace(r_lo, r_hi, math.ceil(n) + 1, retstep=True)
     mags = np.abs(height_fourier(f, grid))

@@ -277,7 +277,9 @@ def measures(body: ConvexBody) -> Measures:
 def is_symmetric(body: ConvexBody) -> tuple[bool, Point2]:
     """Central symmetry about the only possible center; returns (flag, center).
 
-    Polygons use exact vertex-negation matching about the centroid.  A
+    A polygon is compared vertex by vertex with its reflection about the
+    centroid: the point reflection of a counterclockwise convex 2n-gon maps
+    vertex i to vertex i + n, so no matching search is needed.  A
     symmetric graph body has its center above the domain midpoint m, at
     ((a + b) / 2, (f(m) - g(m)) / 2); the reflected upper boundary is
     compared with the lower one by vertical deviation (which dominates the
@@ -293,8 +295,7 @@ def is_symmetric(body: ConvexBody) -> tuple[bool, Point2]:
         if m % 2 != 0:
             return False, c
         w = 2.0 * np.array(c) - v  # reflection, same cyclic orientation
-        j = int(np.argmin(np.linalg.norm(w[0] - v, axis=1)))
-        dev = float(np.max(np.linalg.norm(w - np.roll(v, -j, axis=0), axis=1)))
+        dev = float(np.max(np.linalg.norm(w - np.roll(v, -(m // 2), axis=0), axis=1)))
         return dev <= tol, c
 
     mid = 0.5 * (body.a + body.b)

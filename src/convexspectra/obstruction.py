@@ -99,19 +99,6 @@ def constraint_density(x, x2, omega_area: float) -> tuple[float, bool]:
     return density, density >= omega_area - 1e-12
 
 
-def _symmetric_vertex_order(poly: ConvexPolygon) -> np.ndarray:
-    """Vertices of an origin-symmetric 2n-gon, verified to satisfy
-    v[i + n] = -v[i]."""
-    require_origin_symmetric(poly)
-    v = poly.vertices
-    m = poly.m
-    n = m // 2
-    tol = 1e-9 * poly.scale()
-    if np.max(np.abs(v[(np.arange(m) + n) % m] + v)) > tol:
-        raise NotSymmetricError("vertices do not pair up antipodally")
-    return v
-
-
 def vertex_constraint_vectors(poly: ConvexPolygon) -> tuple[list[Point2], str]:
     """The n frequency-constraint vectors of a symmetric 2n-gon and the
     closure class of vertex differences they control.
@@ -119,9 +106,11 @@ def vertex_constraint_vectors(poly: ConvexPolygon) -> tuple[list[Point2], str]:
     Each vector is the sum of two consecutive vertices (equivalently the
     difference of a vertex and the predecessor of its antipode).  For even n
     the constraints propagate to all vertex pairs (2n and n-1 are coprime);
-    odd n reaches only pairs of equal index parity.
+    odd n reaches only pairs of equal index parity.  The vertices pair up
+    antipodally, v[i + n] ~ -v[i], within require_origin_symmetric's tolerances.
     """
-    v = _symmetric_vertex_order(poly)
+    require_origin_symmetric(poly)
+    v = poly.vertices
     n = poly.m // 2
     if n < 4:
         raise TooFewVerticesError(f"need a 2n-gon with n >= 4, got n = {n}")

@@ -6,7 +6,7 @@ import pytest
 
 from convexspectra import cli, heights
 from convexspectra.errors import BodyParseError, BodyValidationError
-from convexspectra.geometry import ConvexPolygon, GraphBody, validate_polygon
+from convexspectra.geometry import ConvexPolygon, GraphBody, disc, validate_polygon
 
 from conftest import write_body
 
@@ -128,6 +128,27 @@ def test_ft_csv_method_column_names_the_route(square_file, disc_file, tmp_path, 
         assert cli.main(["ft", "--body", path, "--xi", "0.5,0.25", "--out", out]) == 0
         lines = open(out).read().splitlines()
         assert lines[1].split(",")[5] == method
+
+
+def test_ft_on_a_large_disc_is_converged(tmp_path, capsys):
+    # the panel target is relative to the area: a radius-60 disc meets it with
+    # an err far above any fixed absolute tolerance
+    path = write_body(tmp_path / "disc60.json", disc(60.0))
+    out = str(tmp_path / "ft.csv")
+    assert cli.main(["ft", "--body", path, "--xi", "0.5,0.5", "--out", out]) == 0
+    assert open(out).read().splitlines()[1].split(",")[5:] == ["panel_rule", "true"]
+    man = json.load(open(out + ".manifest.json"))
+    assert man["tolerances"] == {"singular_threshold": 1e-2, "panel_tol": 1e-13}
+
+
+def test_ft_refuses_a_panel_rule_that_misses_its_bound(tmp_path, capsys):
+    # the tallest layout within the memory budget still misses the target
+    f = heights.power(0.1, 20.0)
+    path = write_body(tmp_path / "tall.json", GraphBody(-0.5, 0.5, f, f))
+    assert cli.main(["ft", "--body", path, "--xi", "0,20"]) == 2
+    captured = capsys.readouterr()
+    assert "misses the target" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_csv_reruns_are_byte_identical(square_file, tmp_path, capsys):
@@ -366,6 +387,7 @@ def test_nonconvex_body_is_input_error(tmp_path, capsys):
     ["cap-scan", "--body", "{hexagon}", "--delta", "0.1", "--window", "10,0.1"],
     ["ball-align", "--body", "{disc}", "--A", "1", "--window", "30,20", "--eps", "0.05"],
     ["density", "--lattice", "1 0; 0 1", "--radius", "400"],
+    ["cap-scan", "--body", "{hexagon}", "--delta", "1e-320"],
 ])
 def test_bad_input_exits_2_without_traceback(argv, square_file, hexagon_file, disc_file,
                                              tmp_path, capsys):
@@ -378,6 +400,8 @@ def test_bad_input_exits_2_without_traceback(argv, square_file, hexagon_file, di
     assert rc == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "reshape" not in err
+    # a message reports nan only when the input held one
+    assert "nan" not in err or any("nan" in a for a in argv)
 
 
 def test_unwritable_out_is_refused_before_the_subcommand(square_file, tmp_path,

@@ -10,7 +10,7 @@ from scipy import integrate, special
 
 from convexspectra import fourier as F
 from convexspectra import geometry as G
-from convexspectra import heights
+from convexspectra import heights, spectra
 from convexspectra.errors import NoConvergenceError
 
 from conftest import random_symmetric_2ngon
@@ -370,11 +370,17 @@ def test_unconverged_panel_rule_is_never_dropped(disc_body, monkeypatch):
     monkeypatch.setattr(heights.HeightFn, "ellipse_bounds",
                         lambda self, mid, reach: (np.inf, np.inf))
     for xi in ((1.3, 0.4), (9.5, 0.4)):
-        assert not F.ft_body(disc_body, xi).converged
+        with pytest.raises(NoConvergenceError):
+            F.ft_body(disc_body, xi)
+        with pytest.raises(NoConvergenceError):
+            F.transform_batch(disc_body, [xi, (0.0, 0.0)])
         with pytest.raises(NoConvergenceError):
             F.grad_ft(disc_body, xi)
         with pytest.raises(NoConvergenceError):
             F.frozen_batch_evaluator(disc_body, abs(xi[0]), abs(xi[1]))
+    with pytest.raises(NoConvergenceError):
+        spectra.orthogonality_check(disc_body, spectra.SpectrumCandidate.from_lattice(
+            G.Lattice(G.Point2(1, 0), G.Point2(0, 1))), 2.0)
 
 
 @pytest.mark.parametrize("p", [0.5, 0.75])
@@ -405,6 +411,15 @@ def test_power_cap_scan_memory_is_bounded():
         tracemalloc.stop()
     assert 1.0 <= res.R <= 100.0 and res.ratio > 0
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+
+
+def test_panel_bound_does_not_overflow():
+    # the bound's factors overflow on a tall singular body; pytest turns a
+    # RuntimeWarning from library code into a failure
+    f = heights.power(0.05, 5.0)
+    body = G.GraphBody(-0.5, 0.5, f, f)
+    rule = F._panel_rule(body, 0.0, 20.0)
+    assert rule.err <= F._PANEL_TOL * body.area
 
 
 def test_oversized_panel_rule_fails_fast():

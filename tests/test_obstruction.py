@@ -83,6 +83,15 @@ def test_symmetry_guard_is_relative_to_body_scale():
     geometry.normalize_edge_to_standard(big, 0)
 
 
+def test_one_symmetry_guard_for_features_and_certificates(octagon):
+    # a center 0.9e-9 off the origin is within the guard's 1e-9 * scale, so
+    # every check that needs origin symmetry accepts the body
+    moved = geometry.validate_polygon(octagon.vertices + [0.9e-9, 0.0])
+    assert len(obstruction.feature_points(moved)) == 8
+    cert = obstruction.nonspectral_certificate(moved)
+    assert obstruction.check_certificate(moved, cert)
+
+
 # --- density constraints ----------------------------------------------------
 
 
