@@ -5,11 +5,11 @@ lattice tilings, and machine-checkable non-spectrality certificates."""
 __version__ = "0.1.0"
 
 from . import errors, heights
-from .geometry import (AffineMap, ConvexBody, ConvexPolygon, GraphBody,
-                       Lattice, Point2, Z2, as_polygon, centroid, decompose_caps,
-                       disc, graph_heights, is_symmetric, measures,
-                       normalize_edge_to_standard, point_in_polygon,
-                       regular_polygon, unit_square, validate_polygon)
+from .geometry import (ConvexBody, ConvexPolygon, GraphBody, Lattice, Point2,
+                       Z2, as_polygon, centroid, decompose_caps, disc, graph_heights,
+                       is_symmetric, measures, normalize_edge_to_standard,
+                       point_in_polygon, regular_polygon, unit_square,
+                       validate_polygon)
 from .fourier import (CapScanResult, FourierSample, cap_lower_bound_scan,
                       ft_body, ft_quadrature, grad_ft, height_fourier,
                       transform_batch)
@@ -25,8 +25,8 @@ from .obstruction import (Certificate, FeaturePoint, check_certificate,
                           nonspectral_certificate, vertex_constraint_vectors)
 
 __all__ = [
-    "AffineMap", "AlignmentReport", "CapScanResult", "Certificate",
-    "ConvexBody", "ConvexPolygon", "DensityReport", "FeaturePoint",
+    "AlignmentReport", "CapScanResult", "Certificate", "ConvexBody",
+    "ConvexPolygon", "DensityReport", "FeaturePoint",
     "FourierSample", "GraphBody", "Lattice", "Point2", "SpectrumCandidate",
     "TilingVerdict", "Z2", "ZeroPoint", "as_polygon", "ball_zero_alignment",
     "cap_lower_bound_scan", "cap_slope", "centroid", "check_certificate",

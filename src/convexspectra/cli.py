@@ -28,7 +28,7 @@ from .geometry import (ConvexBody, ConvexPolygon, GraphBody, Lattice, as_polygon
 from .obstruction import check_certificate, nonspectral_certificate
 from .spectra import (SpectrumCandidate, landau_density, lattice_points_in_ball,
                       orthogonality_check, spectral_gap_check)
-from .tiling import classify, tiling_lattice, verify_tiling
+from .tiling import COVOLUME_TOL, classify, tiling_lattice, verify_tiling
 from .zeroset import (DEFAULT_SCAN_STEP, ball_zero_alignment,
                       slab_zero_alignment, zeros_on_segment)
 
@@ -312,7 +312,7 @@ def _cmd_tile_check(args, body):
              len(bad)))
     return (0 if ok else 1, ["pass", "g1x", "g1y", "g2x", "g2y", "n_bad"],
             [[ok, lat.g1.x, lat.g1.y, lat.g2.x, lat.g2.y, len(bad)]],
-            {"covolume_tol": 1e-6, "samples": args.samples})
+            {"covolume_tol": COVOLUME_TOL, "samples": args.samples})
 
 
 def _cmd_classify(args, body):

@@ -12,9 +12,10 @@ bodies, and caps with no closed form, get one panel rule: Gauss-Legendre
 panels in x with the inner y-integral in closed form, sized once for the
 requested frequency box from the Gauss-Legendre error bound on each panel's
 Bernstein ellipse; `err` is that bound plus a rounding floor, and a rule
-whose bound misses its target raises NoConvergenceError.  Gradients are
-sums over the same nodes.  _fourier_quad, scipy adaptive quadrature, serves
-only the independent oracle and the confirmation step of the cap scan.
+whose bound misses its target raises NoConvergenceError.  Every gradient,
+a polygon's through its graph form, is a sum over such a rule's nodes.
+_fourier_quad, scipy adaptive quadrature, serves only the independent oracle
+and the confirmation step of the cap scan.
 """
 
 from __future__ import annotations
@@ -84,27 +85,22 @@ def _edge_sum(poly: ConvexPolygon, xis: np.ndarray) -> tuple[np.ndarray, np.ndar
     return 1j * total * scale, 32.0 * _EPS * mag * scale
 
 
-def _moment_series(poly: ConvexPolygon, xis: np.ndarray, extra_x: int = 0,
-                   extra_y: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """integral of x^extra_x y^extra_y exp(-2 pi i xi.x) near the origin.
-
-    A collapsed Gauss-Legendre rule on the origin fan: the triangle (0, p, q)
-    of each edge is the image of the unit square under (s, t) -> s p +
-    t (1 - s) q, whose Jacobian is (1 - s) cross(p, q).  n points per
-    direction integrate total degree 2n - 2 exactly, so the rule errs only by
-    the Taylor remainder of the exponential past degree d = 2n - 2 - extra:
-    at most 2 sum|w| r^extra amp^(d+1) / (d+1)! with amp = 2 pi |xi| r, plus
-    a rounding floor.  Returns (values, error bounds).
+def _moment_series(poly: ConvexPolygon, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The transform near the origin by a collapsed Gauss-Legendre rule on the
+    origin fan: the triangle (0, p, q) of each edge is the image of the unit
+    square under (s, t) -> s p + t (1 - s) q, Jacobian (1 - s) cross(p, q).
+    n points per direction integrate total degree d = 2n - 2 exactly, so the
+    rule errs by at most 2 sum|w| amp^(d+1) / (d+1)!, amp = 2 pi |xi| r with
+    r the largest vertex norm, plus a rounding floor: (values, error bounds).
     """
-    e = extra_x + extra_y
     r = float(np.max(np.linalg.norm(poly.vertices, axis=1)))
     amp = _TWO_PI * np.linalg.norm(xis, axis=1) * r
     amax = float(np.max(amp, initial=0.0))
     kmax = 4
     while kmax < 40 and (amax ** (kmax + 1)) / math.factorial(kmax + 1) > 1e-16:
         kmax += 2
-    n = (kmax + e + 3) // 2
-    d = 2 * n - 2 - e
+    n = (kmax + 3) // 2
+    d = 2 * n - 2
     x, w = np.polynomial.legendre.leggauss(n)
     s = 0.5 * (x + 1.0)
     ref_w = np.outer(0.5 * w * (1.0 - s), 0.5 * w).ravel()
@@ -115,10 +111,9 @@ def _moment_series(poly: ConvexPolygon, xis: np.ndarray, extra_x: int = 0,
     nodes = (sp[None, :, None] * p[:, None, :] + tq[None, :, None] * q[:, None, :]).reshape(-1, 2)
     cr = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
     weights = (cr[:, None] * ref_w[None, :]).ravel()
-    wx = weights * nodes[:, 0] ** extra_x * nodes[:, 1] ** extra_y
-    vals = np.exp((-2j * math.pi) * (xis @ nodes.T)) @ wx
-    bound = (2.0 * np.abs(weights).sum() * r ** e * amp ** (d + 1) / math.factorial(d + 1)
-             + 32.0 * _EPS * np.abs(wx).sum())
+    vals = np.exp((-2j * math.pi) * (xis @ nodes.T)) @ weights
+    wsum = np.abs(weights).sum()
+    bound = 2.0 * wsum * amp ** (d + 1) / math.factorial(d + 1) + 32.0 * _EPS * wsum
     return vals, bound
 
 
@@ -425,45 +420,19 @@ def _t_kernel(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _polygon_first_moments(poly: ConvexPolygon, xi: np.ndarray) -> np.ndarray:
-    """M_k = integral of x_k exp(-2 pi i xi.x) dx, k = 1, 2 (edge-sum form)."""
-    norm = float(np.hypot(xi[0], xi[1]))
-    if norm <= SINGULAR_THRESHOLD:
-        xis = xi.reshape(1, 2)
-        m1, _ = _moment_series(poly, xis, extra_x=1)
-        m2, _ = _moment_series(poly, xis, extra_y=1)
-        return np.array([m1[0], m2[0]])
-    v = poly.vertices
-    d = np.roll(v, -1, axis=0) - v
-    mid = 0.5 * (v + np.roll(v, -1, axis=0))
-    u = d @ xi
-    cr = xi[0] * d[:, 1] - xi[1] * d[:, 0]
-    phase = np.exp((-2j * math.pi) * (mid @ xi))
-    beta = 1j / (_TWO_PI * norm * norm)
-    alpha = 1.0 / (4.0 * math.pi**2 * norm**4)
-    snc = np.sinc(u)
-    tker = _t_kernel(u)
-    out = np.empty(2, dtype=complex)
-    for k in range(2):
-        contrib = (alpha * xi[k] + beta * mid[:, k]) * snc + beta * d[:, k] * tker
-        out[k] = np.sum(cr * phase * contrib)
-    return out
-
-
 def grad_ft(body: ConvexBody, xi) -> tuple[complex, complex]:
     """Gradient of the transform: -2 pi i (integral of x_k exp(-2 pi i xi.x)).
 
-    Bodies bounded by flat arcs use a dedicated edge-sum identity for the
-    first-moment integrals; curved bodies use the panel rule that
-    frozen_batch_evaluator builds for the box |xi1|, |xi2| (NoConvergenceError
-    when its bound misses the target).
+    A sum over the nodes of the panel rule for the box |xi1|, |xi2| on the
+    body's graph form: a graph body as given, a polygon's boundary chains
+    through graph_heights.  NoConvergenceError when the rule's bound misses
+    the target.
     """
     xi = np.asarray(xi, dtype=float).reshape(2)
-    poly = as_polygon(body)
-    if poly is None:
-        return frozen_batch_evaluator(body, abs(xi[0]), abs(xi[1])).gradient(xi)
-    g = -2j * math.pi * _polygon_first_moments(poly, xi)
-    return complex(g[0]), complex(g[1])
+    if not isinstance(body, GraphBody):
+        f, g = graph_heights(body)
+        body = GraphBody(f.a, f.b, f, g)
+    return _panel_rule(body, abs(xi[0]), abs(xi[1])).gradient(xi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Convex planar bodies: polygons, graph-form bodies, lattices, affine maps.
+"""Convex planar bodies: polygons, graph-form bodies, lattices, edge normalization.
 
 Conventions (fixed package-wide):
   * polygon vertices are stored counterclockwise, no repeated closing vertex;
@@ -139,8 +139,8 @@ def unit_square() -> ConvexPolygon:
     return validate_polygon([(0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5)])
 
 
-def regular_polygon(m: int, circumradius: float = 1.0, phase: float = 0.0) -> ConvexPolygon:
-    ang = phase + 2.0 * np.pi * np.arange(m) / m
+def regular_polygon(m: int, circumradius: float = 1.0) -> ConvexPolygon:
+    ang = 2.0 * np.pi * np.arange(m) / m
     return validate_polygon(np.stack([circumradius * np.cos(ang), circumradius * np.sin(ang)], axis=1))
 
 
@@ -317,29 +317,14 @@ def require_origin_symmetric(body: ConvexBody) -> None:
 
 
 # ---------------------------------------------------------------------------
-# affine maps and edge normalization
+# edge normalization
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """x -> linear @ x + shift."""
-
-    linear: np.ndarray  # (2, 2)
-    shift: np.ndarray  # (2,)
-
-    def apply(self, points):
-        p = np.asarray(points, dtype=float)
-        return p @ self.linear.T + self.shift
-
-    def apply_polygon(self, poly: ConvexPolygon) -> ConvexPolygon:
-        return validate_polygon(self.apply(poly.vertices))
-
-
-def normalize_edge_to_standard(poly: ConvexPolygon, edge_index: int) -> tuple[ConvexPolygon, AffineMap]:
-    """Linear map sending edge `edge_index` onto the segment (1/2,-1/2)..(1/2,1/2).
-
-    Requires a polygon symmetric about the origin; the opposite edge lands on
-    the negated segment and the image contains the unit square.
+def normalize_edge_to_standard(poly: ConvexPolygon, edge_index: int) -> tuple[ConvexPolygon, np.ndarray]:
+    """(image, 2x2 matrix) of the linear map sending edge `edge_index` onto
+    the segment (1/2,-1/2)..(1/2,1/2).  Requires a polygon symmetric about
+    the origin; the opposite edge lands on the negated segment and the image
+    contains the unit square.
     """
     require_origin_symmetric(poly)
     m = poly.m
@@ -350,8 +335,7 @@ def normalize_edge_to_standard(poly: ConvexPolygon, edge_index: int) -> tuple[Co
     src = np.column_stack([p, r])
     dst = np.column_stack([(0.5, -0.5), (0.5, 0.5)])
     lin = dst @ np.linalg.inv(src)
-    amap = AffineMap(lin, np.zeros(2))
-    return amap.apply_polygon(poly), amap
+    return validate_polygon(poly.vertices @ lin.T), lin
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,9 @@ def vertex_constraint_vectors(poly: ConvexPolygon) -> tuple[list[Point2], str]:
     return vectors, closure
 
 
+_WITNESS = {"all_pairs": "fan_pigeonhole", "same_parity": "disjoint_triples"}
+
+
 def _tri_area(v: np.ndarray, idx: tuple[int, int, int]) -> float:
     return abs(shoelace_area(v[list(idx)]))
 
@@ -151,31 +154,30 @@ def nonspectral_certificate(poly: ConvexPolygon) -> Certificate:
     a = poly.area
     if closure == "all_pairs":
         idxs = [(0, j, j + 1) for j in range(1, poly.m - 1)]
-        kind = "fan_pigeonhole"
     else:
         idxs = [(0, 2, 4), (0, 4, 6), (0, 6, 8)]
-        kind = "disjoint_triples"
-        tol = 1e-12 * poly.scale() ** 2
-        for p in range(len(idxs)):
-            for q in range(p + 1, len(idxs)):
-                if not _interiors_disjoint(v[list(idxs[p])], v[list(idxs[q])], tol):
-                    raise NotSymmetricError("certificate triples unexpectedly overlap")
     triangles = tuple((idx, _tri_area(v, idx)) for idx in idxs)
     margin = a / 2.0 - min(t[1] for t in triangles)
-    return Certificate(kind, triangles, margin, a)
+    return Certificate(_WITNESS[closure], triangles, margin, a)
 
 
 def check_certificate(poly: ConvexPolygon, cert: Certificate) -> bool:
     """Re-validate a certificate from scratch against the polygon.
 
-    Checks the area bookkeeping at 1e-12 (scaled), every listed triangle
-    sitting inside the polygon, disjointness where claimed, and margin > 0.
+    Checks the premise (vertex_constraint_vectors accepts the polygon and
+    cert.kind is its closure class's witness), the area bookkeeping at 1e-12
+    (scaled), every listed triangle sitting inside the polygon, disjointness
+    where claimed, and margin > 0.
     """
+    try:
+        _vectors, closure = vertex_constraint_vectors(poly)
+    except (NotSymmetricError, TooFewVerticesError):
+        return False
+    if cert.kind != _WITNESS[closure]:
+        return False
     v = poly.vertices
     tol = 1e-12 * max(1.0, poly.scale() ** 2)
     if abs(cert.omega_area - poly.area) > tol:
-        return False
-    if cert.kind not in ("fan_pigeonhole", "disjoint_triples"):
         return False
     if cert.kind == "fan_pigeonhole" and len(cert.triangles) != poly.m - 2:
         return False

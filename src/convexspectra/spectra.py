@@ -96,6 +96,7 @@ def orthogonality_check(body: ConvexBody, candidate: SpectrumCandidate,
     (the difference set); explicit candidates take all pairwise differences.
     Pass iff all |transform| <= tol * area.  Returns the worst offender as
     (difference point, |transform| there), lexicographic tie-break.
+    ValueError before an explicit candidate's differences pass _MEMORY_BUDGET.
     """
     a = body.area
     if candidate.kind == "lattice":
@@ -103,6 +104,10 @@ def orthogonality_check(body: ConvexBody, candidate: SpectrumCandidate,
         diffs = diffs[np.hypot(diffs[:, 0], diffs[:, 1]) > 1e-12]
     else:
         pts = enumerate_points(candidate, radius)
+        # ~240 B of peak per difference (tracemalloc, 613 points)
+        if 240 * len(pts) ** 2 > _MEMORY_BUDGET:
+            raise ValueError(f"explicit candidate too large: {len(pts)} points within "
+                             f"radius {radius:g}, {len(pts) ** 2} differences, over 256 MiB")
         d = pts[:, None, :] - pts[None, :, :]
         diffs = d.reshape(-1, 2)
         diffs = diffs[np.hypot(diffs[:, 0], diffs[:, 1]) > 1e-12]

@@ -12,6 +12,10 @@ from .geometry import (ConvexBody, ConvexPolygon, Lattice, Point2, as_polygon,
                        inside_margin, is_symmetric)
 from .spectra import lattice_points_in_ball
 
+# relative covolume tolerance, times max(1, area), of every tiling lattice
+COVOLUME_TOL = 1e-10
+_CHUNK_TERMS = 2**18  # point-translate-edge terms per chunk of the cover test
+
 
 @dataclass(frozen=True)
 class TilingVerdict:
@@ -38,7 +42,7 @@ def tiling_lattice(poly: ConvexPolygon) -> Lattice:
     g1 = Point2(*(v[0] + v[1]))
     g2 = Point2(*(v[1] + v[2]))
     lat = Lattice(g1, g2)
-    if abs(lat.covolume - poly.area) > 1e-10 * max(1.0, poly.area):
+    if abs(lat.covolume - poly.area) > COVOLUME_TOL * max(1.0, poly.area):
         raise NotTileableError("constructed lattice covolume does not match the area")
     return lat
 
@@ -49,32 +53,40 @@ def verify_tiling(poly: ConvexPolygon, lattice: Lattice, samples: int = 10_000,
     covered by exactly one lattice translate of the polygon.
 
     Points landing within 1e-6 of any translate boundary are redrawn, so
-    every counted point is decisively inside or outside each translate.
+    every counted point is decisively inside or outside each translate; a
+    narrower gap is left to the covolume check, at COVOLUME_TOL.
     Returns (pass, list of points with cover count != 1).
     """
     if samples < 1:
         raise ValueError(f"verify_tiling needs at least 1 sample, got {samples}")
-    if abs(lattice.covolume - poly.area) > 1e-6 * max(1.0, poly.area):
+    if abs(lattice.covolume - poly.area) > COVOLUME_TOL * max(1.0, poly.area):
         raise CovolumeMismatchError(
             f"covolume {lattice.covolume:.12g} != area {poly.area:.12g}")
     B = lattice.basis()
     reach = float(np.linalg.norm(B[:, 0]) + np.linalg.norm(B[:, 1]))
     rad = float(np.max(np.linalg.norm(poly.vertices, axis=1)))
     offsets = lattice_points_in_ball(lattice, reach + rad + 1.0)
+    chunk = max(1, _CHUNK_TERMS // (len(offsets) * poly.m))
 
     margin = 1e-6
     rng = np.random.default_rng(seed)
     pts = (B @ rng.random((2, samples))).T
+    counts = np.empty(samples, dtype=int)
+    todo = np.arange(samples)  # only a redrawn point can be ambiguous again
     for _ in range(60):
-        rel = pts[:, None, :] - offsets[None, :, :]
-        margins = inside_margin(poly, rel.reshape(-1, 2)).reshape(len(pts), -1)
-        ambiguous = np.any(np.abs(margins) < margin, axis=1)
-        if not np.any(ambiguous):
+        ambiguous = np.empty(len(todo), dtype=bool)
+        for lo in range(0, len(todo), chunk):
+            idx = todo[lo:lo + chunk]
+            rel = (pts[idx, None, :] - offsets).reshape(-1, 2)
+            margins = inside_margin(poly, rel).reshape(len(idx), -1)
+            ambiguous[lo:lo + chunk] = np.any(np.abs(margins) < margin, axis=1)
+            counts[idx] = (margins >= margin).sum(axis=1)
+        todo = todo[ambiguous]
+        if len(todo) == 0:
             break
-        pts[ambiguous] = (B @ rng.random((2, int(np.sum(ambiguous))))).T
+        pts[todo] = (B @ rng.random((2, len(todo)))).T
     else:
         raise DegenerateError("could not draw samples clear of translate boundaries")
-    counts = (margins >= margin).sum(axis=1)
     bad = [Point2(*pts[i]) for i in np.nonzero(counts != 1)[0]]
     return len(bad) == 0, bad
 

@@ -7,9 +7,9 @@ degree fixed in advance from the interpolation bound on Bernstein ellipses
 (Trefethen, ATAP, Thm 8.2), and the real roots of every line come from one
 eigenvalue problem on the stacked colleague matrices (Boyd, SIAM J. Numer.
 Anal. 40 (2002)).  A root counts as a zero when the transform there is at
-most the residual tolerance.  Alignment targets: the punctured integer grid
-lines ("Z_Q"), the full Cartesian grid ("G"), and vertical lines at a
-fractional shift ("shifted_vertical_grid").
+most the residual tolerance.  Slab scans measure their zeros' distance to
+the punctured integer grid lines ("Z_Q"); ball scans fit vertical lines at
+a fractional shift ("shifted_vertical_grid").
 """
 
 from __future__ import annotations
@@ -54,31 +54,12 @@ class AlignmentReport:
     beta: float | None = None
 
 
-def _dist_to_integers(t: float) -> float:
-    return abs(t - round(t))
-
-
-def _dist_to_nonzero_integers(t: float) -> float:
-    k = round(t)
-    return abs(t - k) if k != 0 else 1.0 - abs(t)
-
-
-def grid_distance(xi, target: str, beta: float = 0.0) -> float:
-    """Euclidean distance from xi to a structured line family.
-
-    "Z_Q": vertical lines at nonzero integers union horizontal lines at
-    nonzero integers (the axes excluded).  "G": the same with zero allowed.
-    "shifted_vertical_grid": vertical lines xi1 in beta + Z.
-    """
-    x, y = float(xi[0]), float(xi[1])
-    if target == "Z_Q":
-        return min(_dist_to_nonzero_integers(x), _dist_to_nonzero_integers(y))
-    if target == "G":
-        return min(_dist_to_integers(x), _dist_to_integers(y))
-    if target == "shifted_vertical_grid":
-        t = (x - beta) % 1.0
-        return min(t, 1.0 - t)
-    raise ValueError(f"unknown grid target {target!r}")
+def grid_distance(xi, target: str) -> float:
+    """Euclidean distance from xi to the punctured integer grid "Z_Q": the
+    vertical and horizontal lines at nonzero integers (the axes excluded)."""
+    if target != "Z_Q":
+        raise ValueError(f"unknown grid target {target!r}")
+    return min(abs(t - round(t)) if round(t) else 1.0 - abs(t) for t in map(float, xi))
 
 
 def _line_pieces(body: ConvexBody, extent, n_lines: int) -> tuple[int, int]:

@@ -220,6 +220,18 @@ def test_tile_check_covolume_mismatch_is_input_error(square_file, capsys):
     assert rc == 2
 
 
+def test_tile_check_refuses_a_covolume_the_sampler_cannot_see(square_file, tmp_path,
+                                                               capsys):
+    # the translates leave 5e-7 gaps, narrower than the 1e-6 band the sampler
+    # redraws from, so only the covolume check can refuse this lattice
+    rc = cli.main(["tile-check", "--body", square_file, "--lattice", "1.0000005 0; 0 1"])
+    err = capsys.readouterr().err
+    assert rc == 2 and "covolume" in err and "Traceback" not in err
+    out = str(tmp_path / "tile.csv")
+    assert cli.main(["tile-check", "--body", square_file, "--out", out]) == 0
+    assert json.load(open(out + ".manifest.json"))["tolerances"]["covolume_tol"] == 1e-10
+
+
 def test_classify_labels(square_file, hexagon_file, octagon_file, disc_file,
                          capsys):
     assert cli.main(["classify", "--body", square_file]) == 0

@@ -248,6 +248,25 @@ def test_disc_gradient_matches_bessel(disc_body):
         assert abs(gy - dT * x[1] / rho) < 1e-12
 
 
+def test_square_gradient_matches_mpmath(square):
+    # grad T = (sinc'(xi1) sinc(xi2), sinc(xi1) sinc'(xi2)) at 30 digits, from
+    # |xi| = 1e-6, through SINGULAR_THRESHOLD, to ~130
+    def dsinc(t):
+        return (mpmath.cospi(t) * mpmath.pi * t - mpmath.sinpi(t)) / (mpmath.pi * t * t) \
+            if t else mpmath.mpf(0)
+
+    radii = [*np.geomspace(1e-6, 130.0, 16), F.SINGULAR_THRESHOLD,
+             0.5 * F.SINGULAR_THRESHOLD, 1.01 * F.SINGULAR_THRESHOLD]
+    angles = np.random.default_rng(37).uniform(0.0, 2.0 * math.pi, len(radii))
+    with mpmath.workdps(30):
+        for r, th in zip(radii, angles):
+            x = (r * math.cos(th), r * math.sin(th))
+            t1, t2 = mpmath.mpf(x[0]), mpmath.mpf(x[1])
+            ref = (dsinc(t1) * mpmath.sincpi(t2), mpmath.sincpi(t1) * dsinc(t2))
+            for got, want in zip(F.grad_ft(square, x), ref):
+                assert abs(got - complex(want)) <= 1e-13, (x, got, want)
+
+
 def test_height_fourier_against_quadrature():
     cap = heights.polynomial([0.25, 0.0, -1.0])
     for R in (0.3, 1.7, 6.4):

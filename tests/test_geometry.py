@@ -157,12 +157,14 @@ def test_standard_position_and_caps(square, hexagon_h0, octagon):
 def test_normalize_edge_to_standard():
     a, b = (1.0, -0.3), (1.0, 0.7)
     poly = G.validate_polygon([a, b, (-a[0], -a[1]), (-b[0], -b[1])])
-    mapped, amap = G.normalize_edge_to_standard(poly, 0)
+    mapped, lin = G.normalize_edge_to_standard(poly, 0)
     v = mapped.vertices
     # the chosen edge becomes the segment (1/2, -1/2) -> (1/2, 1/2)
     cols = v[np.isclose(v[:, 0], 0.5)]
     assert sorted(np.round(cols[:, 1], 9).tolist()) == [-0.5, 0.5]
-    assert mapped.area == pytest.approx(abs(np.linalg.det(amap.linear)) * poly.area)
+    assert mapped.area == pytest.approx(abs(np.linalg.det(lin)) * poly.area)
+    assert np.allclose(poly.vertices[:2] @ lin.T, [(0.5, -0.5), (0.5, 0.5)],
+                       rtol=0.0, atol=1e-15)
     # the image is in standard position: contains Q, confined to |x| <= 1/2
     G.decompose_caps(mapped)
 

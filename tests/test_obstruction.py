@@ -218,6 +218,24 @@ def test_certificate_witness_follows_the_closure_class(decagon, monkeypatch):
     assert obstruction.check_certificate(decagon, cert)
 
 
+def test_certificate_premise_is_rechecked():
+    # a fan sums to the area on any convex polygon; it is a witness only for
+    # an origin-symmetric 2n-gon with n >= 4
+    hexagon = geometry.validate_polygon(
+        [(1, 0), (0.5, 0.8), (-0.5, 0.8), (-1, 0), (-0.5, -0.8), (0.5, -0.8)])
+    verts = geometry.regular_polygon(8).vertices.copy()
+    verts[0] = (1.1, 0.0)
+    lopsided = geometry.validate_polygon(verts)
+    assert not geometry.is_symmetric(lopsided)[0]
+    for poly in (hexagon, lopsided):
+        v = poly.vertices
+        tris = tuple(((0, j, j + 1), abs(geometry.shoelace_area(v[[0, j, j + 1]])))
+                     for j in range(1, poly.m - 1))
+        cert = obstruction.Certificate("fan_pigeonhole", tris,
+                                       poly.area / 2 - min(a for _, a in tris), poly.area)
+        assert not obstruction.check_certificate(poly, cert)
+
+
 def test_twelve_gon_certificate(twelve_gon):
     cert = obstruction.nonspectral_certificate(twelve_gon)
     assert cert.kind == "fan_pigeonhole"

@@ -122,3 +122,17 @@ def test_dual_lattice_h0():
     assert dual.covolume == pytest.approx(1.0 / tiling.covolume)
     back = S.dual_lattice(dual)
     assert np.max(np.abs(back.basis() - tiling.basis())) < 1e-12
+
+
+def test_explicit_candidate_over_budget_is_refused_before_allocating(square):
+    # Z^2 within radius 20: 1257 points, 1.58e6 differences
+    import tracemalloc
+    cand = S.SpectrumCandidate.from_points(S.lattice_points_in_ball(G.Z2, 20.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large"):
+            S.orthogonality_check(square, cand, 20.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -71,6 +71,28 @@ def test_random_hexagons_tile(seed):
     assert ok, bad
 
 
+def test_verify_tiling_memory_is_bounded(hexagon_h0):
+    import tracemalloc
+    lat = tiling.tiling_lattice(hexagon_h0)
+    tracemalloc.start()
+    try:
+        ok, bad = tiling.verify_tiling(hexagon_h0, lat, samples=20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok and bad == []
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+
+
+def test_verify_tiling_does_not_depend_on_the_chunk(square, monkeypatch):
+    # same draws, same verdict and bad samples, whatever the chunk size
+    lat = Lattice(Point2(2.0, 0.0), Point2(0.0, 0.5))
+    whole = tiling.verify_tiling(square, lat, samples=500, seed=4)
+    monkeypatch.setattr(tiling, "_CHUNK_TERMS", 1)
+    assert tiling.verify_tiling(square, lat, samples=500, seed=4) == whole
+    assert not whole[0] and whole[1]
+
+
 def test_classify_square(square):
     v = tiling.classify(square)
     assert v.tiles and v.spectral
