@@ -8,8 +8,7 @@ from . import errors, heights
 from .geometry import (ConvexBody, ConvexPolygon, GraphBody, Lattice, Point2,
                        Z2, as_polygon, centroid, decompose_caps, disc, graph_heights,
                        is_symmetric, measures, normalize_edge_to_standard,
-                       point_in_polygon, regular_polygon, unit_square,
-                       validate_polygon)
+                       regular_polygon, unit_square, validate_polygon)
 from .fourier import (CapScanResult, FourierSample, cap_lower_bound_scan,
                       ft_body, ft_quadrature, grad_ft, height_fourier,
                       transform_batch)
@@ -35,8 +34,8 @@ __all__ = [
     "graph_heights", "grid_distance", "height_fourier", "heights",
     "is_symmetric", "landau_density", "lattice_points_in_ball", "measures",
     "nonspectral_certificate", "normalize_edge_to_standard",
-    "orthogonality_check", "parseval_deficiency", "point_in_polygon",
-    "regular_polygon", "select_scales", "slab_zero_alignment",
+    "orthogonality_check", "parseval_deficiency", "regular_polygon",
+    "select_scales", "slab_zero_alignment",
     "spectral_gap_check", "tiling_lattice", "transform_batch", "unit_square",
     "validate_polygon", "verify_tiling", "vertex_constraint_vectors",
     "zeros_on_segment",

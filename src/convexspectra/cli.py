@@ -103,14 +103,16 @@ def parse_body_file(path: str) -> ConvexBody:
 # small parsers and formatting
 
 
-def _parse_pair(text: str, flag: str) -> tuple[float, float]:
+def _parse_numbers(text: str, flag: str, count: int | None = None) -> list[float]:
+    """Comma- or space-separated finite numbers; exactly count of them if given."""
     try:
-        x, y = (float(t) for t in text.replace(",", " ").split())
+        vals = [float(t) for t in text.replace(",", " ").split()]
     except ValueError:
-        x = y = math.nan
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise BodyParseError(f"{flag}: expected two finite numbers, got {text!r}")
-    return x, y
+        vals = [math.nan]
+    if not (vals and all(map(math.isfinite, vals)) and count in (None, len(vals))):
+        raise BodyParseError(f"{flag}: expected {count or 'a list of'} finite numbers, "
+                             f"got {text!r}")
+    return vals
 
 
 def _checked(cast, ok, what: str):
@@ -136,29 +138,11 @@ def parse_lattice(text: str) -> Lattice:
     rows = [r for r in text.split(";") if r.strip()]
     if len(rows) != 2:
         raise BodyParseError(f"--lattice: expected \"a b; c d\", got {text!r}")
-    mat = []
-    for r in rows:
-        parts = r.replace(",", " ").split()
-        if len(parts) != 2:
-            raise BodyParseError(f"--lattice: row {r!r} needs two entries")
-        try:
-            mat.append([float(parts[0]), float(parts[1])])
-        except ValueError:
-            raise BodyParseError(f"--lattice: row {r!r} needs two numbers") from None
+    mat = np.array([_parse_numbers(r, "--lattice", 2) for r in rows])
     try:
-        return Lattice.from_matrix(np.array(mat))
+        return Lattice.from_matrix(mat)
     except ConvexSpectraError as e:
         raise BodyValidationError(f"--lattice: {e}") from e
-
-
-def _parse_list(text: str, flag: str) -> list[float]:
-    try:
-        vals = [float(t) for t in text.replace(",", " ").split()]
-    except ValueError:
-        raise BodyParseError(f"{flag}: expected comma-separated numbers") from None
-    if not vals:
-        raise BodyParseError(f"{flag}: empty list")
-    return vals
 
 
 def _fmt(v) -> str:
@@ -212,7 +196,7 @@ def _require_polygon(body: ConvexBody, what: str) -> ConvexPolygon:
 def _cmd_ft(args, body):
     rows = []
     for spec in args.xi:
-        xi = _parse_pair(spec, "--xi")
+        xi = _parse_numbers(spec, "--xi", 2)
         s = ft_body(body, xi)
         rows.append([xi[0], xi[1], s.value.real, s.value.imag, s.err,
                      s.method, s.converged])
@@ -228,8 +212,7 @@ def _cmd_ft(args, body):
 def _cmd_zeros(args, body):
     if len(args.xi) != 2:
         raise BodyParseError("zeros: pass --xi twice (segment start and end)")
-    p0 = _parse_pair(args.xi[0], "--xi")
-    p1 = _parse_pair(args.xi[1], "--xi")
+    p0, p1 = (_parse_numbers(x, "--xi", 2) for x in args.xi)
     zs = zeros_on_segment(body, p0, p1, tol=args.tol)
     for z in zs:
         print("%.12g %.12g  residual %.3g" % (z.xi[0], z.xi[1], z.residual))
@@ -240,7 +223,7 @@ def _cmd_zeros(args, body):
 
 
 def _cmd_slab_align(args, body):
-    r_list = _parse_list(args.R_list, "--R-list")
+    r_list = _parse_numbers(args.R_list, "--R-list")
     reports = slab_zero_alignment(body, args.A, r_list, step=args.step)
     rows = []
     for rep in reports:
@@ -253,7 +236,7 @@ def _cmd_slab_align(args, body):
 
 
 def _cmd_ball_align(args, body):
-    window = _parse_pair(args.window, "--window")
+    window = _parse_numbers(args.window, "--window", 2)
     rep = ball_zero_alignment(body, args.A, args.eps, window, step=args.step)
     print("beta %.6g  max dist %.6g  mean %.6g  (%d zeros)"
           % (rep.beta, rep.max_dist, rep.mean_dist, len(rep.zeros)))
@@ -263,14 +246,20 @@ def _cmd_ball_align(args, body):
 
 
 def _cmd_spectrum_check(args, body):
-    cand = SpectrumCandidate.from_lattice(parse_lattice(args.lattice))
-    ok, (worst_pt, worst_val) = orthogonality_check(body, cand, args.radius,
-                                                    tol=args.tol)
+    # a lattice is a spectrum iff it is orthogonal and its density is the area
+    lat = parse_lattice(args.lattice)
+    orthogonal, (worst_pt, worst_val) = orthogonality_check(
+        body, SpectrumCandidate.from_lattice(lat), args.radius, tol=args.tol)
+    density, a = 1.0 / lat.covolume, body.area
+    dense = abs(density - a) <= COVOLUME_TOL * max(1.0, a)
+    ok = orthogonal and dense
     print("%s  worst |transform| %.6g at (%.6g, %.6g)"
           % ("pass" if ok else "fail", worst_val, worst_pt.x, worst_pt.y))
+    if not dense:
+        print("density %.12g differs from area %.12g" % (density, a))
     return (0 if ok else 1, ["pass", "worst_xi1", "worst_xi2", "worst_abs"],
             [[ok, worst_pt.x, worst_pt.y, worst_val]],
-            {"orthogonality_tol": args.tol})
+            {"orthogonality_tol": args.tol, "covolume_tol": COVOLUME_TOL})
 
 
 def _cmd_density(args, body):
@@ -338,12 +327,12 @@ def _cmd_certify(args, body):
              "pass" if ok else "FAIL"))
     return (0 if ok else 1, ["i", "j", "k", "area"],
             [[*idx, a] for idx, a in cert.triangles],
-            {"area_recheck_tol": 1e-12, "kind": cert.kind, "margin": cert.margin})
+            {"kind": cert.kind, "margin": cert.margin})
 
 
 def _cmd_cap_scan(args, body):
     f = decompose_caps(as_polygon(body) or body)[1].f
-    window = _parse_pair(args.window, "--window")
+    window = _parse_numbers(args.window, "--window", 2)
     res = cap_lower_bound_scan(f, args.delta, window)
     print("R %.12g  |transform| %.6g  ratio %.6g"
           % (res.R, res.value, res.ratio))
@@ -405,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="shortest horizontal chord scanned")
 
     sp = add("spectrum-check", _cmd_spectrum_check,
-             "orthogonality of a lattice candidate spectrum")
+             "orthogonality and density of a lattice candidate spectrum")
     sp.add_argument("--lattice", required=True, help='basis "a b; c d" (columns)')
     sp.add_argument("--radius", type=_positive, required=True)
     sp.add_argument("--tol", type=_positive, default=1e-9)

@@ -359,10 +359,6 @@ def inside_margin(poly: ConvexPolygon, points) -> np.ndarray:
     return np.min(cr / ln[None, :], axis=1)
 
 
-def point_in_polygon(poly: ConvexPolygon, point, tol: float = 0.0) -> bool:
-    return bool(inside_margin(poly, point)[0] >= -tol)
-
-
 def _chain_indices(poly: ConvexPolygon, upper: bool) -> list[int]:
     """Vertex indices of the upper (or lower) boundary chain, left to right.
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSymmetricError, ParallelFeaturesError, TooFewVerticesError
-from .geometry import (ConvexBody, ConvexPolygon, Point2, cross2, point_in_polygon,
-                       require_origin_symmetric, shoelace_area)
+from .geometry import (ConvexBody, ConvexPolygon, Point2, require_origin_symmetric,
+                       shoelace_area)
 
 
 @dataclass(frozen=True)
@@ -126,17 +126,14 @@ def _tri_area(v: np.ndarray, idx: tuple[int, int, int]) -> float:
     return abs(shoelace_area(v[list(idx)]))
 
 
-def _interiors_disjoint(t1: np.ndarray, t2: np.ndarray, tol: float) -> bool:
-    """Separating-axis test for two triangles; shared edges/vertices allowed."""
-    for tri_a, tri_b in ((t1, t2), (t2, t1)):
-        orient = 1.0 if cross2(tri_a[1] - tri_a[0], tri_a[2] - tri_a[0]) > 0 else -1.0
-        for i in range(3):
-            p = tri_a[i]
-            e = tri_a[(i + 1) % 3] - p
-            outward = orient * np.array([e[1], -e[0]])
-            if all(float(np.dot(outward, q - p)) >= -tol for q in tri_b):
-                return True
-    return False
+def _interiors_disjoint(t1, t2) -> bool:
+    """Whether two triangles, given by vertex indices of one strictly convex
+    polygon, have disjoint interiors: exactly when t2 lies in a closed arc
+    between two cyclically consecutive corners of t1.  Shared edges and
+    corners are allowed; the test is on indices only."""
+    a, b, c = sorted(t1)
+    return (all(a <= i <= b for i in t2) or all(b <= i <= c for i in t2)
+            or all(i <= a or i >= c for i in t2))
 
 
 def nonspectral_certificate(poly: ConvexPolygon) -> Certificate:
@@ -162,12 +159,17 @@ def nonspectral_certificate(poly: ConvexPolygon) -> Certificate:
 
 
 def check_certificate(poly: ConvexPolygon, cert: Certificate) -> bool:
-    """Re-validate a certificate from scratch against the polygon.
+    """Re-validate a certificate from scratch against the polygon, exactly.
 
-    Checks the premise (vertex_constraint_vectors accepts the polygon and
-    cert.kind is its closure class's witness), the area bookkeeping at 1e-12
-    (scaled), every listed triangle sitting inside the polygon, disjointness
-    where claimed, and margin > 0.
+    The premise: vertex_constraint_vectors accepts the polygon and cert.kind
+    is the witness of its closure class.  The witness: m - 2 triangles for
+    fan_pigeonhole, 3 for disjoint_triples, each of three distinct in-range
+    vertex indices (of one parity under same_parity), with pairwise
+    disjoint interiors (_interiors_disjoint); m - 2 such triangles
+    triangulate the polygon.  The bookkeeping: every stated area equals
+    _tri_area, omega_area equals poly.area and margin equals omega_area / 2
+    minus the smallest area, bit for bit, and margin > 0.  No test uses a
+    tolerance.
     """
     try:
         _vectors, closure = vertex_constraint_vectors(poly)
@@ -175,31 +177,20 @@ def check_certificate(poly: ConvexPolygon, cert: Certificate) -> bool:
         return False
     if cert.kind != _WITNESS[closure]:
         return False
-    v = poly.vertices
-    tol = 1e-12 * max(1.0, poly.scale() ** 2)
-    if abs(cert.omega_area - poly.area) > tol:
+    m = poly.m
+    idxs = [tuple(idx) for idx, _ in cert.triangles]
+    if len(idxs) != (m - 2 if closure == "all_pairs" else 3):
         return False
-    if cert.kind == "fan_pigeonhole" and len(cert.triangles) != poly.m - 2:
+    for idx in idxs:
+        if len(idx) != 3 or len(set(idx)) != 3 or not all(
+                isinstance(i, (int, np.integer)) and 0 <= i < m for i in idx):
+            return False
+        if closure == "same_parity" and len({i % 2 for i in idx}) != 1:
+            return False
+    if not all(_interiors_disjoint(t, u) for p, t in enumerate(idxs) for u in idxs[p + 1:]):
         return False
-    areas = []
-    for idx, stated in cert.triangles:
-        if len(idx) != 3 or any(not (0 <= i < poly.m) for i in idx):
-            return False
-        recomputed = _tri_area(v, tuple(idx))
-        if abs(recomputed - stated) > tol:
-            return False
-        corners_in = all(point_in_polygon(poly, v[i], tol=1e-9) for i in idx)
-        centroid_in = point_in_polygon(poly, v[list(idx)].mean(axis=0), tol=1e-9)
-        if not (corners_in and centroid_in):
-            return False
-        areas.append(recomputed)
-    if cert.kind == "disjoint_triples":
-        tris = [v[list(idx)] for idx, _ in cert.triangles]
-        for p in range(len(tris)):
-            for q in range(p + 1, len(tris)):
-                if not _interiors_disjoint(tris[p], tris[q], tol):
-                    return False
+    areas = [_tri_area(poly.vertices, idx) for idx in idxs]
+    if [a for _, a in cert.triangles] != areas or cert.omega_area != poly.area:
+        return False
     margin = cert.omega_area / 2.0 - min(areas)
-    if abs(margin - cert.margin) > tol or margin <= 0.0:
-        return False
-    return True
+    return cert.margin == margin and margin > 0.0

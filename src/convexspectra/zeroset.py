@@ -54,11 +54,9 @@ class AlignmentReport:
     beta: float | None = None
 
 
-def grid_distance(xi, target: str) -> float:
-    """Euclidean distance from xi to the punctured integer grid "Z_Q": the
+def grid_distance(xi) -> float:
+    """Euclidean distance from xi to the punctured integer grid Z_Q: the
     vertical and horizontal lines at nonzero integers (the axes excluded)."""
-    if target != "Z_Q":
-        raise ValueError(f"unknown grid target {target!r}")
     return min(abs(t - round(t)) if round(t) else 1.0 - abs(t) for t in map(float, xi))
 
 
@@ -195,7 +193,7 @@ def slab_zero_alignment(body: ConvexBody, A: float, R_list,
         starts = np.stack([np.full(n_lines, float(R)), xi2s], axis=1)
         stops = np.stack([np.full(n_lines, float(R) + 10.0), xi2s], axis=1)
         zeros = _scan_lines(ev, starts, stops, k, n, tol, body.area)
-        dists = [grid_distance(z.xi, "Z_Q") for z in zeros]
+        dists = [grid_distance(z.xi) for z in zeros]
         reports.append(AlignmentReport(
             zeros=zeros,
             max_dist=float(max(dists, default=0.0)),

@@ -181,6 +181,24 @@ def test_spectrum_check_detects_bad_lattice(square_file, capsys):
     assert capsys.readouterr().out.startswith("fail")
 
 
+def test_spectrum_check_refuses_an_orthogonal_lattice_of_the_wrong_density(
+        square_file, capsys):
+    # 2Z x Z is orthogonal for the square but has half its density
+    rc = cli.main(["spectrum-check", "--body", square_file,
+                   "--lattice", "2 0; 0 1", "--radius", "10"])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert out.startswith("fail") and "density 0.5 differs from area 1" in out
+
+
+def test_lattice_with_a_non_finite_entry_is_named(square_file, capsys):
+    rc = cli.main(["spectrum-check", "--body", square_file,
+                   "--lattice", "nan 0; 0 1", "--radius", "3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--lattice" in err and "Traceback" not in err
+
+
 def test_spectrum_check_hexagon_dual(hexagon_file, capsys):
     rc = cli.main(["spectrum-check", "--body", hexagon_file,
                    "--lattice", "1 0; -0.4 0.8", "--radius", "10"])

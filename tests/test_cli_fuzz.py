@@ -117,7 +117,7 @@ FLAGS = {
     "slab-align": {
         "--A": ((1.0, 3.0), {0.0: "A", 0.5: "A"}),
         "--step": ((0.1, 0.25), {0.0: "step", 7.0: "step", 1e-5: "too large"}),
-        "--R-list": (("10", "5,30"), {"-5": "R", "ten": "R"}),
+        "--R-list": (("10", "5,30"), {"-5": "R", "ten": "R", "inf": "R"}),
     },
     "ball-align": {
         "--A": ((0.5, 1.0), {0.0: "A", 1e7: "too large"}),
@@ -157,8 +157,8 @@ def flag_cases(draw):
     return argv, bad
 
 
-# derandomized like the body fuzz above; the examples are the three scan and
-# window faults a random draw might miss
+# derandomized like the body fuzz above; the examples are the scan, window
+# and slab-offset faults a random draw might miss
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=flag_cases())
@@ -168,6 +168,8 @@ def flag_cases(draw):
                 "--R-list", "50"], ["too large"]))
 @example(case=(["ball-align", "--body", "{disc}", "--A", "1", "--step", "0.1",
                 "--window", "8,5"], ["window"]))
+@example(case=(["slab-align", "--body", "{square}", "--A", "1", "--step", "0.1",
+                "--R-list", "inf"], ["R"]))
 def test_cli_exit_codes_under_fuzzed_flags(bodies, case):
     argv, bad = case
     err = io.StringIO()

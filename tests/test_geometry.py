@@ -186,10 +186,11 @@ def test_lattice_basics():
     assert G.Z2.covolume == 1.0
 
 
-def test_point_in_polygon(square):
-    assert G.point_in_polygon(square, (0.2, -0.3))
-    assert not G.point_in_polygon(square, (0.7, 0.0))
-    assert G.point_in_polygon(square, (0.5, 0.5), tol=1e-9)  # corner
+def test_inside_margin(square):
+    m = G.inside_margin(square, [(0.2, -0.3), (0.7, 0.0), (0.5, 0.5)])
+    assert m[0] == pytest.approx(0.2)  # distance to the nearest edge
+    assert m[1] == pytest.approx(-0.2)
+    assert abs(m[2]) <= 1e-15  # corner
 
 
 @settings(max_examples=25, deadline=None)

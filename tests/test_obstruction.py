@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -259,6 +260,65 @@ def test_certificate_rejects_tampering(octagon):
     ]
     for c in bad:
         assert not obstruction.check_certificate(octagon, c)
+
+
+def test_certificate_rejects_a_one_ulp_change(octagon):
+    cert = obstruction.nonspectral_certificate(octagon)
+    C = obstruction.Certificate
+    (idx, area), *rest = cert.triangles
+    area, margin, omega = np.nextafter([area, cert.margin, cert.omega_area], math.inf)
+    for c in (C(cert.kind, ((idx, area), *rest), cert.margin, cert.omega_area),
+              C(cert.kind, cert.triangles, margin, cert.omega_area),
+              C(cert.kind, cert.triangles, cert.margin, omega)):
+        assert not obstruction.check_certificate(octagon, c)
+
+
+def _stated(poly, kind, idxs):
+    tris = tuple((idx, obstruction._tri_area(poly.vertices, idx)) for idx in idxs)
+    return obstruction.Certificate(kind, tris, poly.area / 2 - min(a for _, a in tris),
+                                   poly.area)
+
+
+def test_certificate_witness_is_rechecked_on_indices(octagon, decagon):
+    # each states its areas and margin exactly and has margin > 0
+    for poly, cert in (
+            (decagon, _stated(decagon, "disjoint_triples", [(0, 1, 2), (2, 3, 4), (4, 5, 6)])),
+            (decagon, _stated(decagon, "disjoint_triples", [(0, 2, 4)])),
+            (octagon, _stated(octagon, "fan_pigeonhole", [(0, 1, 2)] * 6)),
+            (octagon, _stated(octagon, "fan_pigeonhole", [(0, 0, 1)] * 6))):
+        assert cert.margin > 0
+        assert not obstruction.check_certificate(poly, cert)
+
+
+def _exact_interiors_disjoint(p, q):
+    # separating-axis test in rationals: some edge normal of either triangle
+    # projects the two onto intervals that overlap in at most a point
+    for tri in (p, q):
+        for k in range(3):
+            (x0, y0), (x1, y1) = tri[k], tri[(k + 1) % 3]
+            a = [(y1 - y0) * x + (x0 - x1) * y for x, y in p]
+            b = [(y1 - y0) * x + (x0 - x1) * y for x, y in q]
+            if max(a) <= min(b) or max(b) <= min(a):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_index_disjointness_matches_exact_separating_axes(seed):
+    from conftest import random_symmetric_2ngon
+    rng = np.random.default_rng(seed)
+    seen = set()
+    for n in (4, 5, 6, 7):
+        poly = random_symmetric_2ngon(rng, n)
+        exact = [tuple(map(Fraction, map(float, p))) for p in poly.vertices]
+        for _ in range(150):
+            t1, t2 = (tuple(int(i) for i in rng.choice(2 * n, 3, replace=False))
+                      for _ in range(2))
+            got = obstruction._interiors_disjoint(t1, t2)
+            assert got == _exact_interiors_disjoint([exact[i] for i in t1],
+                                                    [exact[i] for i in t2]), (n, t1, t2)
+            seen.add(got)
+    assert seen == {True, False}
 
 
 def test_certificate_kind_must_match_triangle_count(decagon):

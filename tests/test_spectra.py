@@ -124,15 +124,36 @@ def test_dual_lattice_h0():
     assert np.max(np.abs(back.basis() - tiling.basis())) < 1e-12
 
 
+def _nearest_integer_candidate(k):
+    # the k points of Z^2 nearest the origin, the origin first
+    pts = S.lattice_points_in_ball(G.Z2, 25.0)
+    return S.SpectrumCandidate.from_points(
+        pts[np.argsort(np.hypot(pts[:, 0], pts[:, 1]), kind="stable")[:k]])
+
+
 def test_explicit_candidate_over_budget_is_refused_before_allocating(square):
-    # Z^2 within radius 20: 1257 points, 1.58e6 differences
+    # 1827 points, 1668051 differences: the smallest candidate over budget
     import tracemalloc
-    cand = S.SpectrumCandidate.from_points(S.lattice_points_in_ball(G.Z2, 20.0))
+    cand = _nearest_integer_candidate(1827)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="too large"):
-            S.orthogonality_check(square, cand, 20.0)
+        with pytest.raises(ValueError, match="1668051 differences, over 256 MiB"):
+            S.orthogonality_check(square, cand, 25.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_largest_accepted_explicit_candidate_stays_in_budget(square):
+    # 1826 points, 1666225 differences
+    import tracemalloc
+    cand = _nearest_integer_candidate(1826)
+    tracemalloc.start()
+    try:
+        ok, (_, worst) = S.orthogonality_check(square, cand, 25.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok and worst <= 1e-9
+    assert peak < 256 * 2**20, f"peak {peak / 2**20:.1f} MiB"

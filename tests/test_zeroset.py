@@ -15,10 +15,8 @@ from convexspectra.errors import (NoBlowupError, NotStandardPositionError,
 
 def test_grid_distance_examples():
     # the axes do not count for the punctured grid
-    assert Z.grid_distance((0.1, 0.5), "Z_Q") == pytest.approx(0.5)
-    assert Z.grid_distance((2.3, 0.4), "Z_Q") == pytest.approx(0.3)
-    with pytest.raises(ValueError):
-        Z.grid_distance((0.1, 0.5), "G")
+    assert Z.grid_distance((0.1, 0.5)) == pytest.approx(0.5)
+    assert Z.grid_distance((2.3, 0.4)) == pytest.approx(0.3)
 
 
 def test_slab_validation(square):
