@@ -14,8 +14,8 @@ requested frequency box from the Gauss-Legendre error bound on each panel's
 Bernstein ellipse; `err` is that bound plus a rounding floor, and a rule
 whose bound misses its target raises NoConvergenceError.  Every gradient,
 a polygon's through its graph form, is a sum over such a rule's nodes.
-_fourier_quad, scipy adaptive quadrature, serves only the independent oracle
-and the confirmation step of the cap scan.
+Adaptive Gauss-Kronrod quadrature (geometry._gauss_kronrod) serves only the
+independent oracle, ft_quadrature, and the confirmation step of the cap scan.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NoConvergenceError
-from .geometry import (ConvexBody, ConvexPolygon, GraphBody, Point2, as_polygon,
-                       graph_heights)
+from .geometry import (ConvexBody, ConvexPolygon, GraphBody, Point2, _gauss_kronrod,
+                       as_polygon, graph_heights)
 from .heights import HeightFn, zero
 
 _TWO_PI = 2.0 * math.pi
@@ -37,17 +36,15 @@ _EPS = np.finfo(float).eps
 # |xi| below which the polygon closed form switches to the origin-fan rule
 # (the edge sum loses ~|xi|^-1 digits to cancellation near the origin)
 SINGULAR_THRESHOLD = 1e-2
-# absolute tolerance requested from adaptive quadrature
+# the oracle's error bar must be at most 10 QUAD_TOL; it asks for 0.1 QUAD_TOL
 QUAD_TOL = 1e-10
-# subdivision limit for scipy quadrature routines
-_MAX_SUBDIVISIONS = 200
 # the panel rule's error target, relative to the body's area
 _PANEL_TOL = 1e-13
 # bytes one request may allocate: panel rules, scan grids, lattice enumeration
 _MEMORY_BUDGET = 256 * 2**20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FourierSample:
     xi: Point2
     value: complex
@@ -312,7 +309,7 @@ def ft_body(body: ConvexBody, xi) -> FourierSample:
     xis = np.asarray(xi, dtype=float).reshape(1, 2)
     poly = as_polygon(body)
     vals, errs = transform_batch(body if poly is None else poly, xis)
-    return FourierSample(Point2(*xis[0]), complex(vals[0]),
+    return FourierSample(Point2(*xis[0].tolist()), complex(vals[0]),
                          "panel_rule" if poly is None else "closed_form", float(errs[0]))
 
 
@@ -320,80 +317,31 @@ def ft_body(body: ConvexBody, xi) -> FourierSample:
 # independent adaptive-quadrature route
 
 
-def _graph_form(body: ConvexBody):
-    """(upper, lower, a, b, breakpoints) with upper/lower vectorized callables;
-    flat heights as np.interp closures over their knots, since the integrand
-    runs hundreds of times per frequency and a HeightFn call costs ~40% more."""
-    f, g = graph_heights(body)
-
-    def boundary(h: HeightFn, sign: float):
-        if h.polyline() is None:
-            return lambda x: sign * np.asarray(h(x))
-        knots, values = np.asarray(h.knots), sign * np.asarray(h.values)
-        return lambda x: np.interp(x, knots, values)
-
-    brk = sorted({*f.breakpoints(), *g.breakpoints()})
-    return boundary(f, 1.0), boundary(g, -1.0), f.a, f.b, brk
-
-
-def _strip_transform(upper, lower, xi2):
-    """x -> integral of exp(-2 pi i xi2 y) dy over [lower(x), upper(x)], in closed form."""
+def _strip_transform(f: HeightFn, g: HeightFn, xi2: float):
+    """x -> integral of exp(-2 pi i xi2 y) dy over [-g(x), f(x)], in closed form."""
     def h(x):
-        u = np.asarray(upper(x), dtype=float)
-        l = np.asarray(lower(x), dtype=float)
-        return (u - l) * np.exp((-1j * math.pi) * xi2 * (u + l)) * np.sinc(xi2 * (u - l))
+        fx, gx = f(x), g(x)
+        return (fx + gx) * np.exp((-1j * math.pi) * xi2 * (fx - gx)) * np.sinc(xi2 * (fx + gx))
     return h
-
-
-def _fourier_quad(h, a: float, b: float, brk, xi1: float) -> tuple[complex, float, bool]:
-    """integral of h(x) exp(-2 pi i xi1 x) over [a, b]: (value, abserr, converged).
-
-    scipy QAGS on the real and imaginary parts with break points brk; once
-    |xi1| * (b-a) exceeds 8, QAWO with the cos/sin weight on each segment
-    between break points.  converged is False if any scipy call warned.
-    """
-    w = _TWO_PI * xi1
-    if abs(xi1) * (b - a) > 8.0:
-        segs = [a, *(p for p in brk if a < p < b), b]
-        re, im = (lambda x: h(x).real), (lambda x: h(x).imag)
-        # h exp(-i w x) = (Re h cos + Im h sin) + i (Im h cos - Re h sin)
-        parts = [(re, "cos", 1.0), (im, "sin", 1.0), (im, "cos", 1.0j), (re, "sin", -1.0j)]
-    else:
-        segs = [a, b]
-        hw = lambda x: h(x) * np.exp(-1j * w * x)
-        parts = [(lambda x: hw(x).real, None, 1.0), (lambda x: hw(x).imag, None, 1.0j)]
-    total = 0.0j
-    err = 0.0
-    converged = True
-    for fn, weight, sign in parts:
-        rule = {"weight": weight, "wvar": w} if weight else {"points": brk or None}
-        val = e = 0.0
-        for s0, s1 in zip(segs[:-1], segs[1:]):
-            res = integrate.quad(fn, s0, s1, limit=_MAX_SUBDIVISIONS, epsabs=0.1 * QUAD_TOL,
-                                 epsrel=1e-12, full_output=1, **rule)
-            val += res[0]
-            e += res[1]
-            converged = converged and len(res) < 4
-        total += sign * val
-        err += e
-    return total, err, converged
 
 
 def ft_quadrature(body: ConvexBody, xi) -> FourierSample:
     """Adaptive iterated quadrature over the graph form (independent oracle).
 
     The inner y-integral is exact (_strip_transform); the outer x-integral
-    is _fourier_quad.  A subdivision limit without convergence returns the
-    best estimate flagged, not a raise.
+    is geometry's adaptive Gauss-Kronrod rule, split at the heights' break
+    points.  A subdivision limit without convergence returns the best
+    estimate flagged, not a raise.
     """
     xi = np.asarray(xi, dtype=float).reshape(2)
-    upper, lower, a, b, brk = _graph_form(body)
-    total, err, converged = _fourier_quad(_strip_transform(upper, lower, xi[1]),
-                                          a, b, brk, xi[0])
-    # scipy's abserr estimates the integration error only; |integrand| <= u - l
+    f, g = graph_heights(body)
+    total, err, converged = _gauss_kronrod(_strip_transform(f, g, xi[1]), f.a, f.b,
+                                           f.breakpoints() + g.breakpoints(), xi[0],
+                                           0.1 * QUAD_TOL)
+    # abserr estimates the integration error only; |integrand| <= f + g
     # integrates to the body's area, so that much rounding is irreducible
-    err = max(err, 32.0 * _EPS * body.area)
-    return FourierSample(Point2(*xi), total, "quadrature", err,
+    err = max(err, float(32.0 * _EPS * body.area))
+    return FourierSample(Point2(*xi.tolist()), complex(total), "quadrature", err,
                          converged and err <= 10.0 * QUAD_TOL)
 
 
@@ -551,7 +499,7 @@ def cap_lower_bound_scan(f: HeightFn, delta: float,
     each level evaluates _ZOOM_POINTS across +-1 current step around every
     candidate in one height_fourier call and shrinks the step _ZOOM_SHRINK
     times, until it is below 1e-11 * R_hi.  The winning R is confirmed by
-    adaptive quadrature (_fourier_quad) and the quadrature value is
+    adaptive quadrature (_gauss_kronrod) and the quadrature value is
     reported, NoConvergenceError if it does not converge.  An identically
     zero cap refines nothing.  ValueError before allocating a grid over
     _MEMORY_BUDGET.  ratio uses the cap height at distance delta from the
@@ -584,7 +532,7 @@ def cap_lower_bound_scan(f: HeightFn, delta: float,
             half /= _ZOOM_SHRINK
         r_star = float(peaks[np.argmax(pmags)])
 
-    val, _, ok = _fourier_quad(f, f.a, f.b, f.breakpoints(), r_star)
+    val, _, ok = _gauss_kronrod(f, f.a, f.b, f.breakpoints(), r_star, 0.1 * QUAD_TOL)
     if not ok:
         raise NoConvergenceError(f"cap quadrature did not converge at R = {r_star:g}")
     value = abs(val)

@@ -1,4 +1,6 @@
-"""Convex planar bodies: polygons, graph-form bodies, lattices, edge normalization.
+"""Convex planar bodies: polygons, graph-form bodies, lattices, edge normalization,
+and the adaptive Gauss-Kronrod quadrature behind graph-body areas and the
+transform oracle.
 
 Conventions (fixed package-wide):
   * polygon vertices are stored counterclockwise, no repeated closing vertex;
@@ -15,7 +17,6 @@ from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy import integrate
 
 from . import heights
 from .errors import (
@@ -185,8 +186,15 @@ class GraphBody:
 
     @cached_property
     def area(self) -> float:
-        return _quad_height(lambda x: self.f(x) + self.g(x), self.a, self.b,
-                            self.f.breakpoints() + self.g.breakpoints())
+        # the tolerance is 1e-13 times at most twice the area (f, g concave)
+        f, g = self.f, self.g
+        val, _, ok = _gauss_kronrod(lambda x: f(x) + g(x), self.a, self.b,
+                                    f.breakpoints() + g.breakpoints(), 0.0,
+                                    1e-13 * (self.b - self.a) * (f.max_value() + g.max_value()))
+        if not ok:
+            raise NoConvergenceError(f"area quadrature on [{self.a:g}, {self.b:g}] "
+                                     "did not converge")
+        return float(val.real)
 
     def scale(self) -> float:
         return max(abs(self.a), abs(self.b), self.f.max_value(), self.g.max_value()) or 1.0
@@ -195,12 +203,97 @@ class GraphBody:
 ConvexBody = Union[ConvexPolygon, GraphBody]
 
 
-def _quad_height(fn, a, b, breakpoints, epsabs=1e-13) -> float:
-    """integral of fn over [a, b]; NoConvergenceError when scipy reports a
-    problem instead of the value."""
-    pts = sorted(p for p in breakpoints if a < p < b)
-    res = integrate.quad(fn, a, b, points=pts or None, limit=200,
-                         epsabs=epsabs, epsrel=1e-13, full_output=1)
+# ---------------------------------------------------------------------------
+# adaptive Gauss-Kronrod quadrature
+
+# QUADPACK's qk21: the 21 Kronrod nodes on [-1, 1], whose odd-numbered ones
+# are the 10 Gauss-Legendre nodes, with the Kronrod weights; the Gauss weights
+# come from leggauss(10)
+_GK_HALF_NODES = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0])
+_GK_HALF_WEIGHTS = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077282214455578, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_GK_NODES = np.concatenate([-_GK_HALF_NODES, _GK_HALF_NODES[-2::-1]])
+_GK_KRONROD = np.concatenate([_GK_HALF_WEIGHTS, _GK_HALF_WEIGHTS[-2::-1]])
+_GK_GAUSS = np.zeros(21)
+_GK_GAUSS[1::2] = np.polynomial.legendre.leggauss(10)[1]
+# columns: the Kronrod estimate and its difference from the Gauss estimate
+_GK_RULE = np.stack([_GK_KRONROD, _GK_KRONROD - _GK_GAUSS], axis=1)
+# intervals allowed per starting piece before the quadrature reports failure
+_MAX_SUBDIVISIONS = 200
+# intervals evaluated per call of the integrand
+_GK_CHUNK = 2**15
+# starting pieces one integral may take: about 1 s and 100 MB at 2**20
+_GK_MAX_PIECES = 2**20
+
+
+def _gauss_kronrod(h, a: float, b: float, brk, xi1: float,
+                   tol: float) -> tuple[complex, float, bool]:
+    """integral of h(x) exp(-2 pi i xi1 x) over [a, b]: (value, abserr, converged).
+
+    Vectorized adaptive Gauss-Kronrod (10, 21), as in MATLAB's quadgk
+    (Shampine, J. Comput. Appl. Math. 211 (2008)).  [a, b] is cut at the
+    break points brk and into pieces of about one period of the exponential.
+    Each pass evaluates h at the 21 nodes of every open interval at once
+    (chunks of _GK_CHUNK intervals), accepts an interval whose |K21 - G10| is
+    at most its length's share of tol and halves the rest; it stops when the
+    summed |K21 - G10| of all intervals is at most tol.  abserr is that sum.
+    converged is False, with the current estimate, once the interval count
+    would pass _MAX_SUBDIVISIONS per starting piece or an estimate is not
+    finite.  ValueError, before allocating, for over _GK_MAX_PIECES pieces.
+    """
+    segs = [a, *sorted({p for p in brk if a < p < b}), b]
+    counts = [max(1, math.ceil(abs(xi1) * (s1 - s0))) for s0, s1 in zip(segs[:-1], segs[1:])]
+    if sum(counts) > _GK_MAX_PIECES:
+        raise ValueError(f"quadrature at frequency {xi1:g} needs {sum(counts):.3g} "
+                         f"pieces, over {_GK_MAX_PIECES}")
+    edges = np.concatenate([np.linspace(s0, s1, n + 1)[:-1]
+                            for s0, s1, n in zip(segs[:-1], segs[1:], counts)] + [[b]])
+    lo, hi = edges[:-1], edges[1:]
+    limit, count = _MAX_SUBDIVISIONS * len(lo), len(lo)
+    value, err = 0.0j, 0.0
+    while True:
+        est = np.empty((len(lo), 2), dtype=complex)
+        for s in range(0, len(lo), _GK_CHUNK):
+            sl = slice(s, s + _GK_CHUNK)
+            half = 0.5 * (hi[sl] - lo[sl])
+            x = (lo[sl] + half)[:, None] + half[:, None] * _GK_NODES
+            fx = h(x.ravel()).reshape(x.shape) * np.exp((-2j * math.pi * xi1) * x)
+            est[sl] = (fx @ _GK_RULE) * half[:, None]
+        diff = np.abs(est[:, 1])
+        if not np.isfinite(est).all():
+            return value + est[:, 0].sum(), err + float(diff.sum()), False
+        done = diff <= tol * (hi - lo) / (b - a)
+        if done.all() or err + diff.sum() <= tol:
+            return value + est[:, 0].sum(), err + float(diff.sum()), True
+        value += est[done, 0].sum()
+        err += float(diff[done].sum())
+        lo, hi = lo[~done], hi[~done]
+        if count + len(lo) > limit:
+            return value + est[~done, 0].sum(), err + float(diff[~done].sum()), False
+        count += len(lo)
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+
+
+def _arc_length(h: HeightFn, a: float, b: float) -> float:
+    """Length of the graph of h over [a, b] by scipy QAGS, whose extrapolation
+    handles the 1/sqrt end singularity of h' that _gauss_kronrod's bisection
+    cannot; NoConvergenceError when scipy reports a problem instead."""
+    from scipy import integrate
+    pts = [p for p in h.breakpoints() if a < p < b]
+    res = integrate.quad(lambda x: math.hypot(1.0, float(h.derivative(x))), a, b,
+                         points=pts or None, limit=200, epsabs=1e-10, epsrel=1e-13,
+                         full_output=1)
     if len(res) > 3:
         raise NoConvergenceError(f"quadrature on [{a:g}, {b:g}] did not converge "
                                  f"(scipy: {res[3].splitlines()[0]})")
@@ -261,10 +354,7 @@ def measures(body: ConvexBody) -> Measures:
     if isinstance(body, ConvexPolygon):
         return Measures(body.area, body.perimeter())
 
-    per = 0.0
-    for h in (body.f, body.g):
-        per += _quad_height(lambda x, h=h: math.hypot(1.0, float(h.derivative(x))),
-                            body.a, body.b, h.breakpoints(), epsabs=1e-10)
+    per = _arc_length(body.f, body.a, body.b) + _arc_length(body.g, body.a, body.b)
     for xe in (body.a, body.b):
         per += float(body.f(xe)) + float(body.g(xe))
     return Measures(body.area, per)

@@ -1,5 +1,7 @@
 import math
-import types
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -116,6 +118,84 @@ def test_polygon_vs_quadrature_oracle(hexagon_h0):
         b = F.ft_quadrature(hexagon_h0, x)
         assert b.converged
         assert abs(a.value - b.value) <= a.err + b.err + 1e-11
+
+
+def test_high_frequency_oracle_is_converged_within_its_err():
+    # |xi1| from 50 to 1000 and |xi2| < |xi1| on random symmetric 2n-gons:
+    # the oracle converges and its err bounds the distance to the 40-digit
+    # edge sum
+    rng = np.random.default_rng(29)
+    for seed, n in ((100, 3), (101, 4), (102, 5), (103, 6), (104, 7)):
+        poly = random_symmetric_2ngon(np.random.default_rng(seed), n)
+        for mag in np.geomspace(50.0, 1000.0, 4):
+            xi = (float(rng.choice([-1.0, 1.0]) * mag), float(rng.uniform(-mag, mag)))
+            s = F.ft_quadrature(poly, xi)
+            assert s.converged, xi
+            actual = abs(s.value - _mp_edge_sum(poly.vertices, xi))
+            assert actual <= s.err, (seed, xi, actual, s.err)
+
+
+def _quadpack(body, xi):
+    """The oracle's integral by scipy QAGS on the real and imaginary parts of
+    its integrand, segment by segment between break points: (value, abserr)."""
+    f, g = G.graph_heights(body)
+    h = F._strip_transform(f, g, xi[1])
+    fx = lambda x: complex(h(np.array([x]))[0] * np.exp(-2j * math.pi * xi[0] * x))
+    segs = [f.a, *sorted({*f.breakpoints(), *g.breakpoints()}), f.b]
+    val, err = 0.0j, 0.0
+    for s0, s1 in zip(segs[:-1], segs[1:]):
+        for part, unit in ((lambda x: fx(x).real, 1.0), (lambda x: fx(x).imag, 1.0j)):
+            v, e = integrate.quad(part, s0, s1, epsabs=1e-13, epsrel=1e-13, limit=400)
+            val, err = val + unit * v, err + e
+    return val, err
+
+
+def test_gauss_kronrod_oracle_agrees_with_quadpack(disc_body, parabola_capped, hexagon_h0):
+    rng = np.random.default_rng(41)
+    xs = rng.uniform(-8.0, 8.0, size=(20, 2))
+    worst = 0.0
+    for body in (disc_body, parabola_capped, hexagon_h0):
+        for xi in xs:
+            s = F.ft_quadrature(body, xi)
+            ref, ref_err = _quadpack(body, xi)
+            assert s.converged
+            assert abs(s.value - ref) <= s.err + ref_err, (body, xi)
+            if body is disc_body:
+                k = math.hypot(*xi)
+                with mpmath.workdps(30):
+                    exact = float(mpmath.besselj(1, mpmath.pi * mpmath.mpf(k))
+                                  / (2 * mpmath.mpf(k)))
+                worst = max(worst, abs(s.value - exact) / s.err)
+    assert worst <= 1.0, worst
+
+
+def test_gauss_kronrod_rule_is_exact_to_its_degree():
+    # K21 integrates x^k exactly up to k = 31 and G10 up to k = 19
+    nodes, kronrod, diff = G._GK_NODES, G._GK_RULE[:, 0], G._GK_RULE[:, 1]
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(nodes**k @ kronrod - exact) <= 1e-15
+        if k < 20:
+            assert abs(nodes**k @ diff) <= 1e-15
+    assert abs(nodes**20 @ diff) > 1e-6
+
+
+def test_oracle_and_cap_scan_do_not_import_scipy_integrate():
+    script = ("import sys\n"
+              "import convexspectra as cs\n"
+              "from convexspectra import fourier, heights\n"
+              "body = cs.disc(0.5)\n"
+              "body.area\n"
+              "assert fourier.ft_quadrature(body, (1.3, 0.4)).converged\n"
+              "fourier.cap_lower_bound_scan(heights.tent(-0.5, 0.5), 0.1)\n"
+              "print('scipy.integrate' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(F.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_disc_matches_bessel(disc_body):
@@ -364,24 +444,32 @@ def test_criterion_10_cap_scans_find_at_least_the_fine_grid_maximum(f):
 
 @pytest.fixture
 def quad_warns(monkeypatch):
-    """fourier's scipy.integrate.quad reports a warning on every full-output
+    """fourier's adaptive Gauss-Kronrod rule reports non-convergence on every
     call (the body's area, from geometry, is still computed normally)."""
-    real = integrate.quad
-
-    def quad(*args, **kwargs):
-        res = real(*args, **kwargs)
-        if kwargs.get("full_output"):
-            return (*res[:3], "maximum number of subdivisions reached")
-        return res
-    monkeypatch.setattr(F, "integrate", types.SimpleNamespace(quad=quad))
+    real = F._gauss_kronrod
+    monkeypatch.setattr(F, "_gauss_kronrod", lambda *args: (*real(*args)[:2], False))
 
 
 def test_unconverged_quadrature_is_never_dropped(disc_body, quad_warns):
-    # |xi1| (b - a) below and above 8: the QAGS and the QAWO branch
+    # the disc spans about one period of the exponential at xi1 = 1.3, and
+    # nine and a half at xi1 = 9.5
     for xi in ((1.3, 0.4), (9.5, 0.4)):
         assert not F.ft_quadrature(disc_body, xi).converged
     with pytest.raises(NoConvergenceError):
         F.cap_lower_bound_scan(heights.tent(-0.5, 0.5), 0.1)
+
+
+def test_a_non_finite_integrand_is_flagged_after_one_pass(disc_body):
+    # NaN estimates are flagged at once, not bisected until the subdivision
+    # limit, whose open intervals double every pass
+    calls = []
+
+    def h(x):
+        calls.append(len(x))
+        return np.full(len(x), np.nan)
+    _, _, ok = G._gauss_kronrod(h, 0.0, 1.0, [], 300.0, 1e-11)
+    assert not ok and calls == [300 * 21]
+    assert not F.ft_quadrature(disc_body, (300.0, float("nan"))).converged
 
 
 def test_unconverged_panel_rule_is_never_dropped(disc_body, monkeypatch):
