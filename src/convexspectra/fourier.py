@@ -9,11 +9,13 @@ Polygons, and graph bodies bounded by flat arcs (read as the polygon through
 their knots, geometry.as_polygon), get an exact edge-sum closed form, and for
 |xi| <= SINGULAR_THRESHOLD a Gauss rule on the origin fan.  Curved graph
 bodies, and caps with no closed form, get one panel rule: Gauss-Legendre
-panels in x with the inner y-integral in closed form, sized once for the
-requested frequency box from the Gauss-Legendre error bound on each panel's
-Bernstein ellipse; `err` is that bound plus a rounding floor, and a rule
-whose bound misses its target raises NoConvergenceError.  Every gradient,
-a polygon's through its graph form, is a sum over such a rule's nodes.
+panels in x with the inner y-integral in closed form, sized for the
+requested frequency box, before any frequency is evaluated, by halving the
+panels whose Gauss-Legendre error bound on their Bernstein ellipse exceeds
+their share of the target; `err` is the summed bound plus a rounding floor,
+and a rule whose bound stops falling before it meets the target raises
+NoConvergenceError.  Every gradient, a polygon's through its graph form, is
+a sum over such a rule's nodes.
 Adaptive Gauss-Kronrod quadrature (geometry._gauss_kronrod) serves only the
 independent oracle, ft_quadrature, and the confirmation step of the cap scan.
 """
@@ -120,53 +122,34 @@ def _moment_series(poly: ConvexPolygon, xis: np.ndarray) -> tuple[np.ndarray, np
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # Bernstein ellipse parameters tried for each panel's error bound
 _RHO = 1.0 + np.geomspace(0.05, 40.0, 24)
+# peak bytes per node of a rule's build, over every height kind (tracemalloc)
+_PANEL_BYTES_PER_NODE = 50
 
 
-def _panel_edges(body: GraphBody, max_xi1: float, max_xi2: float, factor: float,
-                 end_tol: float) -> np.ndarray:
-    """Panel boundaries: ~1/factor oscillation periods per panel, split at
-    height-fn breakpoints, and at an end where a height is singular halved
-    until the end panel's bound 2 * width * (max height) is below end_tol."""
-    brk = sorted({body.a, body.b, *body.f.breakpoints(), *body.g.breakpoints()})
-    hmax = body.f.max_value() + body.g.max_value()
-    counts = [max(2, int(math.ceil(factor * (1.1 * (max_xi1 * (s1 - s0) + max_xi2 * hmax)
-                                             + 2.0))))
-              for s0, s1 in zip(brk[:-1], brk[1:])]
-    h_lo, h_hi = (brk[1] - brk[0]) / counts[0], (brk[-1] - brk[-2]) / counts[-1]
-    levels = (max(1, math.ceil(math.log2(2.0 * max(h_lo, h_hi) * hmax / end_tol)))
-              if body.f.endpoint_singular or body.g.endpoint_singular else 0)
-    # the rule keeps four float arrays of len(_GL_NODES) nodes per panel
-    if 32 * len(_GL_NODES) * (sum(counts) + 2 * levels) > _MEMORY_BUDGET:
-        raise ValueError(f"panel rule too large: {sum(counts):.3g} panels for frequencies "
-                         f"up to ({max_xi1:g}, {max_xi2:g})")
-    lev = np.exp2(-np.arange(1, levels + 1, dtype=float))
-    return np.unique(np.concatenate(
-        [np.linspace(s0, s1, n + 1) for s0, s1, n in zip(brk[:-1], brk[1:], counts)]
-        + [body.a + h_lo * lev, body.b - h_hi * lev]))
-
-
-def _gl_bound(body: GraphBody, edges: np.ndarray, max_xi1: float, max_xi2: float) -> float:
-    """Summed error bound of the panel rule on `edges` for the box
+def _gl_bound(body: GraphBody, edges: np.ndarray, max_xi1: float, max_xi2: float) -> np.ndarray:
+    """Error bound of each panel of the rule on `edges` for the box
     |xi1| <= max_xi1, |xi2| <= max_xi2.  n-point Gauss-Legendre on a panel of
     half-width h errs by at most (64/15) M rho^(-2n) / (rho^2 - 1) h with M
     the integrand's bound on the Bernstein ellipse E_rho (Trefethen, ATAP,
     Thm 19.3), here |F + G| exp(2 pi |Im z| (max_xi1 + max_xi2 max(|F'|, |G'|))),
     minimized over _RHO.  A panel at a singular end takes 2 width (max height).
+    Blocks of 4096 panels cap its temporaries near 10 MiB at any panel count.
     """
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    bound = np.full(len(mid), np.inf)
-    for rho in _RHO:
-        fm, fd = body.f.ellipse_bounds(mid, 0.5 * (rho + 1.0 / rho) * half)
-        gm, gd = body.g.ellipse_bounds(mid, 0.5 * (rho + 1.0 / rho) * half)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    bound, rho = np.empty(len(mid)), _RHO[None, :]
+    for lo in range(0, len(mid), 4096):
+        m, h = mid[lo:lo + 4096, None], half[lo:lo + 4096, None]
+        fm, fd = body.f.ellipse_bounds(m, 0.5 * (rho + 1.0 / rho) * h)
+        gm, gd = body.g.ellipse_bounds(m, 0.5 * (rho + 1.0 / rho) * h)
         with np.errstate(over="ignore", invalid="ignore"):
-            m = (fm + gm) * np.exp(math.pi * (rho - 1.0 / rho) * half
-                                   * (max_xi1 + max_xi2 * np.maximum(fd, gd)))
-            bound = np.fmin(bound, (64.0 / 15.0) * m * rho ** (-2 * len(_GL_NODES))
-                               / (rho * rho - 1.0) * half)
+            mag = (fm + gm) * np.exp(math.pi * (rho - 1.0 / rho) * h
+                                     * (max_xi1 + max_xi2 * np.maximum(fd, gd)))
+            # fmin skips the NaN of inf * 0: a panel with no finite rho keeps inf
+            bound[lo:lo + 4096] = np.fmin.reduce((64.0 / 15.0) * mag * rho ** (-2 * len(_GL_NODES))
+                                                 / (rho * rho - 1.0) * h, axis=1, initial=np.inf)
     if body.f.endpoint_singular or body.g.endpoint_singular:
         bound[[0, -1]] = 4.0 * half[[0, -1]] * (body.f.max_value() + body.g.max_value())
-    return float(bound.sum())
+    return bound
 
 
 class _FrozenGraphEval:
@@ -235,31 +218,47 @@ _graph_eval = _FrozenGraphEval.__call__
 
 def _panel_rule(body: GraphBody, max_xi1: float, max_xi2: float) -> _FrozenGraphEval:
     """The panel rule for the box |xi1| <= max_xi1, |xi2| <= max_xi2, built
-    once, with no frequency evaluated.  The panel count starts at half of ~1
-    per oscillation period and grows by 1.5x until the bound meets
-    _PANEL_TOL * area, the next layout is over budget or the bound stops
-    shrinking.  rule.err is the bound plus a rounding floor of 32 eps * area,
-    the sum of |w_k (F+G)_k|.  NoConvergenceError, before any node is built,
-    when the best layout still misses the target.
+    once, with no frequency evaluated.  The first layout has half of ~1.1
+    panels per oscillation period, split at the heights' breakpoints and
+    graded toward a singular end until the end panel's bound is at most a
+    quarter of the target _PANEL_TOL * area.  Each pass accepts the layout when
+    its summed _gl_bound plus a rounding floor of 32 eps * area, the sum of
+    |w_k (F+G)_k|, meets the target (rule.err is that sum), and otherwise
+    halves every panel whose bound exceeds its width's share of the target.
+    Before any node is built: ValueError when the panel count would pass
+    _MEMORY_BUDGET, NoConvergenceError when a pass does not lower the bound.
     """
     target, floor = _PANEL_TOL * body.area, 32.0 * _EPS * body.area
-    best, factor = None, 0.5
-    while best is None or best[1] > target:
-        try:
-            edges = _panel_edges(body, max_xi1, max_xi2, factor, 0.25 * target)
-        except ValueError:
-            if best is None:
-                raise
-            break
-        err = _gl_bound(body, edges, max_xi1, max_xi2) + floor
-        if best is not None and err >= best[1]:
-            break
-        best, factor = (edges, err), 1.5 * factor
-    if best[1] > target:
-        raise NoConvergenceError(f"panel rule bound {best[1]:.3g} misses the target "
-                                 f"{target:.3g} for frequencies up to "
-                                 f"({max_xi1:g}, {max_xi2:g})")
-    return _FrozenGraphEval(body, *best)
+    brk = sorted({body.a, body.b, *body.f.breakpoints(), *body.g.breakpoints()})
+    hmax = body.f.max_value() + body.g.max_value()
+    counts = [max(2, math.ceil(0.5 * (1.1 * (max_xi1 * (s1 - s0) + max_xi2 * hmax) + 2.0)))
+              for s0, s1 in zip(brk[:-1], brk[1:])]
+    h_lo, h_hi = (brk[1] - brk[0]) / counts[0], (brk[-1] - brk[-2]) / counts[-1]
+    levels = (max(1, math.ceil(math.log2(8.0 * max(h_lo, h_hi) * hmax / target)))
+              if body.f.endpoint_singular or body.g.endpoint_singular else 0)
+    # NaN compares false, so the first pass is never refused for its bound
+    panels, edges, last = sum(counts) + 2 * levels, None, math.nan
+    while True:
+        if _PANEL_BYTES_PER_NODE * len(_GL_NODES) * panels > _MEMORY_BUDGET:
+            raise ValueError(f"panel rule too large: {panels:.3g} panels for frequencies "
+                             f"up to ({max_xi1:g}, {max_xi2:g})")
+        if edges is None:
+            lev = np.exp2(-np.arange(1, levels + 1, dtype=float))
+            edges = np.unique(np.concatenate(
+                [np.linspace(s0, s1, n + 1) for s0, s1, n in zip(brk[:-1], brk[1:], counts)]
+                + [body.a + h_lo * lev, body.b - h_hi * lev]))
+        else:
+            edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])[split]]))
+        bound = _gl_bound(body, edges, max_xi1, max_xi2)
+        total = float(bound.sum())
+        if total + floor <= target:
+            return _FrozenGraphEval(body, edges, total + floor)
+        if total >= last:
+            raise NoConvergenceError(f"panel rule bound {last + floor:.3g} misses the target "
+                                     f"{target:.3g} for frequencies up to "
+                                     f"({max_xi1:g}, {max_xi2:g})")
+        split = bound > (target - floor) / (body.b - body.a) * np.diff(edges)
+        panels, last = len(bound) + int(np.count_nonzero(split)), total
 
 
 def graph_transform_batch(body: GraphBody, xis) -> tuple[np.ndarray, np.ndarray]:
@@ -464,7 +463,7 @@ def _poly_height_fourier(f: HeightFn, R: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CapScanResult:
     R: float
     value: float          # |f_hat(R)| at the maximizing R (quadrature-confirmed)

@@ -29,18 +29,24 @@ class TilingVerdict:
 def tiling_lattice(poly: ConvexPolygon) -> Lattice:
     """Translation lattice tiling the plane by a symmetric 4- or 6-gon.
 
-    With centered vertices v1, v2, v3 the generators are g1 = v1 + v2 and
-    g2 = v2 + v3 (for quadrilaterals v3 = -v1, so g2 is the edge v2 - v1).
-    The covolume then equals the polygon area exactly.
+    The generators come from the half-diagonals s_i = (v_i - v_{i+m/2}) / 2,
+    each vertex averaged with the reflection of its opposite one: the
+    centered vertices of the symmetric polygon nearest this one.  g1 = s_0 +
+    s_1 and g2 = s_1 + s_2 (for quadrilaterals s_2 = -s_0, so g2 is the edge
+    s_1 - s_0).  The covolume is that symmetric polygon's area, which agrees
+    with this one's to first order in the deviation from symmetry (a
+    quadrilateral's exactly: both are 2 |det(s_0, s_1)|), so a polygon that
+    is_symmetric accepts within its tolerance passes the covolume check.
     """
-    ok, center = is_symmetric(poly)
+    ok, _ = is_symmetric(poly)
     if not ok:
         raise NotTileableError("only centrally symmetric polygons tile by translation here")
     if poly.m not in (4, 6):
         raise NotTileableError(f"no lattice construction for a {poly.m}-gon")
-    v = poly.vertices - np.asarray(center)
-    g1 = Point2(*(v[0] + v[1]))
-    g2 = Point2(*(v[1] + v[2]))
+    v = poly.vertices
+    s = 0.5 * (v - np.roll(v, -(poly.m // 2), axis=0))
+    g1 = Point2(*(s[0] + s[1]))
+    g2 = Point2(*(s[1] + s[2]))
     lat = Lattice(g1, g2)
     if abs(lat.covolume - poly.area) > COVOLUME_TOL * max(1.0, poly.area):
         raise NotTileableError("constructed lattice covolume does not match the area")

@@ -38,7 +38,7 @@ _EDGE = 1e-12
 _PIECE_TAU = 64.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZeroPoint:
     xi: Point2
     residual: float

@@ -2,11 +2,13 @@ import json
 import re
 import time
 
+import mpmath
 import pytest
 
 from convexspectra import cli, heights
 from convexspectra.errors import BodyParseError, BodyValidationError
-from convexspectra.geometry import ConvexPolygon, GraphBody, disc, validate_polygon
+from convexspectra.geometry import (ConvexPolygon, GraphBody, disc, regular_polygon,
+                                   validate_polygon)
 
 from conftest import write_body
 
@@ -142,13 +144,31 @@ def test_ft_on_a_large_disc_is_converged(tmp_path, capsys):
 
 
 def test_ft_refuses_a_panel_rule_that_misses_its_bound(tmp_path, capsys):
-    # the tallest layout within the memory budget still misses the target
-    f = heights.power(0.1, 20.0)
+    # halving the panels next to the steep ends stops lowering the bound
+    f = heights.power(0.01, 100.0)
     path = write_body(tmp_path / "tall.json", GraphBody(-0.5, 0.5, f, f))
-    assert cli.main(["ft", "--body", path, "--xi", "0,20"]) == 2
+    t0 = time.perf_counter()
+    assert cli.main(["ft", "--body", path, "--xi", "0,50"]) == 2
+    assert time.perf_counter() - t0 < 1.0
     captured = capsys.readouterr()
     assert "misses the target" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_ft_on_a_tall_singular_body_holds_its_err(tmp_path, capsys):
+    # T(0, xi2) = 2 * integral over [0, 1/2] of sin(2 pi xi2 f(x)) / (pi xi2),
+    # f = 20 (1/2 - x)^0.1; with 1/2 - x = s^10 the integrand is entire in s
+    f = heights.power(0.1, 20.0)
+    path = write_body(tmp_path / "tall.json", GraphBody(-0.5, 0.5, f, f))
+    out = str(tmp_path / "ft.csv")
+    assert cli.main(["ft", "--body", path, "--xi", "0,20", "--out", out]) == 0
+    row = open(out).read().splitlines()[1].split(",")
+    with mpmath.workdps(30):
+        k = 2 * mpmath.pi * 20 * 20
+        h = lambda s: mpmath.sin(k * s) * 10 * s**9 / (20 * mpmath.pi)
+        ref = float(2 * mpmath.quad(h, mpmath.linspace(0, mpmath.mpf(0.5) ** 0.1, 100)))
+    assert row[5:] == ["panel_rule", "true"]
+    assert abs(complex(float(row[2]), float(row[3])) - ref) <= float(row[4])
 
 
 def test_csv_reruns_are_byte_identical(square_file, tmp_path, capsys):
@@ -224,6 +244,18 @@ def test_tile_check_default_lattice(square_file, hexagon_file, capsys):
     assert cli.main(["tile-check", "--body", hexagon_file]) == 0
     out = capsys.readouterr().out
     assert "pass" in out
+
+
+def test_classify_and_tile_check_agree_on_a_nearly_symmetric_hexagon(tmp_path, capsys):
+    # 9e-10 off symmetry is within is_symmetric's 1e-9 * extent; the lattice
+    # generators must then pass the covolume check at COVOLUME_TOL
+    v = regular_polygon(6).vertices.copy()
+    v[0, 0] += 9e-10
+    path = write_body(tmp_path / "hex.json", validate_polygon(v))
+    assert cli.main(["classify", "--body", path]) == 0
+    assert capsys.readouterr().out.strip() == "spectral symmetric_hexagon"
+    assert cli.main(["tile-check", "--body", path]) == 0
+    assert capsys.readouterr().out.startswith("pass")
 
 
 def test_tile_check_octagon_fails(octagon_file, capsys):

@@ -238,12 +238,66 @@ def test_parabola_capped_error_bars_hold_against_mpmath(parabola_capped):
 
 
 def test_power_body_meets_the_panel_target_in_fewer_nodes():
-    # the factor-1.5 rule of the former refinement loop used 2272 nodes here
+    # growing every panel count by 1.5x until the bound holds takes 2272 nodes
     f = heights.power(0.05)
     body = G.GraphBody(-0.5, 0.5, f, f)
     rule = F._panel_rule(body, 11.0, 4.0)
     assert rule.err <= F._PANEL_TOL * body.area
     assert len(rule.nodes) <= 2272
+
+
+def _panel_body(name):
+    if name == "disc":
+        return G.disc(0.5)
+    if name == "parabola_capped":
+        f = heights.polynomial([0.75, 0.0, -1.0])
+        return G.GraphBody(-0.5, 0.5, f, f)
+    if name == "power(0.05)":
+        f = heights.power(0.05)
+        return G.GraphBody(-0.5, 0.5, f, f)
+    f = heights.power(0.75)  # its cap, as height_fourier takes it
+    return G.GraphBody(f.a, f.b, f, heights.zero(f.a, f.b))
+
+
+# uniform_nodes: every panel count grown by 1.5x until the bound holds; the
+# disc at (200, 200) takes 28016 of them, and halving needs fewer than 7000
+@pytest.mark.parametrize("name, box, uniform_nodes", [
+    ("disc", (42.0, 2.0), 1760), ("parabola_capped", (61.0, 2.0), 592),
+    ("disc", (10.0, 10.0), 1664), ("disc", (7.0, 7.0), 1552),
+    ("parabola_capped", (7.0, 7.0), 176), ("power(0.05)", (11.0, 4.0), 1664),
+    ("power(0.75) cap", (200.0, 0.0), 3136), ("disc", (200.0, 200.0), 28016),
+])
+def test_halving_only_the_panels_that_miss_their_share(name, box, uniform_nodes):
+    body = _panel_body(name)
+    rule = F._panel_rule(body, *box)
+    assert rule.err <= F._PANEL_TOL * body.area
+    assert len(rule.nodes) <= min(uniform_nodes, 7000)
+    if name == "disc":
+        # T(xi) = r J1(2 pi r |xi|) / |xi|, r = 1/2
+        xis = np.array(box) * np.array([[1.0, 1.0], [-0.3, 0.9], [0.71, -0.2]])
+        got = rule(xis)
+        with mpmath.workdps(30):
+            ref = [float(mpmath.besselj(1, mpmath.pi * mpmath.norm(x)) / (2 * mpmath.norm(x)))
+                   for x in xis.tolist()]
+        assert np.all(np.abs(got - ref) <= rule.err)
+
+
+def test_panel_rule_memory_is_what_its_budget_counts():
+    # the rule's own arrays dominate the build, the bound's blocks add nothing
+    # visible, and the largest rule admitted peaks within _MEMORY_BUDGET
+    import tracemalloc
+    disc = G.disc(0.5)
+    disc.area
+    for xi1 in (2e5, 6.09e5):
+        tracemalloc.start()
+        try:
+            nodes = len(F._panel_rule(disc, xi1, 0.0).nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= F._PANEL_BYTES_PER_NODE * nodes <= F._MEMORY_BUDGET, (xi1, peak)
+    with pytest.raises(ValueError, match="panel rule too large"):
+        F._panel_rule(disc, 6.15e5, 0.0)
 
 
 def test_polygon_evaluation_memory_is_bounded(octagon):
@@ -518,6 +572,14 @@ def test_power_cap_scan_memory_is_bounded():
         tracemalloc.stop()
     assert 1.0 <= res.R <= 100.0 and res.ratio > 0
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+
+
+def test_cap_scan_result_pickles_without_a_dict():
+    # perfbench/worker.py keys each output's verdict by its pickle
+    import pickle
+    res = F.cap_lower_bound_scan(heights.power(0.75), 0.5)
+    assert pickle.loads(pickle.dumps(res)) == res
+    assert not hasattr(res, "__dict__")
 
 
 def test_panel_bound_does_not_overflow():

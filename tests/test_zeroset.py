@@ -35,6 +35,14 @@ def test_zeros_on_segment_square(square):
     assert all(z.residual <= 1e-9 for z in zs)
 
 
+def test_zero_points_pickle_without_a_dict(square):
+    # perfbench/worker.py keys each output's verdict by its pickle
+    import pickle
+    zs = Z.zeros_on_segment(square, (0.5, 0.5), (2.5, 0.5))
+    assert pickle.loads(pickle.dumps(zs)) == zs
+    assert not hasattr(zs[0], "__dict__")
+
+
 def test_zeros_on_segment_h0_dual_point(hexagon_h0):
     # Poisson summation: the dual point (1, -2/5) of the tiling lattice is a zero
     zs = Z.zeros_on_segment(hexagon_h0, (1.0, -0.6), (1.0, -0.2))
