@@ -45,10 +45,6 @@ class InsufficientWindowError(ConvexSpectraError):
     """Point list does not cover the requested counting window with enough margin."""
 
 
-class ParallelFeaturesError(ConvexSpectraError):
-    """Feature pair is parallel; the wedge constraint is vacuous."""
-
-
 class TooFewVerticesError(ConvexSpectraError):
     """Obstruction certificates require a symmetric 2n-gon with n >= 4."""
 

@@ -68,16 +68,6 @@ class ConvexPolygon:
         v = self.vertices
         return np.roll(v, -1, axis=0) - v
 
-    def edge_midpoints(self) -> np.ndarray:
-        v = self.vertices
-        return 0.5 * (v + np.roll(v, -1, axis=0))
-
-    def edge_normals(self) -> np.ndarray:
-        """Outward unit normals, one per edge."""
-        d = self.edge_vectors()
-        n = np.stack([d[:, 1], -d[:, 0]], axis=1)
-        return n / np.linalg.norm(n, axis=1, keepdims=True)
-
     def perimeter(self) -> float:
         return float(np.sum(np.linalg.norm(self.edge_vectors(), axis=1)))
 

@@ -161,14 +161,16 @@ class HeightFn:
         return (self.knots, self.values) if self.kind == "pw" else None
 
     def max_value(self) -> float:
+        """max of h on [a, b]; a polynomial's is taken over the ends and the
+        roots of h' (their real parts, clipped into [a, b])."""
         if self.kind == "semicircle":
             return self.r
         if self.kind == "pw":
             return float(max(self.values))
         if self.kind == "power":
             return self.scale * (0.5 * (self.b - self.a)) ** self.p
-        xs = np.linspace(self.a, self.b, 512)
-        return float(np.max(self(xs)))
+        crit = np.clip(npoly.polyroots(npoly.polyder(self.coeffs)).real, self.a, self.b)
+        return float(np.max(self(np.hstack([self.a, self.b, crit]))))
 
 
 def polynomial(coeffs, a: float = -0.5, b: float = 0.5) -> HeightFn:

@@ -1,32 +1,19 @@
 """Machine-checkable non-spectrality certificates for symmetric 2n-gons, n >= 4.
 
-The argument has two layers.  Any two non-parallel boundary feature points
-x, x' force a candidate spectrum into a lattice of density 4 |x ^ x'|, which
-must be at least the body's area; a pair violating that is a density
-obstruction.  Unconditionally, vertex constraints force some inscribed
-triangle to have area at least half the body, while a fan (even n) or three
-disjoint triangles (odd n) always produce one strictly smaller: a
-re-checkable contradiction witness.
+Vertex constraints force some inscribed triangle to have area at least half
+the body, while a fan (even n) or three disjoint triangles (odd n) always
+produce one strictly smaller: a contradiction witness that
+check_certificate re-checks exactly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSymmetricError, ParallelFeaturesError, TooFewVerticesError
-from .geometry import (ConvexBody, ConvexPolygon, Point2, require_origin_symmetric,
-                       shoelace_area)
-
-
-@dataclass(frozen=True)
-class FeaturePoint:
-    location: Point2
-    kind: str                                   # "interval_midpoint" | "unique_normal"
-    normal: Point2
-    edge: tuple[Point2, Point2] | None = None   # the bisected edge, midpoint kind only
+from .errors import NotSymmetricError, TooFewVerticesError
+from .geometry import ConvexPolygon, Point2, require_origin_symmetric, shoelace_area
 
 
 @dataclass(frozen=True)
@@ -35,68 +22,6 @@ class Certificate:
     triangles: tuple                            # ((i, j, k), area) entries
     margin: float                               # area/2 - smallest triangle area
     omega_area: float
-
-
-def feature_points(body: ConvexBody) -> list[FeaturePoint]:
-    """Boundary points anchoring orthogonality constraints.
-
-    Polygons contribute every edge midpoint (each bisects a maximal boundary
-    interval).  Graph bodies contribute probes on each curved height (one
-    with no polyline), where the normal direction is unique and comes from
-    the height's derivative; flat arcs are excluded.  Right/left extreme
-    points with a vertical tangent qualify.
-    """
-    require_origin_symmetric(body)
-    if isinstance(body, ConvexPolygon):
-        mids = body.edge_midpoints()
-        norms = body.edge_normals()
-        v = body.vertices
-        out = []
-        for i in range(body.m):
-            j = (i + 1) % body.m
-            out.append(FeaturePoint(Point2(*mids[i]), "interval_midpoint",
-                                    Point2(*norms[i]),
-                                    (Point2(*v[i]), Point2(*v[j]))))
-        return out
-
-    # arc spacing ~ 1e-3 * perimeter, so ~500 probes per boundary half; an
-    # even count puts no probe on the midpoint, the only kink a curved height has
-    n = 500
-    xs = body.a + (body.b - body.a) * 0.5 * (
-        1.0 - np.cos(np.linspace(0.0, math.pi, n + 2)[1:-1]))
-    out = []
-    for side, fn in ((1.0, body.f), (-1.0, body.g)):
-        if fn.polyline() is not None:
-            continue
-        ys = side * np.asarray(fn(xs), dtype=float)
-        nvec = np.stack([-np.asarray(fn.derivative(xs)), np.full(n, side)], axis=1)
-        nvec /= np.linalg.norm(nvec, axis=1, keepdims=True)
-        out.extend(FeaturePoint(Point2(float(x), float(y)), "unique_normal", Point2(*nv))
-                   for x, y, nv in zip(xs, ys, nvec))
-    for xe, direction in ((body.b, 1.0), (body.a, -1.0)):
-        if float(body.f(xe)) + float(body.g(xe)) <= 1e-12 and (
-                body.f.endpoint_singular or body.g.endpoint_singular):
-            y = 0.5 * (float(body.f(xe)) - float(body.g(xe)))
-            out.append(FeaturePoint(Point2(float(xe), y), "unique_normal",
-                                    Point2(direction, 0.0)))
-    return out
-
-
-def constraint_density(x, x2, omega_area: float) -> tuple[float, bool]:
-    """Density forced on a spectrum by the feature points x and x2.
-
-    The two membership constraints confine candidate frequencies to a lattice
-    of density 4 |x ^ x2| per unit area; compatibility with the body's Landau
-    density requires 4 |x ^ x2| >= area.  Returns (density, satisfied).
-    """
-    x = np.asarray(x, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    w = abs(float(x[0] * x2[1] - x[1] * x2[0]))
-    scale = max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(x2))))
-    if w <= 1e-12 * scale * scale:
-        raise ParallelFeaturesError("parallel feature points bound no lattice")
-    density = 4.0 * w
-    return density, density >= omega_area - 1e-12
 
 
 def vertex_constraint_vectors(poly: ConvexPolygon) -> tuple[list[Point2], str]:

@@ -124,15 +124,16 @@ def orthogonality_check(body: ConvexBody, candidate: SpectrumCandidate,
 
 def parseval_deficiency(body: ConvexBody, candidate: SpectrumCandidate,
                         x_samples, trunc_radius: float) -> tuple[float, float]:
-    """Truncated Parseval sum deficiency and a conservative tail bound.
+    """Truncated Parseval sum deficiency and the scale of its tail.
 
     With exponentials normalized to unit norm, a spectrum satisfies
     S(x) = sum over candidate of |transform(x - p)|^2 / area^2 = 1 for all x.
-    Returns (max over samples of |S(x) - 1|, tail bound).  The tail bound
-    uses the first-order decay envelope |transform| <= perimeter/(2 pi |xi|)
-    integrated over the candidate density beyond the truncation radius:
-    2 perimeter^2 density / (pi^2 area^2 trunc_radius).  It is reported, not
-    subtracted: deficiencies below it are truncation-limited.
+    Returns (max over samples of |S(x) - 1|, tail scale), the tail scale
+    being 2 perimeter^2 density / (pi^2 area^2 trunc_radius), sized from the
+    first-order decay envelope |transform| <= perimeter/(2 pi |xi|).  It is
+    a scale, not a bound: the squared envelope integrated over the candidate
+    density beyond the truncation radius diverges logarithmically, so a
+    deficiency above it proves nothing.  It is reported, not subtracted.
     """
     if trunc_radius < 10.0:
         raise ValueError("trunc_radius must be >= 10")

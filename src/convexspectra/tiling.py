@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CovolumeMismatchError, DegenerateError, NotTileableError
+from .fourier import _MEMORY_BUDGET
 from .geometry import (ConvexBody, ConvexPolygon, Lattice, Point2, as_polygon,
                        inside_margin, is_symmetric)
 from .spectra import lattice_points_in_ball
@@ -15,6 +16,9 @@ from .spectra import lattice_points_in_ball
 # relative covolume tolerance, times max(1, area), of every tiling lattice
 COVOLUME_TOL = 1e-10
 _CHUNK_TERMS = 2**18  # point-translate-edge terms per chunk of the cover test
+# the tracemalloc peak of verify_tiling per sample (33.0 B on the square and
+# h0) over a floor of about 10 MiB: points, counts, the redraw index and flags
+_BYTES_PER_SAMPLE = 34
 
 
 @dataclass(frozen=True)
@@ -61,10 +65,13 @@ def verify_tiling(poly: ConvexPolygon, lattice: Lattice, samples: int = 10_000,
     Points landing within 1e-6 of any translate boundary are redrawn, so
     every counted point is decisively inside or outside each translate; a
     narrower gap is left to the covolume check, at COVOLUME_TOL.
-    Returns (pass, list of points with cover count != 1).
+    Returns (pass, list of points with cover count != 1).  ValueError when
+    the samples' arrays would pass _MEMORY_BUDGET, before any is built.
     """
     if samples < 1:
         raise ValueError(f"verify_tiling needs at least 1 sample, got {samples}")
+    if _BYTES_PER_SAMPLE * samples > _MEMORY_BUDGET:
+        raise ValueError(f"tiling check too large: {samples} samples, over 256 MiB")
     if abs(lattice.covolume - poly.area) > COVOLUME_TOL * max(1.0, poly.area):
         raise CovolumeMismatchError(
             f"covolume {lattice.covolume:.12g} != area {poly.area:.12g}")

@@ -450,6 +450,7 @@ def test_nonconvex_body_is_input_error(tmp_path, capsys):
     ["ball-align", "--body", "{disc}", "--A", "1", "--window", "30,20", "--eps", "0.05"],
     ["density", "--lattice", "1 0; 0 1", "--radius", "400"],
     ["cap-scan", "--body", "{hexagon}", "--delta", "1e-320"],
+    ["tile-check", "--body", "{square}", "--samples", "100000000000"],
 ])
 def test_bad_input_exits_2_without_traceback(argv, square_file, hexagon_file, disc_file,
                                              tmp_path, capsys):

@@ -68,6 +68,17 @@ def test_max_value():
     assert f.max_value() == pytest.approx(0.7)
 
 
+def test_polynomial_max_value_is_exact():
+    # the parabola cap's vertex, and vertices off any sampling grid
+    assert heights.polynomial([0.75, 0.0, -1.0]).max_value() == 0.75
+    for x0 in (0.123, -0.31, 1.0 / 3.0):
+        f = heights.polynomial([0.6 - x0 * x0, 2.0 * x0, -1.0])
+        assert f.max_value() == pytest.approx(0.6, rel=0.0, abs=1e-15)
+    # a cubic rising to the right end, and a maximum at the left end
+    assert heights.polynomial([0.5, 0.0, 0.0, 1.0]).max_value() == 0.625
+    assert heights.polynomial([0.5, -1.0, -1.0]).max_value() == 0.75
+
+
 @pytest.mark.parametrize("f, d", [
     (heights.polynomial([0.25, 0.1, -1.0]), {"kind": "poly", "coeffs": [0.25, 0.1, -1.0]}),
     (heights.tent(-0.5, 0.5), {"kind": "tent"}),

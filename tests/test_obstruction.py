@@ -5,156 +5,7 @@ import numpy as np
 import pytest
 
 from convexspectra import geometry, obstruction
-from convexspectra.errors import (NotSymmetricError, ParallelFeaturesError,
-                                  TooFewVerticesError)
-from convexspectra.geometry import Point2
-
-
-# --- feature points ---------------------------------------------------------
-
-
-def test_square_features_are_edge_midpoints(square):
-    feats = obstruction.feature_points(square)
-    assert len(feats) == 4
-    assert all(f.kind == "interval_midpoint" for f in feats)
-    assert all(f.edge is not None for f in feats)
-    locs = {(round(f.location.x, 12), round(f.location.y, 12)) for f in feats}
-    assert locs == {(0.5, 0.0), (0.0, 0.5), (-0.5, 0.0), (0.0, -0.5)}
-    for f in feats:
-        # outward normal points along the midpoint direction on the square
-        r = math.hypot(f.location.x, f.location.y)
-        assert f.normal.x == pytest.approx(f.location.x / r, abs=1e-12)
-        assert f.normal.y == pytest.approx(f.location.y / r, abs=1e-12)
-
-
-def test_hexagon_has_six_features(hexagon_h0):
-    feats = obstruction.feature_points(hexagon_h0)
-    assert len(feats) == 6
-    assert all(f.kind == "interval_midpoint" for f in feats)
-
-
-def test_disc_features_cover_curved_boundary(disc_body):
-    feats = obstruction.feature_points(disc_body)
-    assert len(feats) > 900
-    assert all(f.kind == "unique_normal" for f in feats)
-    # vertical-tangent extreme points qualify
-    assert any(abs(f.location.x - 0.5) < 1e-12 and abs(f.location.y) < 1e-12
-               for f in feats)
-    assert any(abs(f.location.x + 0.5) < 1e-12 and abs(f.location.y) < 1e-12
-               for f in feats)
-    for f in feats:
-        assert math.hypot(f.normal.x, f.normal.y) == pytest.approx(1.0, abs=1e-12)
-        if abs(f.location.x) <= 0.4:
-            # circle normal is radial
-            r = math.hypot(f.location.x, f.location.y)
-            assert f.normal.x == pytest.approx(f.location.x / r, abs=1e-6)
-            assert f.normal.y == pytest.approx(f.location.y / r, abs=1e-6)
-
-
-def test_curved_features_do_not_depend_on_scale():
-    def curved(r):
-        return sum(f.kind == "unique_normal"
-                   for f in obstruction.feature_points(geometry.disc(r)))
-    assert curved(2000.0) == curved(0.5)
-
-
-def test_flat_graph_body_has_no_curved_features(diamond_body):
-    assert obstruction.feature_points(diamond_body) == []
-
-
-def test_features_reject_asymmetric_body():
-    tri = geometry.validate_polygon([(1, 0), (0, 1), (-1, -1)])
-    with pytest.raises(NotSymmetricError):
-        obstruction.feature_points(tri)
-
-
-def test_features_reject_offcenter_body():
-    shifted = geometry.validate_polygon(
-        [(1.5, -0.5), (1.5, 0.5), (0.5, 0.5), (0.5, -0.5)])
-    with pytest.raises(NotSymmetricError):
-        obstruction.feature_points(shifted)
-
-
-def test_symmetry_guard_is_relative_to_body_scale():
-    # centroid lands ~6e-9 off the origin from rounding alone; every
-    # origin-symmetry check must accept the body at this size
-    big = geometry.regular_polygon(8, circumradius=1e8)
-    assert math.hypot(*geometry.centroid(big)) > 1e-9
-    assert len(obstruction.feature_points(big)) == 8
-    geometry.normalize_edge_to_standard(big, 0)
-
-
-def test_one_symmetry_guard_for_features_and_certificates(octagon):
-    # a center 0.9e-9 off the origin is within the guard's 1e-9 * scale, so
-    # every check that needs origin symmetry accepts the body
-    moved = geometry.validate_polygon(octagon.vertices + [0.9e-9, 0.0])
-    assert len(obstruction.feature_points(moved)) == 8
-    cert = obstruction.nonspectral_certificate(moved)
-    assert obstruction.check_certificate(moved, cert)
-
-
-# --- density constraints ----------------------------------------------------
-
-
-def test_square_midpoint_pair_density(square):
-    dens, ok = obstruction.constraint_density((0.5, 0.0), (0.0, 0.5), square.area)
-    assert dens == pytest.approx(1.0, abs=1e-15)
-    assert ok
-
-
-def test_square_has_no_false_obstruction(square):
-    feats = obstruction.feature_points(square)
-    for i, f in enumerate(feats):
-        for f2 in feats[i + 1:]:
-            try:
-                _, ok = obstruction.constraint_density(
-                    (f.location.x, f.location.y), (f2.location.x, f2.location.y),
-                    square.area)
-            except ParallelFeaturesError:
-                continue
-            assert ok
-
-
-def test_hexagon_has_no_false_obstruction(hexagon_h0):
-    feats = obstruction.feature_points(hexagon_h0)
-    for i, f in enumerate(feats):
-        for f2 in feats[i + 1:]:
-            try:
-                _, ok = obstruction.constraint_density(
-                    (f.location.x, f.location.y), (f2.location.x, f2.location.y),
-                    hexagon_h0.area)
-            except ParallelFeaturesError:
-                continue
-            assert ok
-
-
-def test_octagon_adjacent_midpoints_obstruct(octagon):
-    v = octagon.vertices
-    m0 = (v[0] + v[1]) / 2
-    m1 = (v[1] + v[2]) / 2
-    dens, ok = obstruction.constraint_density(m0, m1, octagon.area)
-    assert dens == pytest.approx(2.4142135623730951, abs=1e-12)
-    assert octagon.area == pytest.approx(2.82842712474619, abs=1e-12)
-    assert not ok
-
-
-def test_parallel_features_rejected():
-    with pytest.raises(ParallelFeaturesError):
-        obstruction.constraint_density((0.5, 0.0), (-0.5, 0.0), 1.0)
-    with pytest.raises(ParallelFeaturesError):
-        obstruction.constraint_density((0.3, 0.4), (0.6, 0.8), 1.0)
-
-
-def test_density_invariant_under_swap_and_negation():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        x, x2 = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
-        if abs(x[0] * x2[1] - x[1] * x2[0]) < 1e-6:
-            continue
-        d0, _ = obstruction.constraint_density(x, x2, 1.0)
-        assert obstruction.constraint_density(x2, x, 1.0)[0] == d0
-        assert obstruction.constraint_density(-x, x2, 1.0)[0] == d0
-        assert obstruction.constraint_density(x, -x2, 1.0)[0] == d0
+from convexspectra.errors import NotSymmetricError, TooFewVerticesError
 
 
 # --- vertex constraint vectors ----------------------------------------------
@@ -337,10 +188,34 @@ def test_certificate_apex_relabeling(octagon):
         assert cert.margin > 0
 
 
-def test_certificate_rejects_asymmetric():
+def test_certificate_rejects_asymmetric(octagon):
+    # asymmetric bodies, and symmetric ones whose center is off the origin
     quad = geometry.validate_polygon([(1, 0), (0, 1), (-1, 0), (0, -2)])
-    with pytest.raises(NotSymmetricError):
-        obstruction.nonspectral_certificate(quad)
+    tri = geometry.validate_polygon([(1, 0), (0, 1), (-1, -1)])
+    shifted = geometry.validate_polygon(
+        [(1.5, -0.5), (1.5, 0.5), (0.5, 0.5), (0.5, -0.5)])
+    moved = geometry.validate_polygon(octagon.vertices + [1.0, 0.0])
+    for poly in (quad, tri, shifted, moved):
+        with pytest.raises(NotSymmetricError):
+            obstruction.nonspectral_certificate(poly)
+
+
+def test_symmetry_guard_is_relative_to_body_scale():
+    # centroid lands ~6e-9 off the origin from rounding alone; every
+    # origin-symmetry check must accept the body at this size
+    big = geometry.regular_polygon(8, circumradius=1e8)
+    assert math.hypot(*geometry.centroid(big)) > 1e-9
+    assert obstruction.check_certificate(big, obstruction.nonspectral_certificate(big))
+    geometry.normalize_edge_to_standard(big, 0)
+
+
+def test_one_symmetry_guard_for_normalization_and_certificates(octagon):
+    # a center 0.9e-9 off the origin is within the guard's 1e-9 * scale, so
+    # every check that needs origin symmetry accepts the body
+    moved = geometry.validate_polygon(octagon.vertices + [0.9e-9, 0.0])
+    geometry.normalize_edge_to_standard(moved, 0)
+    cert = obstruction.nonspectral_certificate(moved)
+    assert obstruction.check_certificate(moved, cert)
 
 
 def test_certificate_needs_eight_vertices(hexagon_h0):

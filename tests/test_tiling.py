@@ -176,3 +176,28 @@ def test_classify_flat_graph_octagon_with_close_knots():
 def test_verify_tiling_needs_a_sample(square):
     with pytest.raises(ValueError, match="at least 1 sample"):
         tiling.verify_tiling(square, tiling.tiling_lattice(square), samples=0)
+
+
+def test_verify_tiling_memory_is_what_its_budget_counts(square):
+    # each sample adds at most _BYTES_PER_SAMPLE to the peak, and a count
+    # past _MEMORY_BUDGET is refused before any array is built
+    import tracemalloc
+    lat = tiling.tiling_lattice(square)
+    peaks = []
+    for samples in (20_000, 80_000):
+        tracemalloc.start()
+        try:
+            tiling.verify_tiling(square, lat, samples=samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= tiling._BYTES_PER_SAMPLE * 60_000, peaks
+    too_many = tiling._MEMORY_BUDGET // tiling._BYTES_PER_SAMPLE + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large"):
+            tiling.verify_tiling(square, lat, samples=too_many)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
