@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__, heights
 from .errors import (BodyParseError, BodyValidationError, ConvexSpectraError,
                      NoBlowupError, NotTileableError, NoZerosFoundError)
-from .fourier import _PANEL_TOL, QUAD_TOL, SINGULAR_THRESHOLD, cap_lower_bound_scan, ft_body
+from .fourier import (_PANEL_TOL, QUAD_TOL, SINGULAR_THRESHOLD, ZERO_TOL, cap_lower_bound_scan,
+                      ft_body)
 from .geometry import (ConvexBody, ConvexPolygon, GraphBody, Lattice, as_polygon,
                        decompose_caps, measures, validate_polygon)
 from .obstruction import check_certificate, nonspectral_certificate
@@ -265,10 +266,10 @@ def _cmd_spectrum_check(args, body):
 def _cmd_density(args, body):
     lat = parse_lattice(args.lattice)
     R = args.radius
-    # 7x7 center grid over [-R, R]; points must pad each cube by 2R
+    # points must pad each cube of the 7x7 center grid over [-R, R] by 2R
+    pts = lattice_points_in_ball(lat, 3.0 * R * math.sqrt(2.0) + 1.0)
     g = np.linspace(-R, R, 7)
     centers = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-    pts = lattice_points_in_ball(lat, 3.0 * R * math.sqrt(2.0) + 1.0)
     rep = landau_density(pts, R, centers)
     print("R %g  D+ %d  D- %d  normalized %.17g / %.17g"
           % (rep.R, rep.D_plus, rep.D_minus, rep.normalized_plus,
@@ -373,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("zeros", _cmd_zeros, "locate transform zeros on a segment")
     sp.add_argument("--xi", action="append", required=True,
                     help="segment endpoint as x,y (pass twice)")
-    sp.add_argument("--tol", type=_positive, default=None,
-                    help="zero residual tolerance (default 1e-9 * area)")
+    sp.add_argument("--tol", type=_positive, default=ZERO_TOL,
+                    help="zero residual tolerance, relative to the body's area")
 
     sp = add("slab-align", _cmd_slab_align,
              "zero alignment with the punctured integer grid in slabs")
@@ -397,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
              "orthogonality and density of a lattice candidate spectrum")
     sp.add_argument("--lattice", required=True, help='basis "a b; c d" (columns)')
     sp.add_argument("--radius", type=_positive, required=True)
-    sp.add_argument("--tol", type=_positive, default=1e-9)
+    sp.add_argument("--tol", type=_positive, default=ZERO_TOL,
+                    help="orthogonality tolerance, relative to the body's area")
 
     sp = add("density", _cmd_density, "Landau counting density of a lattice",
              body=False)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NoConvergenceError
 from .geometry import (ConvexBody, ConvexPolygon, GraphBody, Point2, _gauss_kronrod,
-                       as_polygon, graph_heights)
+                       as_polygon, graph_heights, require_memory)
 from .heights import HeightFn, zero
 
 _TWO_PI = 2.0 * math.pi
@@ -42,8 +42,12 @@ SINGULAR_THRESHOLD = 1e-2
 QUAD_TOL = 1e-10
 # the panel rule's error target, relative to the body's area
 _PANEL_TOL = 1e-13
-# bytes one request may allocate: panel rules, scan grids, lattice enumeration
-_MEMORY_BUDGET = 256 * 2**20
+# |transform| at most this times the area counts as a zero: found zeros,
+# alignment scans and spectrum orthogonality
+ZERO_TOL = 1e-9
+# the largest frequency coordinate the edge sum takes: past about 3.8e153
+# its divisor 2 pi |xi|^2 overflows
+_EDGE_SUM_MAX_XI = 1e153
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,29 +130,32 @@ _RHO = 1.0 + np.geomspace(0.05, 40.0, 24)
 _PANEL_BYTES_PER_NODE = 50
 
 
-def _gl_bound(body: GraphBody, edges: np.ndarray, max_xi1: float, max_xi2: float) -> np.ndarray:
-    """Error bound of each panel of the rule on `edges` for the box
+def _gl_bound(body: GraphBody, lo: np.ndarray, hi: np.ndarray, max_xi1: float,
+              max_xi2: float) -> np.ndarray:
+    """Error bound of each panel [lo, hi] of a rule for the box
     |xi1| <= max_xi1, |xi2| <= max_xi2.  n-point Gauss-Legendre on a panel of
     half-width h errs by at most (64/15) M rho^(-2n) / (rho^2 - 1) h with M
     the integrand's bound on the Bernstein ellipse E_rho (Trefethen, ATAP,
     Thm 19.3), here |F + G| exp(2 pi |Im z| (max_xi1 + max_xi2 max(|F'|, |G'|))),
-    minimized over _RHO.  A panel at a singular end takes 2 width (max height).
-    Blocks of 4096 panels cap its temporaries near 10 MiB at any panel count.
+    minimized over _RHO.  A panel that touches a singular end takes 2 width
+    (max height).  Each panel's bound depends on that panel alone.  Blocks
+    of 4096 panels cap its temporaries near 10 MiB at any panel count.
     """
-    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     bound, rho = np.empty(len(mid)), _RHO[None, :]
-    for lo in range(0, len(mid), 4096):
-        m, h = mid[lo:lo + 4096, None], half[lo:lo + 4096, None]
+    for s in range(0, len(mid), 4096):
+        m, h = mid[s:s + 4096, None], half[s:s + 4096, None]
         fm, fd = body.f.ellipse_bounds(m, 0.5 * (rho + 1.0 / rho) * h)
         gm, gd = body.g.ellipse_bounds(m, 0.5 * (rho + 1.0 / rho) * h)
         with np.errstate(over="ignore", invalid="ignore"):
             mag = (fm + gm) * np.exp(math.pi * (rho - 1.0 / rho) * h
                                      * (max_xi1 + max_xi2 * np.maximum(fd, gd)))
             # fmin skips the NaN of inf * 0: a panel with no finite rho keeps inf
-            bound[lo:lo + 4096] = np.fmin.reduce((64.0 / 15.0) * mag * rho ** (-2 * len(_GL_NODES))
+            bound[s:s + 4096] = np.fmin.reduce((64.0 / 15.0) * mag * rho ** (-2 * len(_GL_NODES))
                                                  / (rho * rho - 1.0) * h, axis=1, initial=np.inf)
     if body.f.endpoint_singular or body.g.endpoint_singular:
-        bound[[0, -1]] = 4.0 * half[[0, -1]] * (body.f.max_value() + body.g.max_value())
+        end = (lo == body.a) | (hi == body.b)
+        bound[end] = 4.0 * half[end] * (body.f.max_value() + body.g.max_value())
     return bound
 
 
@@ -224,32 +231,40 @@ def _panel_rule(body: GraphBody, max_xi1: float, max_xi2: float) -> _FrozenGraph
     quarter of the target _PANEL_TOL * area.  Each pass accepts the layout when
     its summed _gl_bound plus a rounding floor of 32 eps * area, the sum of
     |w_k (F+G)_k|, meets the target (rule.err is that sum), and otherwise
-    halves every panel whose bound exceeds its width's share of the target.
-    Before any node is built: ValueError when the panel count would pass
-    _MEMORY_BUDGET, NoConvergenceError when a pass does not lower the bound.
+    halves every panel whose bound exceeds its width's share of the target;
+    only the halves a pass creates get new bounds.  Before any node is
+    built: ValueError when the panel count would pass the memory budget,
+    NoConvergenceError when a pass does not lower the bound.
     """
     target, floor = _PANEL_TOL * body.area, 32.0 * _EPS * body.area
-    brk = sorted({body.a, body.b, *body.f.breakpoints(), *body.g.breakpoints()})
+    brk = np.array(sorted({body.a, body.b, *body.f.breakpoints(), *body.g.breakpoints()}))
     hmax = body.f.max_value() + body.g.max_value()
-    counts = [max(2, math.ceil(0.5 * (1.1 * (max_xi1 * (s1 - s0) + max_xi2 * hmax) + 2.0)))
-              for s0, s1 in zip(brk[:-1], brk[1:])]
-    h_lo, h_hi = (brk[1] - brk[0]) / counts[0], (brk[-1] - brk[-2]) / counts[-1]
-    levels = (max(1, math.ceil(math.log2(8.0 * max(h_lo, h_hi) * hmax / target)))
-              if body.f.endpoint_singular or body.g.endpoint_singular else 0)
+    # floats: near the float limit a count is inf, and grade 0, for the memory guard
+    with np.errstate(over="ignore"):
+        counts = np.maximum(2.0, np.ceil(0.5 * (1.1 * (max_xi1 * np.diff(brk) + max_xi2 * hmax)
+                                                + 2.0)))
+        h_lo, h_hi = (brk[1] - brk[0]) / counts[0], (brk[-1] - brk[-2]) / counts[-1]
+        grade = 8.0 * max(h_lo, h_hi) * hmax / target
+    levels = (max(1.0, float(np.ceil(math.log2(grade)))) if grade > 0.0 and (
+        body.f.endpoint_singular or body.g.endpoint_singular) else 0.0)
     # NaN compares false, so the first pass is never refused for its bound
-    panels, edges, last = sum(counts) + 2 * levels, None, math.nan
+    panels, edges, last = counts.sum() + 2.0 * levels, None, math.nan
     while True:
-        if _PANEL_BYTES_PER_NODE * len(_GL_NODES) * panels > _MEMORY_BUDGET:
-            raise ValueError(f"panel rule too large: {panels:.3g} panels for frequencies "
-                             f"up to ({max_xi1:g}, {max_xi2:g})")
+        require_memory(_PANEL_BYTES_PER_NODE * len(_GL_NODES) * panels, "panel rule",
+                       f"{panels:.3g} panels for frequencies up to ({max_xi1:g}, {max_xi2:g})")
         if edges is None:
             lev = np.exp2(-np.arange(1, levels + 1, dtype=float))
             edges = np.unique(np.concatenate(
-                [np.linspace(s0, s1, n + 1) for s0, s1, n in zip(brk[:-1], brk[1:], counts)]
+                [np.linspace(s0, s1, int(n) + 1) for s0, s1, n in zip(brk[:-1], brk[1:], counts)]
                 + [body.a + h_lo * lev, body.b - h_hi * lev]))
+            bound = _gl_bound(body, edges[:-1], edges[1:], max_xi1, max_xi2)
         else:
-            edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])[split]]))
-        bound = _gl_bound(body, edges, max_xi1, max_xi2)
+            # each split panel becomes two halves in place; the rest keep their bounds
+            fresh = np.repeat(split, 1 + split)
+            edges = np.insert(edges, np.flatnonzero(split) + 1,
+                              0.5 * (edges[:-1] + edges[1:])[split])
+            bound = np.repeat(bound, 1 + split)
+            bound[fresh] = _gl_bound(body, edges[:-1][fresh], edges[1:][fresh], max_xi1, max_xi2)
         total = float(bound.sum())
         if total + floor <= target:
             return _FrozenGraphEval(body, edges, total + floor)
@@ -275,22 +290,35 @@ def graph_transform_batch(body: GraphBody, xis) -> tuple[np.ndarray, np.ndarray]
 def frozen_batch_evaluator(body: ConvexBody, max_xi1: float, max_xi2: float):
     """Callable xis -> transform values, valid for |xi1| <= max_xi1, |xi2| <= max_xi2.
 
-    Bodies bounded by flat arcs use the exact closed form.  Curved bodies get
-    the panel rule, which _panel_rule refuses (NoConvergenceError) when its
-    bound misses _PANEL_TOL * area.
+    Bodies bounded by flat arcs use the exact closed form, ValueError for a
+    box the edge sum cannot take.  Curved bodies get the panel rule, which
+    _panel_rule refuses (NoConvergenceError) when its bound misses
+    _PANEL_TOL * area.
     """
     poly = as_polygon(body)
     if poly is not None:
+        _require_edge_sum_range(np.array([[max_xi1, max_xi2]]))
         return lambda xis: transform_batch(poly, xis)[0]
     return _panel_rule(body, max_xi1, max_xi2)
 
 
+def _require_edge_sum_range(xis: np.ndarray) -> None:
+    """ValueError naming the frequencies with a coordinate past _EDGE_SUM_MAX_XI."""
+    far = xis[np.any(np.abs(xis) > _EDGE_SUM_MAX_XI, axis=1)]
+    if len(far):
+        more = f" and {len(far) - 1} more" if len(far) > 1 else ""
+        raise ValueError(f"frequency too large for the edge sum: ({far[0, 0]:g}, {far[0, 1]:g})"
+                         f"{more}, a coordinate over {_EDGE_SUM_MAX_XI:g}")
+
+
 def transform_batch(body: ConvexBody, xis) -> tuple[np.ndarray, np.ndarray]:
-    """Primary-route transform for an (N, 2) frequency batch: (values, errors)."""
+    """Primary-route transform for an (N, 2) frequency batch: (values, errors).
+    ValueError, naming them, for frequencies the edge sum cannot take."""
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     poly = as_polygon(body)
     if poly is None:
         return graph_transform_batch(body, xis)
+    _require_edge_sum_range(xis)
     values = np.empty(len(xis), dtype=complex)
     errs = np.empty(len(xis))
     small = np.linalg.norm(xis, axis=1) <= SINGULAR_THRESHOLD
@@ -479,11 +507,6 @@ _CAP_BYTES_PER_POINT = 160
 _ZOOM_POINTS, _ZOOM_SHRINK = 33, 16
 
 
-def _require_cap_grid(points: float) -> None:
-    if not _CAP_BYTES_PER_POINT * points <= _MEMORY_BUDGET:
-        raise ValueError(f"cap scan grid too large: {points:.3g} points, over 256 MiB")
-
-
 def cap_lower_bound_scan(f: HeightFn, delta: float,
                          window: tuple[float, float] = (0.1, 10.0)) -> CapScanResult:
     """Scan R in [window[0]/delta, window[1]/delta] for the largest |f_hat(R)|.
@@ -500,8 +523,8 @@ def cap_lower_bound_scan(f: HeightFn, delta: float,
     times, until it is below 1e-11 * R_hi.  The winning R is confirmed by
     adaptive quadrature (_gauss_kronrod) and the quadrature value is
     reported, NoConvergenceError if it does not converge.  An identically
-    zero cap refines nothing.  ValueError before allocating a grid over
-    _MEMORY_BUDGET.  ratio uses the cap height at distance delta from the
+    zero cap refines nothing.  ValueError before allocating a grid over the
+    memory budget.  ratio uses the cap height at distance delta from the
     right endpoint; an identically-zero denominator yields ratio = NaN; the
     window needs lo < hi.  grid_step is the coarse step.
     """
@@ -511,7 +534,7 @@ def cap_lower_bound_scan(f: HeightFn, delta: float,
     r_lo, r_hi = lo / delta, hi / delta
     # counted from the window, not r_hi - r_lo: both ends overflow together
     n = 8.0 * (f.b - f.a) * (hi - lo) / delta
-    _require_cap_grid(n + 1.0)
+    require_memory(_CAP_BYTES_PER_POINT * (n + 1.0), "cap scan grid", f"{n + 1.0:.3g} points")
     grid, step = np.linspace(r_lo, r_hi, math.ceil(n) + 1, retstep=True)
     mags = np.abs(height_fourier(f, grid))
     best = float(np.max(mags))
@@ -520,7 +543,8 @@ def cap_lower_bound_scan(f: HeightFn, delta: float,
         pad = np.concatenate([[-np.inf], mags, [-np.inf]])
         keep = (mags >= pad[:-2]) & (mags >= pad[2:]) & (mags >= 0.5 * best)
         peaks, pmags = grid[keep], mags[keep]
-        _require_cap_grid(_ZOOM_POINTS * len(peaks))
+        require_memory(_CAP_BYTES_PER_POINT * _ZOOM_POINTS * len(peaks), "cap scan grid",
+                       f"{_ZOOM_POINTS * len(peaks)} zoom points")
         offsets, rows = np.linspace(-1.0, 1.0, _ZOOM_POINTS), np.arange(len(peaks))
         half = step
         while half >= 1e-11 * r_hi:

@@ -193,6 +193,16 @@ class GraphBody:
 ConvexBody = Union[ConvexPolygon, GraphBody]
 
 
+# bytes one request may allocate; require_memory makes every refusal
+MEMORY_BUDGET = 256 * 2**20
+
+
+def require_memory(nbytes: float, what: str, detail: str) -> None:
+    """ValueError unless nbytes, a float (inf past the float range), is <= MEMORY_BUDGET."""
+    if not nbytes <= MEMORY_BUDGET:
+        raise ValueError(f"{what} too large: {detail}, over 256 MiB")
+
+
 # ---------------------------------------------------------------------------
 # adaptive Gauss-Kronrod quadrature
 
@@ -222,8 +232,6 @@ _GK_RULE = np.stack([_GK_KRONROD, _GK_KRONROD - _GK_GAUSS], axis=1)
 _MAX_SUBDIVISIONS = 200
 # intervals evaluated per call of the integrand
 _GK_CHUNK = 2**15
-# starting pieces one integral may take: about 1 s and 100 MB at 2**20
-_GK_MAX_PIECES = 2**20
 
 
 def _gauss_kronrod(h, a: float, b: float, brk, xi1: float,
@@ -239,14 +247,15 @@ def _gauss_kronrod(h, a: float, b: float, brk, xi1: float,
     summed |K21 - G10| of all intervals is at most tol.  abserr is that sum.
     converged is False, with the current estimate, once the interval count
     would pass _MAX_SUBDIVISIONS per starting piece or an estimate is not
-    finite.  ValueError, before allocating, for over _GK_MAX_PIECES pieces.
+    finite.  ValueError, before allocating, for over 2**20 starting pieces
+    (about 1 s and 100 MB), each charged 256 bytes of the memory budget.
     """
     segs = [a, *sorted({p for p in brk if a < p < b}), b]
-    counts = [max(1, math.ceil(abs(xi1) * (s1 - s0))) for s0, s1 in zip(segs[:-1], segs[1:])]
-    if sum(counts) > _GK_MAX_PIECES:
-        raise ValueError(f"quadrature at frequency {xi1:g} needs {sum(counts):.3g} "
-                         f"pieces, over {_GK_MAX_PIECES}")
-    edges = np.concatenate([np.linspace(s0, s1, n + 1)[:-1]
+    counts = [max(1.0, float(np.ceil(abs(float(xi1)) * (s1 - s0))))
+              for s0, s1 in zip(segs[:-1], segs[1:])]
+    require_memory(256 * sum(counts), "quadrature",
+                   f"{sum(counts):.3g} pieces at frequency {xi1:g}")
+    edges = np.concatenate([np.linspace(s0, s1, int(n) + 1)[:-1]
                             for s0, s1, n in zip(segs[:-1], segs[1:], counts)] + [[b]])
     lo, hi = edges[:-1], edges[1:]
     limit, count = _MAX_SUBDIVISIONS * len(lo), len(lo)

@@ -15,8 +15,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InsufficientWindowError
-from .fourier import _MEMORY_BUDGET, transform_batch
-from .geometry import ConvexBody, Lattice, Point2, measures
+from .fourier import ZERO_TOL, transform_batch
+from .geometry import ConvexBody, Lattice, Point2, measures, require_memory
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,12 @@ def lattice_points_in_ball(lattice: Lattice, radius: float) -> np.ndarray:
     """All lattice points with |p| <= radius, lexicographically ordered."""
     B = lattice.basis()
     Binv = np.linalg.inv(B)
-    mmax = int(math.floor(radius * np.linalg.norm(Binv[0]))) + 1
-    nmax = int(math.floor(radius * np.linalg.norm(Binv[1]))) + 1
+    mmax = float(np.floor(radius * float(np.linalg.norm(Binv[0])))) + 1.0
+    nmax = float(np.floor(radius * float(np.linalg.norm(Binv[1])))) + 1.0
+    pairs = (2.0 * mmax + 1.0) * (2.0 * nmax + 1.0)
     # ~68 B of temporaries per coefficient pair
-    if 68 * (2 * mmax + 1) * (2 * nmax + 1) > _MEMORY_BUDGET:
-        raise ValueError(
-            f"lattice too dense for radius {radius:g}: "
-            f"{(2 * mmax + 1) * (2 * nmax + 1)} coefficient pairs, over 256 MiB")
+    require_memory(68 * pairs, "lattice enumeration",
+                   f"{pairs:.3g} coefficient pairs within radius {radius:g}")
     ms, ns = np.meshgrid(np.arange(-mmax, mmax + 1), np.arange(-nmax, nmax + 1),
                          indexing="ij")
     coeffs = np.stack([ms.ravel(), ns.ravel()], axis=1)
@@ -89,7 +88,7 @@ def _lex_min(points: np.ndarray) -> Point2:
 
 
 def orthogonality_check(body: ConvexBody, candidate: SpectrumCandidate,
-                        radius: float, tol: float = 1e-9) -> tuple[bool, tuple[Point2, float]]:
+                        radius: float, tol: float = ZERO_TOL) -> tuple[bool, tuple[Point2, float]]:
     """Is every pairwise difference of candidate points a transform zero?
 
     |transform(-d)| = |transform(d)|, so one of each +-d pair is checked.
@@ -99,7 +98,7 @@ def orthogonality_check(body: ConvexBody, candidate: SpectrumCandidate,
     i < j over the lexicographically sorted points.  Pass iff all
     |transform| <= tol * area.  Returns the worst offender as (difference
     point, |transform| there), lexicographic tie-break.  ValueError before
-    an explicit candidate's differences pass _MEMORY_BUDGET.
+    an explicit candidate's differences pass the memory budget.
     """
     a = body.area
     if candidate.kind == "lattice":
@@ -109,9 +108,8 @@ def orthogonality_check(body: ConvexBody, candidate: SpectrumCandidate,
         pts = enumerate_points(candidate, radius)
         n_diffs = len(pts) * (len(pts) - 1) // 2
         # ~161 B of peak per difference (tracemalloc, 1257 points on the square)
-        if 161 * n_diffs > _MEMORY_BUDGET:
-            raise ValueError(f"explicit candidate too large: {len(pts)} points within "
-                             f"radius {radius:g}, {n_diffs} differences, over 256 MiB")
+        require_memory(161 * n_diffs, "explicit candidate",
+                       f"{len(pts)} points within radius {radius:g}, {n_diffs} differences")
         i, j = np.triu_indices(len(pts), 1)
         diffs = pts[i] - pts[j]
     if len(diffs) == 0:

@@ -8,9 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CovolumeMismatchError, DegenerateError, NotTileableError
-from .fourier import _MEMORY_BUDGET
 from .geometry import (ConvexBody, ConvexPolygon, Lattice, Point2, as_polygon,
-                       inside_margin, is_symmetric)
+                       inside_margin, is_symmetric, require_memory)
 from .spectra import lattice_points_in_ball
 
 # relative covolume tolerance, times max(1, area), of every tiling lattice
@@ -57,6 +56,17 @@ def tiling_lattice(poly: ConvexPolygon) -> Lattice:
     return lat
 
 
+def _pushed_out_radius(poly: ConvexPolygon, d: float) -> float:
+    """Largest vertex norm of poly with every edge line pushed out by d: the
+    vertex between edges with unit outward normals n0, n1 moves by
+    d (n0 + n1) / (1 + n0 . n1)."""
+    e = poly.edge_vectors()
+    n = np.stack([e[:, 1], -e[:, 0]], axis=1) / np.linalg.norm(e, axis=1)[:, None]
+    n0 = np.roll(n, 1, axis=0)
+    shift = (n0 + n) / (1.0 + np.einsum("ij,ij->i", n0, n))[:, None]
+    return float(np.max(np.linalg.norm(poly.vertices + d * shift, axis=1)))
+
+
 def verify_tiling(poly: ConvexPolygon, lattice: Lattice, samples: int = 10_000,
                   seed: int = 0) -> tuple[bool, list[Point2]]:
     """Sampled exact-cover check: random fundamental-domain points must be
@@ -65,23 +75,31 @@ def verify_tiling(poly: ConvexPolygon, lattice: Lattice, samples: int = 10_000,
     Points landing within 1e-6 of any translate boundary are redrawn, so
     every counted point is decisively inside or outside each translate; a
     narrower gap is left to the covolume check, at COVOLUME_TOL.
+    Only the translates that can reach a sample are tested.  A sample
+    B u, u in [0, 1)^2, lies within half the longer diagonal of the cell's
+    centre c, and a translate lam + P counts or redraws it only where
+    inside_margin(P, sample - lam) > -1e-6, inside P with its edge lines
+    pushed out by 1e-6; pushed out twice that far (the second 1e-6 absorbs
+    rounding) P lies within _pushed_out_radius of the origin, so lam is
+    within the sum of the two of c.
     Returns (pass, list of points with cover count != 1).  ValueError when
-    the samples' arrays would pass _MEMORY_BUDGET, before any is built.
+    the samples' arrays would pass the memory budget, before any is built.
     """
     if samples < 1:
         raise ValueError(f"verify_tiling needs at least 1 sample, got {samples}")
-    if _BYTES_PER_SAMPLE * samples > _MEMORY_BUDGET:
-        raise ValueError(f"tiling check too large: {samples} samples, over 256 MiB")
+    require_memory(_BYTES_PER_SAMPLE * samples, "tiling check", f"{samples} samples")
     if abs(lattice.covolume - poly.area) > COVOLUME_TOL * max(1.0, poly.area):
         raise CovolumeMismatchError(
             f"covolume {lattice.covolume:.12g} != area {poly.area:.12g}")
+    margin = 1e-6
     B = lattice.basis()
-    reach = float(np.linalg.norm(B[:, 0]) + np.linalg.norm(B[:, 1]))
-    rad = float(np.max(np.linalg.norm(poly.vertices, axis=1)))
-    offsets = lattice_points_in_ball(lattice, reach + rad + 1.0)
+    centre = 0.5 * (B[:, 0] + B[:, 1])
+    reach = (0.5 * max(np.linalg.norm(B[:, 0] + B[:, 1]), np.linalg.norm(B[:, 0] - B[:, 1]))
+             + _pushed_out_radius(poly, 2.0 * margin))
+    near = lattice_points_in_ball(lattice, reach + float(np.linalg.norm(centre)))
+    offsets = near[np.linalg.norm(near - centre, axis=1) <= reach]
     chunk = max(1, _CHUNK_TERMS // (len(offsets) * poly.m))
 
-    margin = 1e-6
     rng = np.random.default_rng(seed)
     pts = (B @ rng.random((2, samples))).T
     counts = np.empty(samples, dtype=int)
@@ -94,6 +112,7 @@ def verify_tiling(poly: ConvexPolygon, lattice: Lattice, samples: int = 10_000,
             margins = inside_margin(poly, rel).reshape(len(idx), -1)
             ambiguous[lo:lo + chunk] = np.any(np.abs(margins) < margin, axis=1)
             counts[idx] = (margins >= margin).sum(axis=1)
+            del rel, margins  # not alive beside the next chunk's temporaries
         todo = todo[ambiguous]
         if len(todo) == 0:
             break

@@ -7,9 +7,10 @@ degree fixed in advance from the interpolation bound on Bernstein ellipses
 (Trefethen, ATAP, Thm 8.2), and the real roots of every line come from one
 eigenvalue problem on the stacked colleague matrices (Boyd, SIAM J. Numer.
 Anal. 40 (2002)).  A root counts as a zero when the transform there is at
-most the residual tolerance.  Slab scans measure their zeros' distance to
-the punctured integer grid lines ("Z_Q"); ball scans fit vertical lines at
-a fractional shift ("shifted_vertical_grid").
+most the residual tolerance, by default fourier.ZERO_TOL times the area.
+Slab scans measure their zeros' distance to the punctured integer grid
+lines ("Z_Q"); ball scans fit vertical lines at a fractional shift
+("shifted_vertical_grid").
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import numpy as np
 from scipy import fft
 
 from .errors import NoBlowupError, NoZerosFoundError
-from .fourier import _MEMORY_BUDGET, _PANEL_TOL, frozen_batch_evaluator
-from .geometry import (ConvexBody, Point2, graph_heights, require_origin_symmetric,
-                       require_slab_span, require_standard_position)
+from .fourier import _PANEL_TOL, ZERO_TOL, frozen_batch_evaluator
+from .geometry import (ConvexBody, Point2, graph_heights, require_memory,
+                       require_origin_symmetric, require_slab_span, require_standard_position)
 from .heights import HeightFn
 
 # line spacing of slab scans, and the shortest chord a ball scan keeps
@@ -60,7 +61,7 @@ def grid_distance(xi) -> float:
     return min(abs(t - round(t)) if round(t) else 1.0 - abs(t) for t in map(float, xi))
 
 
-def _line_pieces(body: ConvexBody, extent, n_lines: int) -> tuple[int, int]:
+def _line_pieces(body: ConvexBody, extent, n_lines: float) -> tuple[int, int]:
     """(k, n) for n_lines scan segments of extent (|dxi1|, |dxi2|): each is
     cut into k equal pieces, and each piece gets a Chebyshev interpolant of
     the transform of degree n.
@@ -70,27 +71,22 @@ def _line_pieces(body: ConvexBody, extent, n_lines: int) -> tuple[int, int]:
     half-widths of the body's bounding box, and the degree-n interpolant errs
     by at most 4 M rho^-n / (rho - 1) (Trefethen, ATAP, Thm 8.2).  n is the
     smallest degree that brings this to _PANEL_TOL * area for some rho in
-    _RHO.  ValueError when the scan would keep over 256 MiB.
+    _RHO.  ValueError past the memory budget, at what _scan_lines keeps
+    (tracemalloc): 72 B a point, and each piece's n x n colleague matrix and
+    n eigenvalues; evaluators chunk.  extent and n_lines may be inf.
     """
     f, g = graph_heights(body)
     tau = math.pi * (max(abs(f.a), abs(f.b)) * abs(extent[0])
                      + max(f.max_value(), g.max_value()) * abs(extent[1]))
-    k = max(1, math.ceil(tau / _PIECE_TAU))
-    need = (math.log(4.0 / _PANEL_TOL) + 0.5 * (tau / k) * (_RHO - 1.0 / _RHO)
+    k = max(1.0, float(np.ceil(tau / _PIECE_TAU)))
+    piece_tau = tau / k if k < math.inf else _PIECE_TAU  # tau / k is at most _PIECE_TAU
+    need = (math.log(4.0 / _PANEL_TOL) + 0.5 * piece_tau * (_RHO - 1.0 / _RHO)
             - np.log(_RHO - 1.0)) / np.log(_RHO)
     n = max(2, int(math.ceil(float(np.min(need)))))
-    _require_scan_size(n_lines * k, n)
-    return k, n
-
-
-def _require_scan_size(n_pieces: int, n: int) -> None:
-    """ValueError past _MEMORY_BUDGET, 256 MiB of what _scan_lines keeps
-    (tracemalloc): 72 B a point (points, values, coefficients), and for
-    each piece its n x n colleague matrix and n eigenvalues.  Evaluators chunk."""
-    size = n_pieces * (72 * (n + 1) + 8 * n * (n + 2))
-    if size > _MEMORY_BUDGET:
-        raise ValueError(f"scan grid too large: {n_pieces * (n + 1):.3g} points on "
-                         f"{n_pieces:.3g} degree-{n} pieces, over 256 MiB")
+    pieces = n_lines * k
+    require_memory(pieces * (72 * (n + 1) + 8 * n * (n + 2)), "scan grid",
+                   f"{pieces * (n + 1):.3g} points on {pieces:.3g} degree-{n} pieces")
+    return int(k), n
 
 
 def _real_roots(coef: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
@@ -155,17 +151,17 @@ def _scan_lines(ev, starts: np.ndarray, stops: np.ndarray, k: int, n: int, tol: 
     return [ZeroPoint(Point2(*p), float(r)) for p, r in zip(pts, res) if r <= tol]
 
 
-def zeros_on_segment(body: ConvexBody, p0, p1, tol: float | None = None) -> list[ZeroPoint]:
-    """Zeros of the transform along the segment p0 -> p1, in segment order."""
+def zeros_on_segment(body: ConvexBody, p0, p1, tol: float = ZERO_TOL) -> list[ZeroPoint]:
+    """Zeros of the transform along the segment p0 -> p1, in segment order:
+    the roots where |transform| is at most tol times the area."""
     require_origin_symmetric(body)
-    if tol is None:
-        tol = 1e-9 * body.area
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
-    k, n = _line_pieces(body, p1 - p0, 1)
+    # in Python floats, which overflow to inf without a warning
+    k, n = _line_pieces(body, [b - a for a, b in zip(p0.tolist(), p1.tolist())], 1)
     box = np.max(np.abs(np.stack([p0, p1])), axis=0)
     ev = frozen_batch_evaluator(body, box[0] + 1.0, box[1] + 1.0)
-    return _scan_lines(ev, p0[None, :], p1[None, :], k, n, tol, body.area)
+    return _scan_lines(ev, p0[None, :], p1[None, :], k, n, tol * body.area, body.area)
 
 
 def slab_zero_alignment(body: ConvexBody, A: float, R_list,
@@ -179,14 +175,15 @@ def slab_zero_alignment(body: ConvexBody, A: float, R_list,
         raise ValueError("slab half-height A must be >= 1")
     if not all(R > 0.0 for R in R_list):
         raise ValueError("slab offset R must be positive")
-    tol = 1e-9 * body.area
+    tol = ZERO_TOL * body.area
     reports = []
     # line ordinates offset half a step: never scan exactly on an integer line,
     # where the transform can vanish identically
-    n_lines = int(math.floor(2.0 * A / step))
+    n_lines = float(np.floor(2.0 * A / step))
     if n_lines == 0:
         raise ValueError(f"step {step:g} leaves no scan line in |xi2| <= A = {A:g}")
     k, n = _line_pieces(body, (10.0, 0.0), n_lines)
+    n_lines = int(n_lines)
     xi2s = -A + (np.arange(n_lines) + 0.5) * step
     for R in R_list:
         ev = frozen_batch_evaluator(body, R + 10.0 + 1.0, A + 1.0)
@@ -297,7 +294,7 @@ def ball_zero_alignment(body: ConvexBody, A: float, eps: float,
     if not wall:
         select_scales(u, eps, A)  # raises NoBlowup for corner/flat endpoints
 
-    tol = 1e-9 * body.area
+    tol = ZERO_TOL * body.area
     R_grid = np.linspace(r_lo, r_hi, 9)
     ev = frozen_batch_evaluator(body, r_hi + A + 1.0, A + 1.0)
 

@@ -1,6 +1,7 @@
 import json
 import re
 import time
+import warnings
 
 import mpmath
 import pytest
@@ -185,6 +186,20 @@ def test_zeros_square_axis_segment(square_file, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "5 zeros on segment" in out
+
+
+def test_zeros_tol_is_relative_to_the_area(tmp_path, capsys):
+    # a square of side 1e4: |T| at its computed zeros reaches ~1e-8, over an
+    # absolute 1e-9 but far below 1e-9 times the area 1e8
+    big = write_body(tmp_path / "big.json", validate_polygon(
+        [(5e3, -5e3), (5e3, 5e3), (-5e3, 5e3), (-5e3, -5e3)]))
+    out = str(tmp_path / "z.csv")
+    argv = ["zeros", "--body", big, "--xi", "0.0121,3e-5", "--xi", "0.01265,3e-5"]
+    assert cli.main(argv + ["--out", out]) == 0
+    assert "6 zeros on segment" in capsys.readouterr().out
+    assert json.load(open(out + ".manifest.json"))["tolerances"]["residual_tol"] == 1e-9
+    assert cli.main(argv + ["--tol", "1e-9"]) == 0
+    assert "6 zeros on segment" in capsys.readouterr().out
 
 
 def test_spectrum_check_square_integer_lattice(square_file, capsys):
@@ -424,6 +439,23 @@ def test_nonconvex_body_is_input_error(tmp_path, capsys):
     assert rc == 2
 
 
+# finite sizes whose counts overflow to inf, or would print hundreds of digits:
+# each is refused by the memory guard before anything is allocated
+_OVERFLOWING = [
+    ["spectrum-check", "--body", "{square}", "--lattice", "1 0; 0 1", "--radius", "1e308"],
+    ["density", "--lattice", "1 0; 0 1", "--radius", "1e308"],
+    ["ft", "--body", "{disc}", "--xi=1.7e308,1.7e308"],
+    ["ball-align", "--body", "{disc}", "--window", "1e307,1.7e308"],
+    ["slab-align", "--body", "{square}", "--R-list", "50", "--A", "1e308", "--step", "1e-300"],
+    ["zeros", "--body", "{square}", "--xi=1e308,0.3", "--xi=-1e308,0.3"],
+    ["zeros", "--body", "{disc}", "--xi=1e308,0.3", "--xi=-1e308,0.3"],
+    ["gap-check", "--body", "{square}", "--lattice", "1 0; 0 1", "--radius", "1e308"],
+    ["ft", "--body", "{square}", "--xi=1e200,1e200"],
+    ["ft", "--body", "{square}", "--xi=1e308,1e308"],
+    ["slab-align", "--body", "{square}", "--R-list", "1e308"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["density", "--lattice", "1 0; 0 1", "--radius", "0"],
     ["slab-align", "--body", "{square}", "--R-list", "50", "--step", "0"],
@@ -451,6 +483,7 @@ def test_nonconvex_body_is_input_error(tmp_path, capsys):
     ["density", "--lattice", "1 0; 0 1", "--radius", "400"],
     ["cap-scan", "--body", "{hexagon}", "--delta", "1e-320"],
     ["tile-check", "--body", "{square}", "--samples", "100000000000"],
+    *_OVERFLOWING,
 ])
 def test_bad_input_exits_2_without_traceback(argv, square_file, hexagon_file, disc_file,
                                              tmp_path, capsys):
@@ -465,6 +498,19 @@ def test_bad_input_exits_2_without_traceback(argv, square_file, hexagon_file, di
     assert "Traceback" not in err and "reshape" not in err
     # a message reports nan only when the input held one
     assert "nan" not in err or any("nan" in a for a in argv)
+
+
+@pytest.mark.parametrize("argv", _OVERFLOWING)
+def test_overflowing_sizes_are_refused_in_one_line(argv, square_file, disc_file, capsys):
+    argv = [a.format(square=square_file, disc=disc_file) for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "too large" in line, line
+    # counts print in %.3g, never as a many-digit integer
+    assert not re.search(r"\d{12}", line), line
 
 
 def test_unwritable_out_is_refused_before_the_subcommand(square_file, tmp_path,

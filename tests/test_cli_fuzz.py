@@ -96,7 +96,8 @@ def test_cli_exit_codes_under_fuzzed_bodies(tmp_path_factory, doc, command):
 
 # ---------------------------------------------------------------------------
 # flags on the fixture bodies: scan steps too large for any scan line, scans
-# over the memory budget, reversed and empty windows, unwritable outputs
+# over the memory budget (finite sizes near the float limit among them),
+# reversed and empty windows, unwritable outputs
 
 
 @pytest.fixture(scope="module")
@@ -115,19 +116,20 @@ def bodies(tmp_path_factory):
 # per command, flag -> (valid values, {invalid value: word its error must name})
 FLAGS = {
     "slab-align": {
-        "--A": ((1.0, 3.0), {0.0: "A", 0.5: "A"}),
+        "--A": ((1.0, 3.0), {0.0: "A", 0.5: "A", 1e308: "too large"}),
         "--step": ((0.1, 0.25), {0.0: "step", 7.0: "step", 1e-5: "too large"}),
         "--R-list": (("10", "5,30"), {"-5": "R", "ten": "R", "inf": "R"}),
     },
     "ball-align": {
         "--A": ((0.5, 1.0), {0.0: "A", 1e7: "too large"}),
         "--step": ((0.1, 0.25, 1e-11), {0.0: "step", 2.5: "step"}),
-        "--window": (("5,8", "2,6"), {"8,5": "window", "6,6": "window", "inf,8": "window"}),
+        "--window": (("5,8", "2,6"), {"8,5": "window", "6,6": "window", "inf,8": "window",
+                                      "1e307,1.7e308": "too large"}),
     },
     "cap-scan": {
         "--delta": ((0.05, 0.2), {-0.1: "delta", 0.0: "delta", 1e-9: "too large"}),
         "--window": (("0.1,10", "0.5,3"), {"10,0.1": "window", "2,2": "window",
-                                           "nan,1": "window"}),
+                                           "nan,1": "window", "1e307,1.7e308": "too large"}),
     },
     "zeros": {"--tol": ((1e-9, 1e-6), {0.0: "tol", -1.0: "tol"})},
 }
@@ -157,8 +159,8 @@ def flag_cases(draw):
     return argv, bad
 
 
-# derandomized like the body fuzz above; the examples are the scan, window
-# and slab-offset faults a random draw might miss
+# derandomized like the body fuzz above; the examples are the scan, window,
+# slab-offset and float-limit faults a random draw might miss
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=flag_cases())
@@ -170,6 +172,12 @@ def flag_cases(draw):
                 "--window", "8,5"], ["window"]))
 @example(case=(["slab-align", "--body", "{square}", "--A", "1", "--step", "0.1",
                 "--R-list", "inf"], ["R"]))
+@example(case=(["slab-align", "--body", "{hexagon}", "--A", "1e308", "--step", "0.1",
+                "--R-list", "10"], ["too large"]))
+@example(case=(["ball-align", "--body", "{square}", "--A", "1", "--step", "0.1",
+                "--window", "1e307,1.7e308"], ["too large"]))
+@example(case=(["ball-align", "--body", "{disc}", "--A", "0.5", "--step", "1e-11",
+                "--window", "1e307,1.7e308"], ["too large"]))
 def test_cli_exit_codes_under_fuzzed_flags(bodies, case):
     argv, bad = case
     err = io.StringIO()

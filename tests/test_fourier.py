@@ -169,6 +169,26 @@ def test_gauss_kronrod_oracle_agrees_with_quadpack(disc_body, parabola_capped, h
     assert worst <= 1.0, worst
 
 
+def test_oracle_refuses_a_frequency_near_the_float_limit():
+    # 2**20 starting pieces stay the limit; past it the count is refused
+    # before it is rounded, formatted or allocated
+    octagon = G.regular_polygon(8)
+    with pytest.raises(ValueError, match="quadrature too large"):
+        F.ft_quadrature(octagon, (1e308, 1e308))
+    assert F.ft_quadrature(octagon, (1.0e5, 3.0)).converged
+    with pytest.raises(ValueError, match="quadrature too large: 2.1e\\+06 pieces"):
+        F.ft_quadrature(octagon, (1.05e6, 3.0))
+
+
+def test_edge_sum_refuses_frequencies_whose_squared_norm_overflows(square):
+    with pytest.raises(ValueError, match=r"edge sum: \(1e\+200, 1e\+200\) and 1 more"):
+        F.transform_batch(square, [(1.0, 2.0), (1e200, 1e200), (-1e308, 0.0)])
+    with pytest.raises(ValueError, match="too large for the edge sum"):
+        F.frozen_batch_evaluator(square, 1e308, 1.0)
+    vals, errs = F.transform_batch(square, [(1e153, 1e153)])
+    assert np.isfinite(vals).all() and np.isfinite(errs).all()
+
+
 def test_gauss_kronrod_rule_is_exact_to_its_degree():
     # K21 integrates x^k exactly up to k = 31 and G10 up to k = 19
     nodes, kronrod, diff = G._GK_NODES, G._GK_RULE[:, 0], G._GK_RULE[:, 1]
@@ -282,9 +302,38 @@ def test_halving_only_the_panels_that_miss_their_share(name, box, uniform_nodes)
         assert np.all(np.abs(got - ref) <= rule.err)
 
 
+@pytest.mark.parametrize("p, scale, box", [(None, None, (200.0, 200.0)), (0.1, 20.0, (0.0, 20.0)),
+                                            (0.05, 5.0, (0.0, 20.0)), (0.3, 1e3, (5.0, 5.0))])
+def test_panel_rule_bounds_only_the_halves_it_creates(p, scale, box, monkeypatch):
+    # each pass bounds the new halves alone, and the rule's err is still the
+    # summed bound of every panel of its final layout plus the floor
+    f = heights.power(p, scale) if p else None
+    body = G.GraphBody(-0.5, 0.5, f, f) if p else G.disc(0.5)
+    seen, built = [], []
+    gl_bound, frozen = F._gl_bound, F._FrozenGraphEval
+
+    def counting(body, lo, hi, *box):
+        seen.append(len(lo))
+        return gl_bound(body, lo, hi, *box)
+
+    class Capturing(frozen):
+        def __init__(self, body, edges, err):
+            built.append(edges)
+            super().__init__(body, edges, err)
+
+    monkeypatch.setattr(F, "_gl_bound", counting)
+    monkeypatch.setattr(F, "_FrozenGraphEval", Capturing)
+    rule = F._panel_rule(body, *box)
+    (edges,) = built
+    assert len(seen) > 1
+    assert sum(seen) == seen[0] + 2 * (len(edges) - 1 - seen[0])
+    floor = 32.0 * np.finfo(float).eps * body.area
+    assert rule.err == float(gl_bound(body, edges[:-1], edges[1:], *box).sum()) + floor
+
+
 def test_panel_rule_memory_is_what_its_budget_counts():
     # the rule's own arrays dominate the build, the bound's blocks add nothing
-    # visible, and the largest rule admitted peaks within _MEMORY_BUDGET
+    # visible, and the largest rule admitted peaks within the memory budget
     import tracemalloc
     disc = G.disc(0.5)
     disc.area
@@ -295,7 +344,7 @@ def test_panel_rule_memory_is_what_its_budget_counts():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= F._PANEL_BYTES_PER_NODE * nodes <= F._MEMORY_BUDGET, (xi1, peak)
+        assert peak <= F._PANEL_BYTES_PER_NODE * nodes <= G.MEMORY_BUDGET, (xi1, peak)
     with pytest.raises(ValueError, match="panel rule too large"):
         F._panel_rule(disc, 6.15e5, 0.0)
 

@@ -43,6 +43,22 @@ def test_verify_hexagon_tiles(hexagon_h0):
     assert ok and bad == []
 
 
+@pytest.mark.parametrize("name, translates", [("square", 4), ("h0", 6), ("regular", 8)])
+def test_verify_tiling_tests_only_the_translates_that_reach_the_cell(
+        name, translates, square, hexagon_h0, monkeypatch):
+    poly = {"square": square, "h0": hexagon_h0, "regular": geometry.regular_polygon(6)}[name]
+    sizes, inside_margin = [], tiling.inside_margin
+
+    def counting(poly, points):
+        sizes.append(len(points))
+        return inside_margin(poly, points)
+
+    monkeypatch.setattr(tiling, "inside_margin", counting)
+    ok, bad = tiling.verify_tiling(poly, tiling.tiling_lattice(poly), samples=1)
+    assert ok and bad == []
+    assert sizes[0] == translates
+
+
 def test_verify_rejects_covolume_mismatch(square):
     with pytest.raises(CovolumeMismatchError):
         tiling.verify_tiling(square, Lattice(Point2(2.0, 0.0), Point2(0.0, 1.0)))
@@ -180,7 +196,7 @@ def test_verify_tiling_needs_a_sample(square):
 
 def test_verify_tiling_memory_is_what_its_budget_counts(square):
     # each sample adds at most _BYTES_PER_SAMPLE to the peak, and a count
-    # past _MEMORY_BUDGET is refused before any array is built
+    # past the memory budget is refused before any array is built
     import tracemalloc
     lat = tiling.tiling_lattice(square)
     peaks = []
@@ -192,7 +208,7 @@ def test_verify_tiling_memory_is_what_its_budget_counts(square):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= tiling._BYTES_PER_SAMPLE * 60_000, peaks
-    too_many = tiling._MEMORY_BUDGET // tiling._BYTES_PER_SAMPLE + 1
+    too_many = geometry.MEMORY_BUDGET // tiling._BYTES_PER_SAMPLE + 1
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="too large"):
