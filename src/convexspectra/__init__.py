@@ -15,9 +15,8 @@ from .fourier import (CapScanResult, FourierSample, cap_lower_bound_scan,
 from .zeroset import (AlignmentReport, ZeroPoint, ball_zero_alignment,
                       cap_slope, grid_distance, select_scales,
                       slab_zero_alignment, zeros_on_segment)
-from .spectra import (DensityReport, SpectrumCandidate, dual_lattice,
-                      landau_density, lattice_points_in_ball,
-                      orthogonality_check, parseval_deficiency, spectral_gap_check)
+from .spectra import (DensityReport, landau_density, lattice_points_in_ball,
+                      orthogonality_check, spectral_gap_check)
 from .tiling import TilingVerdict, classify, tiling_lattice, verify_tiling
 from .obstruction import (Certificate, check_certificate,
                           nonspectral_certificate, vertex_constraint_vectors)
@@ -25,14 +24,13 @@ from .obstruction import (Certificate, check_certificate,
 __all__ = [
     "AlignmentReport", "CapScanResult", "Certificate", "ConvexBody",
     "ConvexPolygon", "DensityReport", "FourierSample", "GraphBody", "Lattice",
-    "Point2", "SpectrumCandidate", "TilingVerdict", "Z2", "ZeroPoint",
-    "as_polygon", "ball_zero_alignment", "cap_lower_bound_scan", "cap_slope",
-    "centroid", "check_certificate", "classify", "decompose_caps", "disc",
-    "dual_lattice", "errors", "ft_body", "ft_quadrature", "grad_ft",
-    "graph_heights", "grid_distance", "height_fourier", "heights",
-    "is_symmetric", "landau_density", "lattice_points_in_ball", "measures",
-    "nonspectral_certificate", "normalize_edge_to_standard",
-    "orthogonality_check", "parseval_deficiency", "regular_polygon",
+    "Point2", "TilingVerdict", "Z2", "ZeroPoint", "as_polygon",
+    "ball_zero_alignment", "cap_lower_bound_scan", "cap_slope", "centroid",
+    "check_certificate", "classify", "decompose_caps", "disc", "errors",
+    "ft_body", "ft_quadrature", "grad_ft", "graph_heights", "grid_distance",
+    "height_fourier", "heights", "is_symmetric", "landau_density",
+    "lattice_points_in_ball", "measures", "nonspectral_certificate",
+    "normalize_edge_to_standard", "orthogonality_check", "regular_polygon",
     "select_scales", "slab_zero_alignment", "spectral_gap_check",
     "tiling_lattice", "transform_batch", "unit_square", "validate_polygon",
     "verify_tiling", "vertex_constraint_vectors", "zeros_on_segment",

@@ -27,8 +27,8 @@ from .fourier import (_PANEL_TOL, QUAD_TOL, SINGULAR_THRESHOLD, ZERO_TOL, cap_lo
 from .geometry import (ConvexBody, ConvexPolygon, GraphBody, Lattice, as_polygon,
                        decompose_caps, measures, validate_polygon)
 from .obstruction import check_certificate, nonspectral_certificate
-from .spectra import (SpectrumCandidate, landau_density, lattice_points_in_ball,
-                      orthogonality_check, spectral_gap_check)
+from .spectra import (landau_density, lattice_points_in_ball, orthogonality_check,
+                      spectral_gap_check)
 from .tiling import COVOLUME_TOL, classify, tiling_lattice, verify_tiling
 from .zeroset import (DEFAULT_SCAN_STEP, ball_zero_alignment,
                       slab_zero_alignment, zeros_on_segment)
@@ -249,8 +249,7 @@ def _cmd_ball_align(args, body):
 def _cmd_spectrum_check(args, body):
     # a lattice is a spectrum iff it is orthogonal and its density is the area
     lat = parse_lattice(args.lattice)
-    orthogonal, (worst_pt, worst_val) = orthogonality_check(
-        body, SpectrumCandidate.from_lattice(lat), args.radius, tol=args.tol)
+    orthogonal, (worst_pt, worst_val) = orthogonality_check(body, lat, args.radius, tol=args.tol)
     density, a = 1.0 / lat.covolume, body.area
     dense = abs(density - a) <= COVOLUME_TOL * max(1.0, a)
     ok = orthogonal and dense

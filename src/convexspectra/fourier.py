@@ -7,15 +7,15 @@ The transform convention is
 so T(0) is the area.  transform_batch gives (values, errors) for any body.
 Polygons, and graph bodies bounded by flat arcs (read as the polygon through
 their knots, geometry.as_polygon), get an exact edge-sum closed form, and for
-|xi| <= SINGULAR_THRESHOLD a Gauss rule on the origin fan.  Curved graph
-bodies, and caps with no closed form, get one panel rule: Gauss-Legendre
-panels in x with the inner y-integral in closed form, sized for the
-requested frequency box, before any frequency is evaluated, by halving the
-panels whose Gauss-Legendre error bound on their Bernstein ellipse exceeds
-their share of the target; `err` is the summed bound plus a rounding floor,
-and a rule whose bound stops falling before it meets the target raises
-NoConvergenceError.  Every gradient, a polygon's through its graph form, is
-a sum over such a rule's nodes.
+|xi| r <= SINGULAR_THRESHOLD, r the largest vertex norm, a Gauss rule on the
+origin fan.  Curved graph bodies, and caps with no closed form, get one
+panel rule: Gauss-Legendre panels in x with the inner y-integral in closed
+form, sized for the requested frequency box, before any frequency is
+evaluated, by halving the panels whose Gauss-Legendre error bound on their
+Bernstein ellipse exceeds their share of the target; `err` is the summed
+bound plus a rounding floor, and a rule whose bound stops falling before it
+meets the target raises NoConvergenceError.  Every gradient, a polygon's
+through its graph form, is a sum over such a rule's nodes.
 Adaptive Gauss-Kronrod quadrature (geometry._gauss_kronrod) serves only the
 independent oracle, ft_quadrature, and the confirmation step of the cap scan.
 """
@@ -35,8 +35,10 @@ from .heights import HeightFn, zero
 _TWO_PI = 2.0 * math.pi
 _EPS = np.finfo(float).eps
 
-# |xi| below which the polygon closed form switches to the origin-fan rule
-# (the edge sum loses ~|xi|^-1 digits to cancellation near the origin)
+# |xi| r, r the polygon's largest vertex norm, at or below which the closed
+# form switches to the origin-fan rule: relative to the area, the edge sum
+# loses about 1/(|xi| r) to cancellation and the fan rule's Taylor remainder
+# grows with 2 pi |xi| r, so the switch is the same for every scale of a body
 SINGULAR_THRESHOLD = 1e-2
 # the oracle's error bar must be at most 10 QUAD_TOL; it asks for 0.1 QUAD_TOL
 QUAD_TOL = 1e-10
@@ -321,7 +323,8 @@ def transform_batch(body: ConvexBody, xis) -> tuple[np.ndarray, np.ndarray]:
     _require_edge_sum_range(xis)
     values = np.empty(len(xis), dtype=complex)
     errs = np.empty(len(xis))
-    small = np.linalg.norm(xis, axis=1) <= SINGULAR_THRESHOLD
+    r = float(np.max(np.linalg.norm(poly.vertices, axis=1)))
+    small = np.linalg.norm(xis, axis=1) * r <= SINGULAR_THRESHOLD
     if np.any(~small):
         values[~small], errs[~small] = _edge_sum(poly, xis[~small])
     if np.any(small):

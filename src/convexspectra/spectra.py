@@ -1,9 +1,10 @@
-"""Candidate spectrum tests: orthogonality, completeness, density.
+"""Lattice spectrum tests: orthogonality, density and gaps.
 
-A candidate is a lattice or an explicit point list containing the origin.
-Orthogonality asks every pairwise difference to be a zero of the body
-transform; completeness is checked through the Parseval sum of |transform|^2
-over the candidate; Landau counts measure points per cube volume.
+A lattice is a spectrum of a body exactly when it is orthogonal for the body
+and its density is the body's area (Fuglede, J. Funct. Anal. 16 (1974)).
+Orthogonality asks every difference of lattice points to be a zero of the
+body transform; Landau counts measure points per cube volume, and the gap
+check asks every cube of a fixed size to hold a point.
 """
 
 from __future__ import annotations
@@ -19,39 +20,11 @@ from .fourier import ZERO_TOL, transform_batch
 from .geometry import ConvexBody, Lattice, Point2, measures, require_memory
 
 
-@dataclass(frozen=True)
-class SpectrumCandidate:
-    kind: str                       # "lattice" | "explicit"
-    lattice: Lattice | None = None
-    points: tuple | None = None
-
-    def __post_init__(self):
-        if self.kind == "lattice":
-            if self.lattice is None:
-                raise ValueError("lattice candidate needs a lattice")
-        elif self.kind == "explicit":
-            pts = np.asarray(self.points, dtype=float)
-            if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
-                raise ValueError("explicit candidate needs an (n, 2) point list")
-            if not np.any(np.hypot(pts[:, 0], pts[:, 1]) <= 1e-12):
-                raise ValueError("candidate must contain the origin")
-            if len(np.unique(pts, axis=0)) != len(pts):
-                raise ValueError("explicit candidate points must be distinct")
-        else:
-            raise ValueError(f"unknown candidate kind {self.kind!r}")
-
-    @staticmethod
-    def from_lattice(lattice: Lattice) -> "SpectrumCandidate":
-        return SpectrumCandidate("lattice", lattice=lattice)
-
-    @staticmethod
-    def from_points(points) -> "SpectrumCandidate":
-        pts = tuple(Point2(float(p[0]), float(p[1])) for p in points)
-        return SpectrumCandidate("explicit", points=pts)
-
-
 def lattice_points_in_ball(lattice: Lattice, radius: float) -> np.ndarray:
-    """All lattice points with |p| <= radius, lexicographically ordered."""
+    """All lattice points with |p| <= radius, lexicographically ordered.
+    ValueError unless radius > 0 (NaN included)."""
+    if not radius > 0.0:
+        raise ValueError(f"lattice enumeration radius must be positive, got {radius:g}")
     B = lattice.basis()
     Binv = np.linalg.inv(B)
     mmax = float(np.floor(radius * float(np.linalg.norm(Binv[0])))) + 1.0
@@ -70,86 +43,27 @@ def lattice_points_in_ball(lattice: Lattice, radius: float) -> np.ndarray:
     return pts[order]
 
 
-def enumerate_points(candidate: SpectrumCandidate, radius: float) -> np.ndarray:
-    """Candidate points with |p| <= radius, deterministic (lexicographic) order."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    if candidate.kind == "lattice":
-        return lattice_points_in_ball(candidate.lattice, radius)
-    pts = np.asarray(candidate.points, dtype=float)
-    pts = pts[np.hypot(pts[:, 0], pts[:, 1]) <= radius + 1e-12]
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    return pts[order]
+def orthogonality_check(body: ConvexBody, lattice: Lattice, radius: float,
+                        tol: float = ZERO_TOL) -> tuple[bool, tuple[Point2, float]]:
+    """Is every difference of lattice points within radius a transform zero?
 
-
-def _lex_min(points: np.ndarray) -> Point2:
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    return Point2(*points[order[0]])
-
-
-def orthogonality_check(body: ConvexBody, candidate: SpectrumCandidate,
-                        radius: float, tol: float = ZERO_TOL) -> tuple[bool, tuple[Point2, float]]:
-    """Is every pairwise difference of candidate points a transform zero?
-
-    |transform(-d)| = |transform(d)|, so one of each +-d pair is checked.
-    Lattice candidates reduce to the lexicographically negative lattice
-    points within 2*radius (half the difference set, which is symmetric
-    about the origin at its middle); explicit candidates take p_i - p_j for
-    i < j over the lexicographically sorted points.  Pass iff all
-    |transform| <= tol * area.  Returns the worst offender as (difference
-    point, |transform| there), lexicographic tie-break.  ValueError before
-    an explicit candidate's differences pass the memory budget.
+    The differences are the lattice points within 2*radius, and |transform(-d)|
+    = |transform(d)|, so only the lexicographically negative half is checked
+    (the sorted points are symmetric about the origin at their middle).  Pass
+    iff all |transform| <= tol * area; a radius holding no point but the
+    origin passes with nothing to check.  Returns the worst offender as
+    (difference point, |transform| there), lexicographic tie-break.
     """
     a = body.area
-    if candidate.kind == "lattice":
-        pts = lattice_points_in_ball(candidate.lattice, 2.0 * radius)
-        diffs = pts[:len(pts) // 2]
-    else:
-        pts = enumerate_points(candidate, radius)
-        n_diffs = len(pts) * (len(pts) - 1) // 2
-        # ~161 B of peak per difference (tracemalloc, 1257 points on the square)
-        require_memory(161 * n_diffs, "explicit candidate",
-                       f"{len(pts)} points within radius {radius:g}, {n_diffs} differences")
-        i, j = np.triu_indices(len(pts), 1)
-        diffs = pts[i] - pts[j]
+    pts = lattice_points_in_ball(lattice, 2.0 * radius)
+    diffs = pts[:len(pts) // 2]
     if len(diffs) == 0:
         return True, (Point2(0.0, 0.0), 0.0)
     vals = np.abs(transform_batch(body, diffs)[0])
     worst = float(np.max(vals))
+    # diffs are in lexicographic order, so the first tie is the smallest
     ties = diffs[vals >= worst * (1.0 - 1e-12)]
-    return bool(worst <= tol * a), (_lex_min(ties), worst)
-
-
-def parseval_deficiency(body: ConvexBody, candidate: SpectrumCandidate,
-                        x_samples, trunc_radius: float) -> tuple[float, float]:
-    """Truncated Parseval sum deficiency and the scale of its tail.
-
-    With exponentials normalized to unit norm, a spectrum satisfies
-    S(x) = sum over candidate of |transform(x - p)|^2 / area^2 = 1 for all x.
-    Returns (max over samples of |S(x) - 1|, tail scale), the tail scale
-    being 2 perimeter^2 density / (pi^2 area^2 trunc_radius), sized from the
-    first-order decay envelope |transform| <= perimeter/(2 pi |xi|).  It is
-    a scale, not a bound: the squared envelope integrated over the candidate
-    density beyond the truncation radius diverges logarithmically, so a
-    deficiency above it proves nothing.  It is reported, not subtracted.
-    """
-    if trunc_radius < 10.0:
-        raise ValueError("trunc_radius must be >= 10")
-    pts = enumerate_points(candidate, trunc_radius)
-    a = body.area
-    xs = np.atleast_2d(np.asarray(x_samples, dtype=float))
-    max_dev = 0.0
-    for x in xs:
-        vals, _ = transform_batch(body, x[None, :] - pts)
-        s = float(np.sum(np.abs(vals) ** 2)) / (a * a)
-        max_dev = max(max_dev, abs(s - 1.0))
-    if candidate.kind == "lattice":
-        density = 1.0 / candidate.lattice.covolume
-    else:
-        density = len(pts) / (math.pi * trunc_radius ** 2)
-    perimeter = measures(body).perimeter
-    tail = 2.0 * perimeter**2 * density / (math.pi**2 * a * a * trunc_radius)
-    return max_dev, tail
+    return bool(worst <= tol * a), (Point2(*ties[0]), worst)
 
 
 @dataclass(frozen=True)
@@ -203,10 +117,3 @@ def spectral_gap_check(points, body: ConvexBody, C: float = 1.0) -> tuple[bool, 
     d, _ = tree.query(ctr, k=1, p=np.inf)
     largest_empty = float(np.max(d))
     return bool(largest_empty <= r_star + 1e-12), largest_empty
-
-
-def dual_lattice(lattice: Lattice) -> Lattice:
-    """Lattice pairing integrally with the input: basis is the inverse
-    transpose, so generators satisfy g_i . g*_j = delta_ij."""
-    D = np.linalg.inv(lattice.basis()).T
-    return Lattice(Point2(*D[:, 0]), Point2(*D[:, 1]))

@@ -280,6 +280,9 @@ def ball_zero_alignment(body: ConvexBody, A: float, eps: float,
     if not r_lo < r_hi:
         raise ValueError(f"R window must have lo < hi, got ({r_lo:g}, {r_hi:g})")
     n_lines = max(4, int(math.ceil(12.0 * min(1.0, 2.0 * A))))
+    # sized on every line before any chord is formed: a ball too large to
+    # scan is refused before A * A can overflow
+    k, n = _line_pieces(body, (2.0 * A, 0.0), n_lines)
     dy = 2.0 * A / n_lines
     xi2s = -A + (np.arange(n_lines) + 0.5) * dy
     chords = np.sqrt(np.maximum(A * A - xi2s * xi2s, 0.0))
@@ -288,7 +291,6 @@ def ball_zero_alignment(body: ConvexBody, A: float, eps: float,
         raise ValueError(f"step {step:g} is longer than every chord of the ball of "
                          f"radius A = {A:g}")
     xi2s, chords = xi2s[keep], chords[keep]
-    k, n = _line_pieces(body, (2.0 * A, 0.0), len(xi2s))
 
     wall = float(u(0.5)) > 1e-9
     if not wall:

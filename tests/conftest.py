@@ -20,6 +20,13 @@ def hexagon_h0():
 
 
 @pytest.fixture
+def hexagon_h0_dual():
+    # dual of h0's tiling lattice (1, 0), (1/2, 5/4): the inverse transpose
+    # of its basis, g_i . g*_j = delta_ij, covolume 4/5
+    return geometry.Lattice(geometry.Point2(1.0, -0.4), geometry.Point2(0.0, 0.8))
+
+
+@pytest.fixture
 def octagon():
     return geometry.regular_polygon(8)
 

@@ -172,6 +172,26 @@ def test_ft_on_a_tall_singular_body_holds_its_err(tmp_path, capsys):
     assert abs(complex(float(row[2]), float(row[3])) - ref) <= float(row[4])
 
 
+def test_a_large_square_keeps_its_edge_sum_and_its_dual_lattice(tmp_path, capsys):
+    # the origin-fan switch is at |xi| r <= SINGULAR_THRESHOLD, r = 7071 here:
+    # the edge sum takes xi = (-0.0054, -0.0054), where 1e4 xi is within
+    # rounding of the zero (-54, -54) of T(xi) = 1e8 sinc(1e4 xi1) sinc(1e4 xi2)
+    big = validate_polygon([(5e3, -5e3), (5e3, 5e3), (-5e3, 5e3), (-5e3, -5e3)])
+    path = write_body(tmp_path / "big.json", big)
+    out = str(tmp_path / "ft.csv")
+    assert cli.main(["ft", "--body", path, "--xi=-0.0054,-0.0054", "--out", out]) == 0
+    row = open(out).read().splitlines()[1].split(",")
+    with mpmath.workdps(40):
+        ref = float(1e8 * mpmath.sincpi(1e4 * mpmath.mpf(-0.0054)) ** 2)
+    assert row[5:] == ["closed_form", "true"]
+    # |value - ref| is 3.7e-25 against err 3.4e-25: the edge sum's bar is not
+    # yet a strict bound (ROADMAP item 1), so both are held to the area
+    assert abs(complex(float(row[2]), float(row[3])) - ref) <= 1e-30 * big.area
+    assert float(row[4]) <= 1e-30 * big.area
+    assert cli.main(["spectrum-check", "--body", path, "--lattice", "1e-4 0; 0 1e-4",
+                     "--radius", "0.02"]) == 0
+
+
 def test_csv_reruns_are_byte_identical(square_file, tmp_path, capsys):
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     argv = ["zeros", "--body", square_file, "--xi", "0.25,0", "--xi", "5.5,0"]
@@ -453,6 +473,7 @@ _OVERFLOWING = [
     ["ft", "--body", "{square}", "--xi=1e200,1e200"],
     ["ft", "--body", "{square}", "--xi=1e308,1e308"],
     ["slab-align", "--body", "{square}", "--R-list", "1e308"],
+    ["ball-align", "--body", "{disc}", "--A", "1e308", "--window", "20,40"],
 ]
 
 

@@ -101,13 +101,32 @@ def _mp_edge_sum(vertices, xi):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8),
        log_r=st.floats(-6.0, -2.0), theta=st.floats(0.0, 2 * math.pi))
 def test_near_origin_error_bars_hold(seed, n, log_r, theta):
-    # |xi| <= SINGULAR_THRESHOLD takes the origin-fan rule; its err must
-    # bound the distance to the exact transform, rounding included
+    # |xi| up to SINGULAR_THRESHOLD on bodies with r from 0.8 to 1.2 takes the
+    # origin-fan rule up to |xi| r = SINGULAR_THRESHOLD and the edge sum past
+    # it; err must bound the distance to the exact transform, rounding included
     poly = random_symmetric_2ngon(np.random.default_rng(seed), n)
     r = 10.0 ** log_r
     xi = (r * math.cos(theta), r * math.sin(theta))
     s = F.ft_body(poly, xi)
     assert abs(s.value - _mp_edge_sum(poly.vertices, xi)) <= s.err
+
+
+@pytest.mark.parametrize("s", [1e-3, 1.0, 1e4])
+def test_polygon_transform_is_scale_covariant(s):
+    # T_{sP}(xi / s) = s^2 T_P(xi): the origin-fan switch at |xi| r <=
+    # SINGULAR_THRESHOLD is scale-free, so both sides take the same route,
+    # at |xi| r on both sides of the switch and far past it
+    poly = random_symmetric_2ngon(np.random.default_rng(7), 5)
+    r = float(np.max(np.linalg.norm(poly.vertices, axis=1)))
+    mags = np.array([0.3, 0.9, 1.1, 3.0, 100.0, 1000.0]) * F.SINGULAR_THRESHOLD / r
+    th = np.random.default_rng(8).uniform(0.0, 2.0 * math.pi, len(mags))
+    xis = np.stack([mags * np.cos(th), mags * np.sin(th)], axis=1)
+    ref, ref_err = F.transform_batch(poly, xis)
+    scaled = G.validate_polygon(s * poly.vertices)
+    got, err = F.transform_batch(scaled, xis / s)
+    assert np.max(np.abs(got - s * s * ref)) <= 1e-14 * scaled.area
+    assert np.allclose(err, s * s * ref_err, rtol=1e-6, atol=0.0)
+    assert np.max(err) <= 1e-12 * scaled.area
 
 
 def test_polygon_vs_quadrature_oracle(hexagon_h0):
@@ -589,8 +608,7 @@ def test_unconverged_panel_rule_is_never_dropped(disc_body, monkeypatch):
         with pytest.raises(NoConvergenceError):
             F.frozen_batch_evaluator(disc_body, abs(xi[0]), abs(xi[1]))
     with pytest.raises(NoConvergenceError):
-        spectra.orthogonality_check(disc_body, spectra.SpectrumCandidate.from_lattice(
-            G.Lattice(G.Point2(1, 0), G.Point2(0, 1))), 2.0)
+        spectra.orthogonality_check(disc_body, G.Z2, 2.0)
 
 
 @pytest.mark.parametrize("p", [0.5, 0.75])

@@ -1,16 +1,10 @@
-"""Every public function has a caller outside the tests."""
+"""Every function, class and method in the library has a caller outside the
+tests."""
 
 import ast
-import inspect
 import pathlib
 
-import convexspectra
-
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-# only tests reach these until `spectrum-check --points` gives them a caller
-# (ROADMAP item 14)
-TEST_ONLY = {"dual_lattice", "parseval_deficiency"}
 
 
 def _references(path: pathlib.Path) -> set[str]:
@@ -27,14 +21,25 @@ def _references(path: pathlib.Path) -> set[str]:
     return refs
 
 
+def _definitions(path: pathlib.Path) -> set[str]:
+    """Top-level functions and classes, and the methods of those classes
+    except the dunders Python calls itself."""
+    defs = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            defs.update(sub.name for sub in node.body
+                        if isinstance(sub, ast.FunctionDef)
+                        and not (sub.name.startswith("__") and sub.name.endswith("__")))
+    return defs
+
+
 def test_every_public_function_has_a_caller_outside_the_tests():
-    files = [p for p in sorted((ROOT / "src" / "convexspectra").glob("*.py"))
-             if p.name != "__init__.py"]
+    src = sorted((ROOT / "src" / "convexspectra").glob("*.py"))
+    files = [p for p in src if p.name != "__init__.py"]
     files += [p for p in sorted((ROOT / "perfbench").glob("*.py"))
               if not p.name.startswith("test_")]
     used = set().union(*map(_references, files))
-    public = {name for name in convexspectra.__all__
-              if inspect.isfunction(getattr(convexspectra, name))}
-    assert TEST_ONLY <= public
-    assert sorted(public - used - TEST_ONLY) == []
-    assert sorted(TEST_ONLY & used) == [], "give up the allowance once used"
+    defined = set().union(*map(_definitions, src))
+    assert sorted(defined - used) == []
