@@ -4,13 +4,13 @@ For an origin-symmetric body the transform is real-valued and, along any
 segment, entire of exponential type.  Each scan line gets one Chebyshev
 interpolant (a long line one per piece, so that no degree passes 106), its
 degree fixed in advance from the interpolation bound on Bernstein ellipses
-(Trefethen, ATAP, Thm 8.2), and the real roots of every line come from one
-eigenvalue problem on the stacked colleague matrices (Boyd, SIAM J. Numer.
-Anal. 40 (2002)).  A root counts as a zero when the transform there is at
-most the residual tolerance, by default fourier.ZERO_TOL times the area.
-Slab scans measure their zeros' distance to the punctured integer grid
-lines ("Z_Q"); ball scans fit vertical lines at a fractional shift
-("shifted_vertical_grid").
+(Trefethen, ATAP, Thm 8.2), and the real roots of all lines are isolated at
+once by Chebyshev subdivision, then polished by Newton steps (Boyd, Solving
+Transcendental Equations, SIAM 2014, ch. 2-3).  A root counts as a zero when
+the transform there is at most the residual tolerance, by default
+fourier.ZERO_TOL times the area.  Slab scans measure their zeros' distance to
+the punctured integer grid lines ("Z_Q"); ball scans fit vertical lines at a
+fractional shift ("shifted_vertical_grid").
 """
 
 from __future__ import annotations
@@ -34,9 +34,13 @@ _EPS = np.finfo(float).eps
 _RHO = 1.0 + np.geomspace(1e-4, 1e3, 400)
 # how far past an end of [-1, 1] a computed root may fall and count as the end
 _EDGE = 1e-12
-# the largest tau interpolated in one piece (degree 106): past it the
-# eigenvalue cost, cubic in the degree, outgrows the evaluations it saves
+# the largest tau in one piece (degree 106).  1600 units of the square's axis /
+# 400 of the disc's took 17 / 292 ms at 32, 27 / 247 at 64, 53 / 236 at 128 (one
+# core): root isolation, ~n^2 a piece, likes short pieces, the panel rule few points
 _PIECE_TAU = 64.0
+# root isolation: a series' first 2**_SPLIT_DEPTH children are split untested,
+# no interval more than _MAX_DEPTH times; a block of series has _LIVE coefficients
+_SPLIT_DEPTH, _MAX_DEPTH, _LIVE = 4, 50, 2**20
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,10 +59,13 @@ class AlignmentReport:
     beta: float | None = None
 
 
-def grid_distance(xi) -> float:
+def grid_distance(xi):
     """Euclidean distance from xi to the punctured integer grid Z_Q: the
-    vertical and horizontal lines at nonzero integers (the axes excluded)."""
-    return min(abs(t - round(t)) if round(t) else 1.0 - abs(t) for t in map(float, xi))
+    vertical and horizontal lines at nonzero integers (the axes excluded); for
+    an (N, 2) array of points, the array of their N distances."""
+    xi = np.asarray(xi, dtype=float)
+    d = np.min(np.where(np.round(xi) != 0.0, np.abs(xi - np.round(xi)), 1.0 - np.abs(xi)), axis=-1)
+    return float(d) if d.ndim == 0 else d
 
 
 def _line_pieces(body: ConvexBody, extent, n_lines: float) -> tuple[int, int]:
@@ -72,8 +79,8 @@ def _line_pieces(body: ConvexBody, extent, n_lines: float) -> tuple[int, int]:
     by at most 4 M rho^-n / (rho - 1) (Trefethen, ATAP, Thm 8.2).  n is the
     smallest degree that brings this to _PANEL_TOL * area for some rho in
     _RHO.  ValueError past the memory budget, at what _scan_lines keeps
-    (tracemalloc): 72 B a point, and each piece's n x n colleague matrix and
-    n eigenvalues; evaluators chunk.  extent and n_lines may be inf.
+    (tracemalloc): 72 B a point, and 24 B for each of the _LIVE coefficients of
+    a block of root isolation; evaluators chunk.  extent and n_lines may be inf.
     """
     f, g = graph_heights(body)
     tau = math.pi * (max(abs(f.a), abs(f.b)) * abs(extent[0])
@@ -84,7 +91,7 @@ def _line_pieces(body: ConvexBody, extent, n_lines: float) -> tuple[int, int]:
             - np.log(_RHO - 1.0)) / np.log(_RHO)
     n = max(2, int(math.ceil(float(np.min(need)))))
     pieces = n_lines * k
-    require_memory(pieces * (72 * (n + 1) + 8 * n * (n + 2)), "scan grid",
+    require_memory(pieces * 72 * (n + 1) + 24 * _LIVE, "scan grid",
                    f"{pieces * (n + 1):.3g} points on {pieces:.3g} degree-{n} pieces")
     return int(k), n
 
@@ -93,30 +100,87 @@ def _real_roots(coef: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]
     """(i, t) of the real roots t in [-1, 1] of the Chebyshev series coef[i]
     (lowest degree first), sorted by i and then t.
 
-    Each series is cut after its last coefficient above floor.  Its colleague
-    matrix (numpy's chebcompanion) fills the top left of a common n x n block
-    whose remaining diagonal is 2, outside [-1, 1], so one eigvals call takes
-    the roots of every series.
+    Chebyshev subdivision (Boyd, Solving Transcendental Equations, SIAM 2014,
+    ch. 2-3): each series on [-1 - _EDGE, 1 + _EDGE] is split into 16, then
+    all live intervals are tested at once on their local coefficients c.  One
+    is dropped when |c_0| > sum |c_k| + floor (no root) or sum |c| <= floor
+    (zero to rounding), is a bracket when that test on its derivative proves
+    it monotone and its ends change sign, and is halved otherwise; at
+    _MAX_DEPTH or past 2 n + 16 live intervals a series, it is a bracket if
+    its ends change sign.  A split point's value comes from the parent, and a
+    zero there counts on its left.  Brackets get safeguarded Newton on their
+    local series, then two Newton steps on coef[i] kept inside them.  Series
+    go in blocks of _LIVE coefficients at the cap, brackets in 2**16.
     """
     n_series, n = coef.shape[0], coef.shape[1] - 1
-    big = np.abs(coef) > floor
-    deg = np.where(big.any(axis=1), n - np.argmax(big[:, ::-1], axis=1), 0)
-    j = np.arange(n)
-    mats = np.zeros((n_series, n, n))
-    off = np.where(j[:-1] == 0, math.sqrt(0.5), 0.5) * (j[:-1] < deg[:, None] - 1)
-    mats[:, j[:-1], j[1:]] = off
-    mats[:, j[1:], j[:-1]] = off
-    mats[:, j, j] = np.where(j >= deg[:, None], 2.0, 0.0)
-    rows = np.nonzero(deg > 0)[0]
-    d = deg[rows]
-    scl = np.where(j == 0, 1.0, math.sqrt(0.5))
-    col = (-0.5 * coef[rows, :n] / coef[rows, d][:, None] * scl / scl[d - 1][:, None]
-           * (j < d[:, None]))
-    col[d == 1] *= 2.0  # degree 1: the root -c0 / c1 itself
-    mats[rows[:, None], j, (d - 1)[:, None]] += col
-    lam = np.linalg.eigvals(mats)
-    i, k = np.nonzero((lam.imag == 0.0) & (np.abs(lam.real) <= 1.0 + _EDGE))
-    t = np.clip(lam.real[i, k], -1.0, 1.0)
+    cap, block = 2 * n + 16, max(1, _LIVE // ((2 * n + 16) * (n + 1)))
+    if n_series > block:
+        i, t = zip(*(_real_roots(coef[r:r + block], floor) for r in range(0, n_series, block)))
+        return np.concatenate([x + m * block for m, x in enumerate(i)]), np.concatenate(t)
+    k, sign = np.arange(n + 1), 1.0 - 2.0 * (np.arange(n + 1) % 2)  # (-1)^k
+    lob = np.cos(np.pi * k / n)
+    # DCT-I maps to [-1 - E, 1 + E], E = _EDGE, and to the right half of [-1, 1], from T_k at the
+    # mapped Lobatto points (T_k(+-(1 + E)) = (+-1)^k (1 + k^2 E) to rounding for k < 120)
+    mapped = np.concatenate([np.clip((1.0 + _EDGE) * lob, -1.0, 1.0), 0.5 * (lob + 1.0)])
+    vander = np.cos(np.arccos(mapped)[:, None] * k).reshape(2, n + 1, n + 1)
+    vander[0, [0, n]] *= 1.0 + k * k * _EDGE
+    maps = fft.dct(vander, type=1, axis=1).transpose(0, 2, 1) / n
+    maps[:, :, [0, n]] *= 0.5
+    right, left = maps[1], maps[1] * np.outer(sign, sign)  # the left mirrors the right
+    # T_k' = 2 k (T_{k-1} + T_{k-3} + ...), the T_0 term halved
+    der = k[:, None] * (1.0 - np.outer(sign, sign[:-1])) * np.tri(n + 1, n, -1)
+    der[:, 0] *= 0.5
+    i, lo, w = np.arange(n_series), np.full(n_series, -1.0 - _EDGE), 2.0 + 2.0 * _EDGE
+    c, (fb, fa) = coef @ maps[0], vander[0, [0, n]] @ coef.T
+    found = []
+    for depth in range(_MAX_DEPTH + 1):
+        if depth >= _SPLIT_DEPTH:
+            s = np.abs(c[:, 1:]).sum(axis=1)
+            live = (np.abs(c[:, 0]) <= s + floor) & (np.abs(c[:, 0]) + s > floor)
+            i, lo, c, fa, fb, s = i[live], lo[live], c[live], fa[live], fb[live], s[live]
+            d = c @ der
+            np.abs(d, out=d)
+            # rounding in d: n^2 eps of c, and the wider intervals' floor scaled by w
+            s = n * n * _EPS * (s + np.abs(c[:, 0])) + w * floor
+            done = ((d[:, 0] > d[:, 1:].sum(axis=1) + s) | (depth == _MAX_DEPTH)
+                    | (2 * len(i) > cap * n_series))
+            hit = done & ((fa * fb < 0.0) | (fb == 0.0))
+            found.append((i[hit], lo[hit], np.full(hit.sum(), w), c[hit], fa[hit], fb[hit]))
+            i, lo, c, fa, fb = i[~done], lo[~done], c[~done], fa[~done], fb[~done]
+        if len(i) == 0:
+            break
+        fm, w, half = c @ np.cos(0.5 * np.pi * k).round(), 0.5 * w, np.empty((2 * len(i), n + 1))
+        np.matmul(c, left, out=half[:len(i)]), np.matmul(c, right, out=half[len(i):])
+        c, i, lo = half, np.concatenate([i, i]), np.concatenate([lo, lo + w])
+        fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
+    i, lo, w, c, fa, fb = (np.concatenate(v) for v in zip(*found))
+    c = c[:, :1 + np.max(np.nonzero(np.abs(c) > floor)[1], initial=1)]  # local tails under floor
+    dc, dcoef, t = c @ der[:c.shape[1], :c.shape[1] - 1], coef @ der, np.empty(len(i))
+
+    def value_slope(c, dc, x):  # of the series c[j], dc[j] their derivatives, at x in [-1, 1]
+        cos = np.cos(np.arccos(x)[:, None] * np.arange(c.shape[1]))
+        return np.einsum("ij,ij->i", c, cos), np.einsum("ij,ij->i", dc, cos[:, :-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in np.array_split(np.arange(len(i)), 1 + len(i) * (n + 1) // 2**16):
+            s = (fa[j] + fb[j]) / (fa[j] - fb[j])  # the chord's root: 1 when fb == 0
+            a, b, rise = -np.ones_like(s), np.ones_like(s), np.sign(fb[j] - fa[j])
+            act = np.arange(len(s))
+            for _ in range(_MAX_DEPTH):  # bisection alone gets to rounding in as many
+                x = s[act]
+                p, dp = value_slope(c[j[act]], dc[j[act]], x)
+                past = p * rise[act] > 0.0
+                a[act], b[act] = np.where(past, a[act], x), np.where(past, x, b[act])
+                xn = x - p / dp
+                s[act] = np.where((xn >= a[act]) & (xn <= b[act]), xn, 0.5 * (a[act] + b[act]))
+                act = act[np.abs(s[act] - x) > 4.0 * _EPS]
+                if not len(act):
+                    break
+            lo_j, hi_j = np.maximum(lo[j], -1.0), np.minimum(lo[j] + w[j], 1.0)
+            t[j] = np.clip(lo[j] + (s + 1.0) * (0.5 * w[j]), lo_j, hi_j)
+            for _ in range(2):
+                p, dp = value_slope(coef[i[j]], dcoef[i[j]], t[j])
+                tn = t[j] - p / dp
+                t[j] = np.where((tn >= lo_j) & (tn <= hi_j), tn, t[j])
     order = np.lexsort((t, i))
     return i[order], t[order]
 
@@ -148,7 +212,7 @@ def _scan_lines(ev, starts: np.ndarray, stops: np.ndarray, k: int, n: int, tol: 
     twin = (np.diff(piece // k) == 0) & (gap <= 1e-10 * np.linalg.norm(half[piece[1:]], axis=1))
     pts = pts[np.r_[True, ~twin]]
     res = np.abs(ev(pts))
-    return [ZeroPoint(Point2(*p), float(r)) for p, r in zip(pts, res) if r <= tol]
+    return [ZeroPoint(Point2(*p), r) for p, r in zip(pts.tolist(), res.tolist()) if r <= tol]
 
 
 def zeros_on_segment(body: ConvexBody, p0, p1, tol: float = ZERO_TOL) -> list[ZeroPoint]:
@@ -190,14 +254,10 @@ def slab_zero_alignment(body: ConvexBody, A: float, R_list,
         starts = np.stack([np.full(n_lines, float(R)), xi2s], axis=1)
         stops = np.stack([np.full(n_lines, float(R) + 10.0), xi2s], axis=1)
         zeros = _scan_lines(ev, starts, stops, k, n, tol, body.area)
-        dists = [grid_distance(z.xi) for z in zeros]
-        reports.append(AlignmentReport(
-            zeros=zeros,
-            max_dist=float(max(dists, default=0.0)),
-            mean_dist=float(np.mean(dists)) if dists else 0.0,
-            target="Z_Q",
-            params=(A, (float(R), float(R) + 10.0), math.nan),
-        ))
+        dists = grid_distance(np.reshape([z.xi for z in zeros], (-1, 2)))
+        reports.append(AlignmentReport(zeros, float(np.max(dists, initial=0.0)),
+                                       float(np.mean(dists)) if zeros else 0.0, "Z_Q",
+                                       (A, (float(R), float(R) + 10.0), math.nan)))
     return reports
 
 

@@ -1,9 +1,12 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as C
 from scipy import special
 
 from convexspectra import geometry as G
@@ -17,6 +20,11 @@ def test_grid_distance_examples():
     # the axes do not count for the punctured grid
     assert Z.grid_distance((0.1, 0.5)) == pytest.approx(0.5)
     assert Z.grid_distance((2.3, 0.4)) == pytest.approx(0.3)
+    # an (N, 2) array gives the N distances, each as a point alone
+    pts = [(0.1, 0.5), (2.3, 0.4), (-0.5, 0.5), (0.0, 0.0), (-3.2, 7.0), (1.5, -2.75)]
+    got = Z.grid_distance(np.array(pts))
+    assert got.shape == (6,) and got.tolist() == [Z.grid_distance(p) for p in pts]
+    assert Z.grid_distance(np.zeros((0, 2))).shape == (0,)
 
 
 def test_slab_validation(square):
@@ -78,6 +86,97 @@ def test_long_segment_pieces_keep_each_joint_zero_once(square):
     got = np.array([z.xi[0] for z in zs])
     assert len(got) == 280
     assert np.max(np.abs(got - np.arange(1.0, 281.0))) <= 1e-12
+
+
+# the ends of the first 16 children of [-1 - _EDGE, 1 + _EDGE], where the
+# subdivision splits
+_SPLITS = [(1.0 + Z._EDGE) * m / 16.0 for m in range(-15, 16)]
+
+
+@st.composite
+def _planted_series(draw):
+    """(Chebyshev coefficients, their real roots in [-1, 1]) for a series
+    q * prod (x - r), q >= 1 near [-1, 1].  The r are split points and
+    points off any grid; or roots at the ends or within _EDGE past them; or
+    one pair 1e-6 apart.  Each kind has a series of its own, so that its
+    roots stay far better conditioned than _EDGE and the pair's dip (about
+    1e-12 q) stays a thousand times above rounding."""
+    kind = draw(st.sampled_from(["inside", "ends", "pair"]))
+    if kind == "inside":
+        roots = draw(st.lists(st.sampled_from(_SPLITS), max_size=3, unique=True))
+        roots += [k / 37.0 + 1e-3 for k in draw(st.lists(st.integers(-36, 35), max_size=3,
+                                                           unique=True))]
+    elif kind == "ends":
+        roots = [r * end for end in (-1.0, 1.0)
+                 for r in draw(st.sampled_from([[], [1.0], [1.0 + 0.5 * Z._EDGE], [1.5]]))]
+    else:
+        x = draw(st.integers(-30, 30)) / 37.0 + 0.5 / 37.0
+        roots = [x, x + 1e-6]
+    q = [2.0] + [k / 64.0 for k in draw(st.lists(st.integers(-8, 8), max_size=8))]
+    coef = C.chebmul(C.chebfromroots(roots), q) if roots else np.array(q)
+    inside = sorted(min(max(r, -1.0), 1.0) for r in roots if abs(r) <= 1.0 + Z._EDGE)
+    return coef, inside
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(series=st.lists(_planted_series(), min_size=1, max_size=4))
+def test_real_roots_find_each_planted_root_once(series):
+    # the series are solved together, padded to one length with zeros
+    n = max(3, *(len(c) for c, _ in series))
+    coef = np.array([np.pad(c, (0, n - len(c))) for c, _ in series])
+    i, t = Z._real_roots(coef, Z._EPS * np.abs(coef).sum(axis=1).max())
+    assert np.all(np.diff(i) >= 0)
+    for row, (c, want) in enumerate(series):
+        got = t[i == row]
+        assert len(got) == len(want) and np.all(np.abs(got - want) <= 1e-8), (got, want)
+        # numpy's colleague-matrix roots, used here as an oracle
+        ref = C.chebroots(c) if len(c) > 1 else np.array([])
+        ref = np.sort(np.clip(ref.real[(np.abs(ref.imag) <= 1e-7)
+                                       & (np.abs(ref.real) <= 1.0 + 1e-9)], -1.0, 1.0))
+        assert len(ref) == len(got) and np.all(np.abs(ref - got) <= 1e-7), (ref, got)
+
+
+def test_real_roots_of_a_series_zero_to_rounding_are_none():
+    # every interval's coefficients stay under the floor: no root, and the
+    # subdivision ends at once instead of splitting rounding noise
+    rng = np.random.default_rng(5)
+    coef = np.vstack([np.zeros(43), 1e-17 * rng.standard_normal((3, 43))])
+    t0 = time.perf_counter()
+    i, t = Z._real_roots(coef, 1e-15)
+    assert len(i) == len(t) == 0 and time.perf_counter() - t0 < 1.0
+
+
+def test_real_roots_keep_every_root_of_t_n():
+    # T_n has n real roots, the most a degree-n series can have; the cap on
+    # live intervals leaves room for all of them
+    for n in (8, 42, 105):
+        i, t = Z._real_roots(np.eye(n + 1)[n:], 1e-16)
+        assert np.max(np.abs(t - np.cos((np.arange(n)[::-1] + 0.5) * np.pi / n))) <= 1e-14
+
+
+def test_scan_memory_stays_under_its_budget(square, hexagon_h0, monkeypatch):
+    # the tracemalloc peak of a scan is at most what _line_pieces refuses past
+    budget, peak = [], []
+    check, scan = Z.require_memory, Z._scan_lines
+
+    def counted(nbytes, what, detail):
+        budget.append(nbytes)
+        check(nbytes, what, detail)
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            return scan(*args)
+        finally:
+            peak.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(Z, "require_memory", counted)
+    monkeypatch.setattr(Z, "_scan_lines", traced)
+    assert len(Z.zeros_on_segment(square, (0.5, 0.3), (1600.5, 0.3))) == 1600
+    assert len(Z.slab_zero_alignment(hexagon_h0, 3.0, [100.0])[0].zeros) == 3000  # 300 lines
+    assert len(peak) == len(budget) == 2
+    assert all(p <= b for p, b in zip(peak, budget)), (peak, budget)
 
 
 _DISC_ZEROS = special.jn_zeros(1, 40) / math.pi  # |xi| of the zeros of the r = 1/2 disc
