@@ -29,7 +29,7 @@ from .geometry import (ConvexBody, ConvexPolygon, GraphBody, Lattice, as_polygon
 from .obstruction import check_certificate, nonspectral_certificate
 from .spectra import (landau_density, lattice_points_in_ball, orthogonality_check,
                       spectral_gap_check)
-from .tiling import COVOLUME_TOL, classify, tiling_lattice, verify_tiling
+from .tiling import COVOLUME_TOL, classify, covolume_is, tiling_lattice, verify_tiling
 from .zeroset import (DEFAULT_SCAN_STEP, ball_zero_alignment,
                       slab_zero_alignment, zeros_on_segment)
 
@@ -130,7 +130,6 @@ def _checked(cast, ok, what: str):
 
 
 _positive = _checked(float, lambda v: 0.0 < v < math.inf, "a positive number")
-_non_negative = _checked(float, lambda v: 0.0 <= v < math.inf, "a non-negative number")
 _count = _checked(int, lambda v: v >= 0, "a non-negative integer")
 
 
@@ -214,13 +213,13 @@ def _cmd_zeros(args, body):
     if len(args.xi) != 2:
         raise BodyParseError("zeros: pass --xi twice (segment start and end)")
     p0, p1 = (_parse_numbers(x, "--xi", 2) for x in args.xi)
-    zs = zeros_on_segment(body, p0, p1, tol=args.tol)
+    zs = zeros_on_segment(body, p0, p1)
     for z in zs:
         print("%.12g %.12g  residual %.3g" % (z.xi[0], z.xi[1], z.residual))
     print(f"{len(zs)} zeros on segment")
     return (0, ["xi1", "xi2", "residual"],
             [[z.xi[0], z.xi[1], z.residual] for z in zs],
-            {"residual_tol": args.tol})
+            {"residual_tol": ZERO_TOL})
 
 
 def _cmd_slab_align(args, body):
@@ -249,9 +248,9 @@ def _cmd_ball_align(args, body):
 def _cmd_spectrum_check(args, body):
     # a lattice is a spectrum iff it is orthogonal and its density is the area
     lat = parse_lattice(args.lattice)
-    orthogonal, (worst_pt, worst_val) = orthogonality_check(body, lat, args.radius, tol=args.tol)
+    orthogonal, (worst_pt, worst_val) = orthogonality_check(body, lat, args.radius)
     density, a = 1.0 / lat.covolume, body.area
-    dense = abs(density - a) <= COVOLUME_TOL * max(1.0, a)
+    dense = covolume_is(lat, 1.0 / a)
     ok = orthogonal and dense
     print("%s  worst |transform| %.6g at (%.6g, %.6g)"
           % ("pass" if ok else "fail", worst_val, worst_pt.x, worst_pt.y))
@@ -259,7 +258,7 @@ def _cmd_spectrum_check(args, body):
         print("density %.12g differs from area %.12g" % (density, a))
     return (0 if ok else 1, ["pass", "worst_xi1", "worst_xi2", "worst_abs"],
             [[ok, worst_pt.x, worst_pt.y, worst_val]],
-            {"orthogonality_tol": args.tol, "covolume_tol": COVOLUME_TOL})
+            {"orthogonality_tol": ZERO_TOL, "covolume_tol": COVOLUME_TOL})
 
 
 def _cmd_density(args, body):
@@ -282,14 +281,14 @@ def _cmd_density(args, body):
 def _cmd_gap_check(args, body):
     lat = parse_lattice(args.lattice)
     m = measures(body)
-    r_star = args.C * m.perimeter / m.area
-    window = args.radius if args.radius else max(8.0 * r_star, 4.0 * r_star + 4.0)
+    r_star = m.perimeter / m.area
+    window = max(8.0 * r_star, 4.0 * r_star + 4.0)
     pts = lattice_points_in_ball(lat, window * math.sqrt(2.0))
-    ok, largest = spectral_gap_check(pts, body, C=args.C)
+    ok, largest = spectral_gap_check(pts, body)
     print("%s  largest empty half-side %.6g  (bound %.6g)"
           % ("pass" if ok else "fail", largest, r_star))
     return (0 if ok else 1, ["pass", "largest_empty", "bound"],
-            [[ok, largest, r_star]], {"C": args.C})
+            [[ok, largest, r_star]], {})
 
 
 def _cmd_tile_check(args, body):
@@ -373,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("zeros", _cmd_zeros, "locate transform zeros on a segment")
     sp.add_argument("--xi", action="append", required=True,
                     help="segment endpoint as x,y (pass twice)")
-    sp.add_argument("--tol", type=_positive, default=ZERO_TOL,
-                    help="zero residual tolerance, relative to the body's area")
 
     sp = add("slab-align", _cmd_slab_align,
              "zero alignment with the punctured integer grid in slabs")
@@ -397,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
              "orthogonality and density of a lattice candidate spectrum")
     sp.add_argument("--lattice", required=True, help='basis "a b; c d" (columns)')
     sp.add_argument("--radius", type=_positive, required=True)
-    sp.add_argument("--tol", type=_positive, default=ZERO_TOL,
-                    help="orthogonality tolerance, relative to the body's area")
 
     sp = add("density", _cmd_density, "Landau counting density of a lattice",
              body=False)
@@ -409,9 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("gap-check", _cmd_gap_check,
              "no large empty cubes in a candidate spectrum")
     sp.add_argument("--lattice", required=True)
-    sp.add_argument("--radius", type=_non_negative, default=0.0,
-                    help="point enumeration window (default: auto)")
-    sp.add_argument("--C", type=_positive, default=1.0)
 
     sp = add("tile-check", _cmd_tile_check, "verify a lattice tiling by sampling")
     sp.add_argument("--lattice", default=None,

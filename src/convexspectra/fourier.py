@@ -72,14 +72,15 @@ def _edge_sum(poly: ConvexPolygon, xis: np.ndarray) -> tuple[np.ndarray, np.ndar
         cross(xi, d) * exp(-2*pi*i xi.m) * sinc(xi.d),
     and the total is multiplied by i / (2*pi*|xi|^2).  sinc is entire, so
     there is no per-edge singularity; returns (values, roundoff estimate).
-    Points go in chunks of 2**20 point-edge terms, as in the panel rule.
+    Points go in chunks of 2**18 point-edge terms, about 12 MiB at 48 B a
+    term, inside the 24 MiB a scan budgets beside its points (_line_pieces).
     """
     v = poly.vertices
     d = np.roll(v, -1, axis=0) - v
     mid = 0.5 * (v + np.roll(v, -1, axis=0))
     total = np.empty(len(xis), dtype=complex)
     mag = np.empty(len(xis))
-    chunk = max(1, 2**20 // len(v))
+    chunk = max(1, 2**18 // len(v))
     for lo in range(0, len(xis), chunk):
         sl = xis[lo:lo + chunk]
         cr = sl[:, 0:1] * d[None, :, 1] - sl[:, 1:2] * d[None, :, 0]

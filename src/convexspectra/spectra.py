@@ -43,14 +43,14 @@ def lattice_points_in_ball(lattice: Lattice, radius: float) -> np.ndarray:
     return pts[order]
 
 
-def orthogonality_check(body: ConvexBody, lattice: Lattice, radius: float,
-                        tol: float = ZERO_TOL) -> tuple[bool, tuple[Point2, float]]:
+def orthogonality_check(body: ConvexBody, lattice: Lattice,
+                        radius: float) -> tuple[bool, tuple[Point2, float]]:
     """Is every difference of lattice points within radius a transform zero?
 
     The differences are the lattice points within 2*radius, and |transform(-d)|
     = |transform(d)|, so only the lexicographically negative half is checked
     (the sorted points are symmetric about the origin at their middle).  Pass
-    iff all |transform| <= tol * area; a radius holding no point but the
+    iff all |transform| <= ZERO_TOL * area; a radius holding no point but the
     origin passes with nothing to check.  Returns the worst offender as
     (difference point, |transform| there), lexicographic tie-break.
     """
@@ -63,7 +63,7 @@ def orthogonality_check(body: ConvexBody, lattice: Lattice, radius: float,
     worst = float(np.max(vals))
     # diffs are in lexicographic order, so the first tie is the smallest
     ties = diffs[vals >= worst * (1.0 - 1e-12)]
-    return bool(worst <= tol * a), (Point2(*ties[0]), worst)
+    return bool(worst <= ZERO_TOL * a), (Point2(*ties[0]), worst)
 
 
 @dataclass(frozen=True)
@@ -96,18 +96,20 @@ def landau_density(points, R: float, centers) -> DensityReport:
                          d_plus / (2.0 * R) ** 2, d_minus / (2.0 * R) ** 2)
 
 
-def spectral_gap_check(points, body: ConvexBody, C: float = 1.0) -> tuple[bool, float]:
-    """Every cube of half-side R* = C * perimeter / area must contain a point.
+def spectral_gap_check(points, body: ConvexBody) -> tuple[bool, float]:
+    """Every cube of half-side R* = perimeter / area must contain a point.
 
-    Cubes are probed at a 41 x 41 grid of centers, kept far enough inside
-    the points' euclidean radius that every probed cube sits inside the
-    ball the points are known in, not just inside their bounding box.
+    R* is fixed, not a parameter; the source of this bound is not yet
+    recorded (ROADMAP item 9).  Cubes are probed at a 41 x 41 grid of
+    centers, kept far enough inside the points' euclidean radius that every
+    probed cube sits inside the ball the points are known in, not just
+    inside their bounding box.
     Returns (pass, largest empty half-side found over the center grid), the
     latter being the max Chebyshev distance from a center to the point set.
     """
     pts = np.asarray(points, dtype=float)
     m = measures(body)
-    r_star = C * m.perimeter / m.area
+    r_star = m.perimeter / m.area
     w = float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
     half = max(w / math.sqrt(2.0) - 2.0 * r_star, r_star)
     g = np.linspace(-half, half, 41)

@@ -12,7 +12,7 @@ from .geometry import (ConvexBody, ConvexPolygon, Lattice, Point2, as_polygon,
                        inside_margin, is_symmetric, require_memory)
 from .spectra import lattice_points_in_ball
 
-# relative covolume tolerance, times max(1, area), of every tiling lattice
+# relative covolume tolerance of every lattice check: tilings and spectra
 COVOLUME_TOL = 1e-10
 _CHUNK_TERMS = 2**18  # point-translate-edge terms per chunk of the cover test
 # the tracemalloc peak of verify_tiling per sample (33.0 B on the square and
@@ -27,6 +27,11 @@ class TilingVerdict:
     spectral: bool
     reason: str  # symmetric_quadrilateral | symmetric_hexagon | not_symmetric
                  # | polygon_n_ge_4 | not_polygon
+
+
+def covolume_is(lattice: Lattice, value: float) -> bool:
+    """Is the lattice's covolume value, to COVOLUME_TOL relative?"""
+    return abs(lattice.covolume - value) <= COVOLUME_TOL * value
 
 
 def tiling_lattice(poly: ConvexPolygon) -> Lattice:
@@ -51,7 +56,7 @@ def tiling_lattice(poly: ConvexPolygon) -> Lattice:
     g1 = Point2(*(s[0] + s[1]))
     g2 = Point2(*(s[1] + s[2]))
     lat = Lattice(g1, g2)
-    if abs(lat.covolume - poly.area) > COVOLUME_TOL * max(1.0, poly.area):
+    if not covolume_is(lat, poly.area):
         raise NotTileableError("constructed lattice covolume does not match the area")
     return lat
 
@@ -72,14 +77,15 @@ def verify_tiling(poly: ConvexPolygon, lattice: Lattice, samples: int = 10_000,
     """Sampled exact-cover check: random fundamental-domain points must be
     covered by exactly one lattice translate of the polygon.
 
-    Points landing within 1e-6 of any translate boundary are redrawn, so
-    every counted point is decisively inside or outside each translate; a
-    narrower gap is left to the covolume check, at COVOLUME_TOL.
+    Points landing within a margin d = 1e-6 poly.scale() of any translate
+    boundary are redrawn, so every counted point is decisively inside or
+    outside each translate at any size of the polygon; a narrower gap is
+    left to the covolume check, at COVOLUME_TOL.
     Only the translates that can reach a sample are tested.  A sample
     B u, u in [0, 1)^2, lies within half the longer diagonal of the cell's
     centre c, and a translate lam + P counts or redraws it only where
-    inside_margin(P, sample - lam) > -1e-6, inside P with its edge lines
-    pushed out by 1e-6; pushed out twice that far (the second 1e-6 absorbs
+    inside_margin(P, sample - lam) > -d, inside P with its edge lines
+    pushed out by d; pushed out twice that far (the second d absorbs
     rounding) P lies within _pushed_out_radius of the origin, so lam is
     within the sum of the two of c.
     Returns (pass, list of points with cover count != 1).  ValueError when
@@ -88,10 +94,10 @@ def verify_tiling(poly: ConvexPolygon, lattice: Lattice, samples: int = 10_000,
     if samples < 1:
         raise ValueError(f"verify_tiling needs at least 1 sample, got {samples}")
     require_memory(_BYTES_PER_SAMPLE * samples, "tiling check", f"{samples} samples")
-    if abs(lattice.covolume - poly.area) > COVOLUME_TOL * max(1.0, poly.area):
+    if not covolume_is(lattice, poly.area):
         raise CovolumeMismatchError(
             f"covolume {lattice.covolume:.12g} != area {poly.area:.12g}")
-    margin = 1e-6
+    margin = 1e-6 * poly.scale()
     B = lattice.basis()
     centre = 0.5 * (B[:, 0] + B[:, 1])
     reach = (0.5 * max(np.linalg.norm(B[:, 0] + B[:, 1]), np.linalg.norm(B[:, 0] - B[:, 1]))

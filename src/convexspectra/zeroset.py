@@ -7,8 +7,8 @@ degree fixed in advance from the interpolation bound on Bernstein ellipses
 (Trefethen, ATAP, Thm 8.2), and the real roots of all lines are isolated at
 once by Chebyshev subdivision, then polished by Newton steps (Boyd, Solving
 Transcendental Equations, SIAM 2014, ch. 2-3).  A root counts as a zero when
-the transform there is at most the residual tolerance, by default
-fourier.ZERO_TOL times the area.  Slab scans measure their zeros' distance to
+the transform there is at most fourier.ZERO_TOL times the area, a threshold
+no caller sets.  Slab scans measure their zeros' distance to
 the punctured integer grid lines ("Z_Q"); ball scans fit vertical lines at a
 fractional shift ("shifted_vertical_grid").
 """
@@ -80,7 +80,8 @@ def _line_pieces(body: ConvexBody, extent, n_lines: float) -> tuple[int, int]:
     smallest degree that brings this to _PANEL_TOL * area for some rho in
     _RHO.  ValueError past the memory budget, at what _scan_lines keeps
     (tracemalloc): 72 B a point, and 24 B for each of the _LIVE coefficients of
-    a block of root isolation; evaluators chunk.  extent and n_lines may be inf.
+    a block of root isolation; evaluators chunk within that (the edge sum at
+    about 12 MiB).  extent and n_lines may be inf.
     """
     f, g = graph_heights(body)
     tau = math.pi * (max(abs(f.a), abs(f.b)) * abs(extent[0])
@@ -185,15 +186,15 @@ def _real_roots(coef: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]
     return i[order], t[order]
 
 
-def _scan_lines(ev, starts: np.ndarray, stops: np.ndarray, k: int, n: int, tol: float,
+def _scan_lines(ev, starts: np.ndarray, stops: np.ndarray, k: int, n: int,
                 area: float) -> list[ZeroPoint]:
     """Zeros on the segments starts[i] -> stops[i], line by line in segment order.
 
     Each line is cut into k equal pieces, and each piece gets one degree-n
     interpolant on the Chebyshev-Lobatto points, with coefficients from a
-    DCT-I; a root is kept when |T| <= tol there.  Lines with the same
-    abscissae share one evaluation of each (the panel rule factors its kernel
-    over the product grid).
+    DCT-I; a root is kept when |T| <= ZERO_TOL * area there.  Lines with the
+    same abscissae share one evaluation of each (the panel rule factors its
+    kernel over the product grid).
     """
     frac = np.arange(k + 1) / k
     ends = starts[:, None, :] + frac[None, :, None] * (stops - starts)[:, None, :]
@@ -211,13 +212,13 @@ def _scan_lines(ev, starts: np.ndarray, stops: np.ndarray, k: int, n: int, tol: 
     gap = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     twin = (np.diff(piece // k) == 0) & (gap <= 1e-10 * np.linalg.norm(half[piece[1:]], axis=1))
     pts = pts[np.r_[True, ~twin]]
-    res = np.abs(ev(pts))
+    res, tol = np.abs(ev(pts)), ZERO_TOL * area
     return [ZeroPoint(Point2(*p), r) for p, r in zip(pts.tolist(), res.tolist()) if r <= tol]
 
 
-def zeros_on_segment(body: ConvexBody, p0, p1, tol: float = ZERO_TOL) -> list[ZeroPoint]:
+def zeros_on_segment(body: ConvexBody, p0, p1) -> list[ZeroPoint]:
     """Zeros of the transform along the segment p0 -> p1, in segment order:
-    the roots where |transform| is at most tol times the area."""
+    the roots where |transform| is at most ZERO_TOL times the area."""
     require_origin_symmetric(body)
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
@@ -225,7 +226,7 @@ def zeros_on_segment(body: ConvexBody, p0, p1, tol: float = ZERO_TOL) -> list[Ze
     k, n = _line_pieces(body, [b - a for a, b in zip(p0.tolist(), p1.tolist())], 1)
     box = np.max(np.abs(np.stack([p0, p1])), axis=0)
     ev = frozen_batch_evaluator(body, box[0] + 1.0, box[1] + 1.0)
-    return _scan_lines(ev, p0[None, :], p1[None, :], k, n, tol * body.area, body.area)
+    return _scan_lines(ev, p0[None, :], p1[None, :], k, n, body.area)
 
 
 def slab_zero_alignment(body: ConvexBody, A: float, R_list,
@@ -239,7 +240,6 @@ def slab_zero_alignment(body: ConvexBody, A: float, R_list,
         raise ValueError("slab half-height A must be >= 1")
     if not all(R > 0.0 for R in R_list):
         raise ValueError("slab offset R must be positive")
-    tol = ZERO_TOL * body.area
     reports = []
     # line ordinates offset half a step: never scan exactly on an integer line,
     # where the transform can vanish identically
@@ -253,7 +253,7 @@ def slab_zero_alignment(body: ConvexBody, A: float, R_list,
         ev = frozen_batch_evaluator(body, R + 10.0 + 1.0, A + 1.0)
         starts = np.stack([np.full(n_lines, float(R)), xi2s], axis=1)
         stops = np.stack([np.full(n_lines, float(R) + 10.0), xi2s], axis=1)
-        zeros = _scan_lines(ev, starts, stops, k, n, tol, body.area)
+        zeros = _scan_lines(ev, starts, stops, k, n, body.area)
         dists = grid_distance(np.reshape([z.xi for z in zeros], (-1, 2)))
         reports.append(AlignmentReport(zeros, float(np.max(dists, initial=0.0)),
                                        float(np.mean(dists)) if zeros else 0.0, "Z_Q",
@@ -356,7 +356,6 @@ def ball_zero_alignment(body: ConvexBody, A: float, eps: float,
     if not wall:
         select_scales(u, eps, A)  # raises NoBlowup for corner/flat endpoints
 
-    tol = ZERO_TOL * body.area
     R_grid = np.linspace(r_lo, r_hi, 9)
     ev = frozen_batch_evaluator(body, r_hi + A + 1.0, A + 1.0)
 
@@ -367,7 +366,7 @@ def ball_zero_alignment(body: ConvexBody, A: float, eps: float,
     for R in R_grid:
         starts = np.stack([np.full(len(xi2s), R - A), xi2s], axis=1)
         stops = np.stack([np.full(len(xi2s), R + A), xi2s], axis=1)
-        zeros = [z for z in _scan_lines(ev, starts, stops, k, n, tol, body.area)
+        zeros = [z for z in _scan_lines(ev, starts, stops, k, n, body.area)
                  if abs(z.xi[0] - R) <= chord[z.xi[1]]]
         if not zeros:
             continue

@@ -34,6 +34,12 @@ def disc_file(tmp_path, disc_body):
     return write_body(tmp_path / "disc.json", disc_body)
 
 
+@pytest.fixture
+def tiny_square_file(tmp_path, square):
+    # side 1e-6, area 1e-12
+    return write_body(tmp_path / "tiny.json", validate_polygon(1e-6 * square.vertices))
+
+
 # --- file parsing -----------------------------------------------------------
 
 
@@ -218,8 +224,6 @@ def test_zeros_tol_is_relative_to_the_area(tmp_path, capsys):
     assert cli.main(argv + ["--out", out]) == 0
     assert "6 zeros on segment" in capsys.readouterr().out
     assert json.load(open(out + ".manifest.json"))["tolerances"]["residual_tol"] == 1e-9
-    assert cli.main(argv + ["--tol", "1e-9"]) == 0
-    assert "6 zeros on segment" in capsys.readouterr().out
 
 
 def test_spectrum_check_square_integer_lattice(square_file, capsys):
@@ -229,21 +233,38 @@ def test_spectrum_check_square_integer_lattice(square_file, capsys):
     assert capsys.readouterr().out.startswith("pass")
 
 
-def test_spectrum_check_detects_bad_lattice(square_file, capsys):
+# s Z^2 with s^-2 = 2 sqrt 2, the area of the regular octagon: dense enough,
+# yet not orthogonal (Theorem 0.1: the octagon has no spectrum)
+_OCTAGON_LATTICE = "{0:.17g} 0; 0 {0:.17g}".format((2.0 * 2.0 ** 0.5) ** -0.5)
+
+
+def test_spectrum_check_detects_bad_lattice(square_file, octagon_file, capsys):
     rc = cli.main(["spectrum-check", "--body", square_file,
                    "--lattice", "1.1 0; 0 1", "--radius", "10"])
+    assert rc == 1
+    assert capsys.readouterr().out.startswith("fail")
+    rc = cli.main(["spectrum-check", "--body", octagon_file, "--lattice", _OCTAGON_LATTICE,
+                   "--radius", "4"])
     assert rc == 1
     assert capsys.readouterr().out.startswith("fail")
 
 
 def test_spectrum_check_refuses_an_orthogonal_lattice_of_the_wrong_density(
-        square_file, capsys):
+        square_file, tiny_square_file, capsys):
     # 2Z x Z is orthogonal for the square but has half its density
     rc = cli.main(["spectrum-check", "--body", square_file,
                    "--lattice", "2 0; 0 1", "--radius", "10"])
     assert rc == 1
     out = capsys.readouterr().out
     assert out.startswith("fail") and "density 0.5 differs from area 1" in out
+    # the density test is relative: the same lattices scaled to a square of
+    # side 1e-6 fail and pass as they do on the unit square
+    rc = cli.main(["spectrum-check", "--body", tiny_square_file, "--lattice", "2e6 0; 0 1e6",
+                   "--radius", "4e6"])
+    assert rc == 1
+    assert "density 5e-13 differs from area 1e-12" in capsys.readouterr().out
+    assert cli.main(["spectrum-check", "--body", tiny_square_file,
+                     "--lattice", "1e6 0; 0 1e6", "--radius", "4e6"]) == 0
 
 
 def test_lattice_with_a_non_finite_entry_is_named(square_file, capsys):
@@ -274,9 +295,12 @@ def test_gap_check_pass_and_fail(square_file, capsys):
                      "--lattice", "10 0; 0 10"]) == 1
 
 
-def test_tile_check_default_lattice(square_file, hexagon_file, capsys):
+def test_tile_check_default_lattice(square_file, hexagon_file, tiny_square_file, capsys):
     assert cli.main(["tile-check", "--body", square_file]) == 0
     assert cli.main(["tile-check", "--body", hexagon_file]) == 0
+    # the redraw band scales with the polygon: a square of side 1e-6 samples
+    # clear of its translates' boundaries
+    assert cli.main(["tile-check", "--body", tiny_square_file]) == 0
     out = capsys.readouterr().out
     assert "pass" in out
 
@@ -307,8 +331,9 @@ def test_tile_check_covolume_mismatch_is_input_error(square_file, capsys):
 
 def test_tile_check_refuses_a_covolume_the_sampler_cannot_see(square_file, tmp_path,
                                                                capsys):
-    # the translates leave 5e-7 gaps, narrower than the 1e-6 band the sampler
-    # redraws from, so only the covolume check can refuse this lattice
+    # the translates leave 5e-7 gaps, no wider than the band the sampler
+    # redraws from (1e-6 times the square's scale 1/2), so only the covolume
+    # check can refuse this lattice
     rc = cli.main(["tile-check", "--body", square_file, "--lattice", "1.0000005 0; 0 1"])
     err = capsys.readouterr().err
     assert rc == 2 and "covolume" in err and "Traceback" not in err
@@ -469,7 +494,7 @@ _OVERFLOWING = [
     ["slab-align", "--body", "{square}", "--R-list", "50", "--A", "1e308", "--step", "1e-300"],
     ["zeros", "--body", "{square}", "--xi=1e308,0.3", "--xi=-1e308,0.3"],
     ["zeros", "--body", "{disc}", "--xi=1e308,0.3", "--xi=-1e308,0.3"],
-    ["gap-check", "--body", "{square}", "--lattice", "1 0; 0 1", "--radius", "1e308"],
+    ["gap-check", "--body", "{square}", "--lattice", "1e-150 0; 0 1e-150"],
     ["ft", "--body", "{square}", "--xi=1e200,1e200"],
     ["ft", "--body", "{square}", "--xi=1e308,1e308"],
     ["slab-align", "--body", "{square}", "--R-list", "1e308"],
@@ -489,14 +514,16 @@ _OVERFLOWING = [
     ["ft", "--body", "{square}", "--xi=1,-inf"],
     ["spectrum-check", "--body", "{square}", "--lattice", "1 0; 0 1", "--radius", "-1"],
     ["zeros", "--body", "{square}", "--xi=0.5,0.5", "--xi=3.5,0.5", "--samples", "-4"],
-    ["gap-check", "--body", "{square}", "--lattice", "1 0; 0 1", "--C", "0"],
-    ["gap-check", "--body", "{square}", "--lattice", "1 0; 0 1", "--radius", "-1"],
+    # no flag moves a check's threshold: --C 20 once passed 10 Z^2, --tol 0.5
+    # the octagon, and --tol 1e-9 was the default
+    ["gap-check", "--body", "{square}", "--lattice", "10 0; 0 10", "--C", "20"],
+    ["gap-check", "--body", "{square}", "--lattice", "1 0; 0 1", "--radius", "100"],
+    ["spectrum-check", "--body", "{octagon}", "--lattice", "{octagon_lattice}",
+     "--radius", "4", "--tol", "0.5"],
+    ["zeros", "--body", "{square}", "--xi=0.5,0.5", "--xi=3.5,0.5", "--tol", "1e-9"],
     ["tile-check", "--body", "{square}", "--samples", "-3"],
     ["tile-check", "--body", "{square}", "--samples", "0"],
     ["classify", "--body", "{square}", "--out", "{nodir}/x.csv"],
-    ["spectrum-check", "--body", "{square}", "--lattice", "1 0; 0 1", "--radius", "3",
-     "--tol", "nan"],
-    ["zeros", "--body", "{square}", "--xi=0.5,0.5", "--xi=3.5,0.5", "--tol", "nan"],
     ["slab-align", "--body", "{square}", "--A", "1", "--R-list", "50", "--step", "5"],
     ["ball-align", "--body", "{disc}", "--A", "1", "--window", "20,40", "--step", "2"],
     ["cap-scan", "--body", "{hexagon}", "--delta", "0.1", "--window", "10,0.1"],
@@ -507,8 +534,9 @@ _OVERFLOWING = [
     *_OVERFLOWING,
 ])
 def test_bad_input_exits_2_without_traceback(argv, square_file, hexagon_file, disc_file,
-                                             tmp_path, capsys):
+                                             octagon_file, tmp_path, capsys):
     argv = [a.format(square=square_file, hexagon=hexagon_file, disc=disc_file,
+                     octagon=octagon_file, octagon_lattice=_OCTAGON_LATTICE,
                      nodir=tmp_path / "nodir") for a in argv]
     try:
         rc = cli.main(argv)

@@ -131,12 +131,10 @@ FLAGS = {
         "--window": (("0.1,10", "0.5,3"), {"10,0.1": "window", "2,2": "window",
                                            "nan,1": "window", "1e307,1.7e308": "too large"}),
     },
-    "zeros": {"--tol": ((1e-9, 1e-6), {0.0: "tol", -1.0: "tol"})},
 }
 BODIES = {"slab-align": ("{square}", "{hexagon}"),
           "ball-align": ("{square}", "{hexagon}", "{disc}"),
-          "cap-scan": ("{square}", "{hexagon}", "{parabola}"),
-          "zeros": ("{square}", "{disc}")}
+          "cap-scan": ("{square}", "{hexagon}", "{parabola}")}
 OUT = (("{dir}/run.csv",), {"{dir}/nodir/run.csv": "output"})
 
 
@@ -148,8 +146,6 @@ def flag_cases(draw):
     flags = dict(FLAGS[command], **{"--out": OUT})
     broken = draw(st.sampled_from([None, *flags]))
     argv = [command, "--body", draw(st.sampled_from(BODIES[command]))]
-    if command == "zeros":
-        argv += ["--xi", "0.25,0.1", "--xi", "3.5,0.1"]
     bad = []
     for flag, (valid, invalid) in flags.items():
         value = draw(st.sampled_from(list(invalid) if flag == broken else valid))

@@ -1,8 +1,13 @@
 """Every function, class and method in the library has a caller outside the
-tests."""
+tests, and every CLI option is read by its subcommand."""
 
+import argparse
 import ast
+import inspect
 import pathlib
+import textwrap
+
+from convexspectra import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -43,3 +48,22 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     used = set().union(*map(_references, files))
     defined = set().union(*map(_definitions, src))
     assert sorted(defined - used) == []
+
+
+def _args_read(func) -> set[str]:
+    """The attributes a handler reads from its `args` parameter."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+
+
+def test_every_cli_option_is_read_by_its_command():
+    # an option its handler never reads is a knob that does nothing, and a
+    # read of an option the subcommand does not define fails only when run
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(sub.choices) == 11
+    for name, sp in sub.choices.items():
+        options = {a.dest for a in sp._actions if a.dest != "help"} - {"body", "out"}
+        assert _args_read(sp.get_default("func")) == options, name

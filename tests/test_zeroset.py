@@ -175,7 +175,10 @@ def test_scan_memory_stays_under_its_budget(square, hexagon_h0, monkeypatch):
     monkeypatch.setattr(Z, "_scan_lines", traced)
     assert len(Z.zeros_on_segment(square, (0.5, 0.3), (1600.5, 0.3))) == 1600
     assert len(Z.slab_zero_alignment(hexagon_h0, 3.0, [100.0])[0].zeros) == 3000  # 300 lines
-    assert len(peak) == len(budget) == 2
+    # 3000 lines, 129k points: the edge sum's chunk must fit the budget's 24 MiB
+    oct_std, _ = G.normalize_edge_to_standard(G.regular_polygon(8), 0)
+    assert len(Z.slab_zero_alignment(oct_std, 3.0, [100.0], step=0.002)[0].zeros) == 29_944
+    assert len(peak) == len(budget) == 3
     assert all(p <= b for p, b in zip(peak, budget)), (peak, budget)
 
 
