@@ -25,10 +25,9 @@ from .errors import (BodyParseError, BodyValidationError, ConvexSpectraError,
 from .fourier import (_PANEL_TOL, QUAD_TOL, SINGULAR_THRESHOLD, ZERO_TOL, cap_lower_bound_scan,
                       ft_body)
 from .geometry import (ConvexBody, ConvexPolygon, GraphBody, Lattice, as_polygon,
-                       decompose_caps, measures, validate_polygon)
+                       decompose_caps, validate_polygon)
 from .obstruction import check_certificate, nonspectral_certificate
-from .spectra import (landau_density, lattice_points_in_ball, orthogonality_check,
-                      spectral_gap_check)
+from .spectra import landau_density, orthogonality_check, spectral_gap_check
 from .tiling import COVOLUME_TOL, classify, covolume_is, tiling_lattice, verify_tiling
 from .zeroset import (DEFAULT_SCAN_STEP, ball_zero_alignment,
                       slab_zero_alignment, zeros_on_segment)
@@ -262,13 +261,7 @@ def _cmd_spectrum_check(args, body):
 
 
 def _cmd_density(args, body):
-    lat = parse_lattice(args.lattice)
-    R = args.radius
-    # points must pad each cube of the 7x7 center grid over [-R, R] by 2R
-    pts = lattice_points_in_ball(lat, 3.0 * R * math.sqrt(2.0) + 1.0)
-    g = np.linspace(-R, R, 7)
-    centers = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-    rep = landau_density(pts, R, centers)
+    rep = landau_density(parse_lattice(args.lattice), args.radius)
     print("R %g  D+ %d  D- %d  normalized %.17g / %.17g"
           % (rep.R, rep.D_plus, rep.D_minus, rep.normalized_plus,
              rep.normalized_minus))
@@ -279,12 +272,7 @@ def _cmd_density(args, body):
 
 
 def _cmd_gap_check(args, body):
-    lat = parse_lattice(args.lattice)
-    m = measures(body)
-    r_star = m.perimeter / m.area
-    window = max(8.0 * r_star, 4.0 * r_star + 4.0)
-    pts = lattice_points_in_ball(lat, window * math.sqrt(2.0))
-    ok, largest = spectral_gap_check(pts, body)
+    ok, largest, r_star = spectral_gap_check(body, parse_lattice(args.lattice))
     print("%s  largest empty half-side %.6g  (bound %.6g)"
           % ("pass" if ok else "fail", largest, r_star))
     return (0 if ok else 1, ["pass", "largest_empty", "bound"],

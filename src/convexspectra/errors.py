@@ -41,10 +41,6 @@ class CovolumeMismatchError(ConvexSpectraError):
     """Lattice covolume does not match the body area; exact cover is impossible."""
 
 
-class InsufficientWindowError(ConvexSpectraError):
-    """Point list does not cover the requested counting window with enough margin."""
-
-
 class TooFewVerticesError(ConvexSpectraError):
     """Obstruction certificates require a symmetric 2n-gon with n >= 4."""
 

@@ -553,8 +553,10 @@ class Lattice:
     g2: Point2
 
     def __post_init__(self):
-        sc = max(abs(self.g1.x), abs(self.g1.y), abs(self.g2.x), abs(self.g2.y))
-        if abs(cross2(self.g1, self.g2)) <= 1e-12 * sc * sc:
+        n1, n2 = math.hypot(*self.g1), math.hypot(*self.g2)
+        # the sine of the angle between the generators, whatever their lengths
+        if not (n1 > 0.0 and n2 > 0.0
+                and abs(cross2(np.divide(self.g1, n1), np.divide(self.g2, n2))) > 1e-12):
             raise DegenerateError("lattice generators are linearly dependent")
 
     @staticmethod

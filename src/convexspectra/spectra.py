@@ -4,7 +4,8 @@ A lattice is a spectrum of a body exactly when it is orthogonal for the body
 and its density is the body's area (Fuglede, J. Funct. Anal. 16 (1974)).
 Orthogonality asks every difference of lattice points to be a zero of the
 body transform; Landau counts measure points per cube volume, and the gap
-check asks every cube of a fixed size to hold a point.
+check asks every cube of a fixed size to hold a point.  Each check
+enumerates its `Lattice` over a ball holding every cube or difference used.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InsufficientWindowError
 from .fourier import ZERO_TOL, transform_batch
 from .geometry import ConvexBody, Lattice, Point2, measures, require_memory
 
@@ -27,8 +27,9 @@ def lattice_points_in_ball(lattice: Lattice, radius: float) -> np.ndarray:
         raise ValueError(f"lattice enumeration radius must be positive, got {radius:g}")
     B = lattice.basis()
     Binv = np.linalg.inv(B)
-    mmax = float(np.floor(radius * float(np.linalg.norm(Binv[0])))) + 1.0
-    nmax = float(np.floor(radius * float(np.linalg.norm(Binv[1])))) + 1.0
+    # hypot, not the norm of a squared sum: a row of 1e300 stays finite
+    mmax = float(np.floor(radius * math.hypot(*Binv[0]))) + 1.0
+    nmax = float(np.floor(radius * math.hypot(*Binv[1]))) + 1.0
     pairs = (2.0 * mmax + 1.0) * (2.0 * nmax + 1.0)
     # ~68 B of temporaries per coefficient pair
     require_memory(68 * pairs, "lattice enumeration",
@@ -75,47 +76,41 @@ class DensityReport:
     normalized_minus: float
 
 
-def _window_guard(points: np.ndarray, centers: np.ndarray, reach: float) -> None:
-    w = float(np.max(np.abs(points)))
-    need = float(np.max(np.abs(centers))) + reach
-    if need > w + 1e-9:
-        raise InsufficientWindowError(
-            f"points extend to |.|_inf = {w:.6g} but centers need {need:.6g}")
-
-
-def landau_density(points, R: float, centers) -> DensityReport:
-    """Extremal counts over closed cubes of sidelength 2R at the given centers,
-    normalized by (2R)^2.  Boundary ties count (closed cubes)."""
-    pts = np.asarray(points, dtype=float)
-    ctr = np.atleast_2d(np.asarray(centers, dtype=float))
-    _window_guard(pts, ctr, 2.0 * R)
-    tree = cKDTree(pts)
-    counts = [len(tree.query_ball_point(c, r=R + 1e-12, p=np.inf)) for c in ctr]
+def landau_density(lattice: Lattice, R: float) -> DensityReport:
+    """Extremal counts over the closed cubes of half-side R centred at a 7 x 7
+    grid over [-R, R]^2, normalized by (2R)^2.  The cubes lie in the
+    enumerated ball of radius 3 sqrt(2) R + 1.  ValueError unless R > 0 and
+    the normalized counts are finite."""
+    if not R > 0.0:
+        raise ValueError(f"cube half-side must be positive, got {R:g}")
+    pts = lattice_points_in_ball(lattice, 3.0 * R * math.sqrt(2.0) + 1.0)
+    g = np.linspace(-R, R, 7)
+    ctr = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    counts = cKDTree(pts).query_ball_point(ctr, r=R + 1e-12, p=np.inf, return_length=True)
     d_plus, d_minus = int(max(counts)), int(min(counts))
-    return DensityReport(R, d_plus, d_minus,
-                         d_plus / (2.0 * R) ** 2, d_minus / (2.0 * R) ** 2)
+    cube = (2.0 * R) * (2.0 * R)
+    if not (cube > 0.0 and math.isfinite(d_plus / cube)):
+        raise ValueError(f"cube half-side {R:g} too small: counts per unit area overflow")
+    return DensityReport(R, d_plus, d_minus, d_plus / cube, d_minus / cube)
 
 
-def spectral_gap_check(points, body: ConvexBody) -> tuple[bool, float]:
-    """Every cube of half-side R* = perimeter / area must contain a point.
+def spectral_gap_check(body: ConvexBody, lattice: Lattice) -> tuple[bool, float, float]:
+    """Every cube of half-side r* = perimeter / area must contain a point.
 
-    R* is fixed, not a parameter; the source of this bound is not yet
+    r* is fixed, not a parameter; the source of this bound is not yet
     recorded (ROADMAP item 9).  Cubes are probed at a 41 x 41 grid of
-    centers, kept far enough inside the points' euclidean radius that every
-    probed cube sits inside the ball the points are known in, not just
-    inside their bounding box.
-    Returns (pass, largest empty half-side found over the center grid), the
-    latter being the max Chebyshev distance from a center to the point set.
+    centers over [-(w - 2r*), w - 2r*]^2, w = max(8r*, 4r* + 4), and the
+    lattice is enumerated in the ball of radius w sqrt(2), which holds every
+    cube of half-side 2r* about a center: an empty half-side up to 2r* is
+    exact, and a larger one fails either way.  Returns (pass, the largest
+    Chebyshev distance from a center to the lattice, r*).
     """
-    pts = np.asarray(points, dtype=float)
     m = measures(body)
     r_star = m.perimeter / m.area
-    w = float(np.max(np.hypot(pts[:, 0], pts[:, 1])))
-    half = max(w / math.sqrt(2.0) - 2.0 * r_star, r_star)
-    g = np.linspace(-half, half, 41)
+    window = max(8.0 * r_star, 4.0 * r_star + 4.0)
+    pts = lattice_points_in_ball(lattice, window * math.sqrt(2.0))
+    g = np.linspace(-(window - 2.0 * r_star), window - 2.0 * r_star, 41)
     ctr = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-    _window_guard(pts, ctr, 2.0 * r_star)
-    tree = cKDTree(pts)
-    d, _ = tree.query(ctr, k=1, p=np.inf)
+    d, _ = cKDTree(pts).query(ctr, k=1, p=np.inf)
     largest_empty = float(np.max(d))
-    return bool(largest_empty <= r_star + 1e-12), largest_empty
+    return bool(largest_empty <= r_star + 1e-12), largest_empty, r_star

@@ -71,10 +71,7 @@ def test_criterion_05_landau_density_windows(hexagon_h0_dual):
     z2 = Lattice(Point2(1, 0), Point2(0, 1))
     for lat, target in ((z2, 1.0), (hexagon_h0_dual, 1.25)):
         for R in (10.0, 20.0, 40.0):
-            g = np.linspace(-R, R, 7)
-            centers = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-            pts = spectra.lattice_points_in_ball(lat, 3.0 * R * math.sqrt(2) + 1.0)
-            rep = spectra.landau_density(pts, R, centers)
+            rep = spectra.landau_density(lat, R)
             lo, hi = target * (1.0 - 3.0 / R), target * (1.0 + 3.0 / R)
             assert lo <= rep.normalized_minus <= rep.normalized_plus <= hi, (
                 f"R={R}: [{rep.normalized_minus}, {rep.normalized_plus}] "
@@ -83,14 +80,13 @@ def test_criterion_05_landau_density_windows(hexagon_h0_dual):
 
 def test_criterion_06_spectral_gap(square, hexagon_h0, hexagon_h0_dual):
     z2 = Lattice(Point2(1, 0), Point2(0, 1))
-    ok, _ = spectra.spectral_gap_check(
-        spectra.lattice_points_in_ball(z2, 64.0), square)
+    ok, _, _ = spectra.spectral_gap_check(square, z2)
     assert ok
-    ok, _ = spectra.spectral_gap_check(
-        spectra.lattice_points_in_ball(hexagon_h0_dual, 64.0), hexagon_h0)
+    ok, _, _ = spectra.spectral_gap_check(hexagon_h0, hexagon_h0_dual)
     assert ok
-    line = np.stack([np.arange(-64.0, 65.0), np.zeros(129)], axis=1)
-    ok, largest = spectra.spectral_gap_check(line, square)
+    # rows 100 apart leave cubes far larger than r* = 4 empty
+    elongated = Lattice(Point2(1, 0), Point2(0, 100))
+    ok, largest, _ = spectra.spectral_gap_check(square, elongated)
     assert not ok and largest > 4.0
 
 

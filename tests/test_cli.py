@@ -295,6 +295,17 @@ def test_gap_check_pass_and_fail(square_file, capsys):
                      "--lattice", "10 0; 0 10"]) == 1
 
 
+def test_a_lattice_sparser_than_its_windows_is_checked_not_refused(square_file, tmp_path,
+                                                                    capsys):
+    # only the origin lies within either window: every probed cube is empty
+    out = tmp_path / "gap.csv"
+    assert cli.main(["gap-check", "--body", square_file, "--lattice", "1e6 0; 0 1e6",
+                     "--out", str(out)]) == 1
+    assert out.read_text().splitlines()[1] == "false,24,4"
+    assert cli.main(["density", "--lattice", "1e6 0; 0 1e6", "--radius", "1"]) == 0
+    assert "D+ 1  D- 1  normalized 0.25 / 0.25" in capsys.readouterr().out
+
+
 def test_tile_check_default_lattice(square_file, hexagon_file, tiny_square_file, capsys):
     assert cli.main(["tile-check", "--body", square_file]) == 0
     assert cli.main(["tile-check", "--body", hexagon_file]) == 0
@@ -495,6 +506,9 @@ _OVERFLOWING = [
     ["zeros", "--body", "{square}", "--xi=1e308,0.3", "--xi=-1e308,0.3"],
     ["zeros", "--body", "{disc}", "--xi=1e308,0.3", "--xi=-1e308,0.3"],
     ["gap-check", "--body", "{square}", "--lattice", "1e-150 0; 0 1e-150"],
+    # orthogonal with covolume 1, but 1e300 rows: too fine to enumerate
+    ["gap-check", "--body", "{square}", "--lattice", "1e300 0; 0 1e-300"],
+    ["density", "--lattice", "1e-300 0; 0 1e300", "--radius", "2"],
     ["ft", "--body", "{square}", "--xi=1e200,1e200"],
     ["ft", "--body", "{square}", "--xi=1e308,1e308"],
     ["slab-align", "--body", "{square}", "--R-list", "1e308"],
@@ -529,6 +543,9 @@ _OVERFLOWING = [
     ["cap-scan", "--body", "{hexagon}", "--delta", "0.1", "--window", "10,0.1"],
     ["ball-align", "--body", "{disc}", "--A", "1", "--window", "30,20", "--eps", "0.05"],
     ["density", "--lattice", "1 0; 0 1", "--radius", "400"],
+    # (2R)^2 underflows to 0, or 1/(2R)^2 overflows: no finite density
+    ["density", "--lattice", "1 0; 0 1", "--radius", "1e-300"],
+    ["density", "--lattice", "1 0; 0 1", "--radius", "1e-160"],
     ["cap-scan", "--body", "{hexagon}", "--delta", "1e-320"],
     ["tile-check", "--body", "{square}", "--samples", "100000000000"],
     *_OVERFLOWING,

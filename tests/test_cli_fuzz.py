@@ -188,3 +188,53 @@ def test_cli_exit_codes_under_fuzzed_flags(bodies, case):
         assert rc == 2 and bad[0] in err, (argv, rc, err)
     else:
         assert rc in (0, 1), (argv, rc, err)
+
+
+# ---------------------------------------------------------------------------
+# lattices and radii over many decades on the square: sparse lattices whose
+# windows hold only the origin, lattices too fine to enumerate, near-parallel
+# generators, and cube half-sides whose densities overflow
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def lattice_texts(draw):
+    """A basis "a b; c d" whose columns have lengths 1e-8 to 1e8, at any
+    angle from 0 to pi (both ends included)."""
+    r1, r2 = draw(_log_uniform(-8.0, 8.0)), draw(_log_uniform(-8.0, 8.0))
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    turn = draw(st.floats(0.0, math.pi))
+    g1 = (r1 * math.cos(phi), r1 * math.sin(phi))
+    g2 = (r2 * math.cos(phi + turn), r2 * math.sin(phi + turn))
+    return f"{g1[0]!r} {g2[0]!r}; {g1[1]!r} {g2[1]!r}"
+
+
+REFUSALS = ("too large", "too small", "dependent")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(lattice=lattice_texts(),
+       radius=st.one_of(_log_uniform(-4.0, 4.0), _log_uniform(-320.0, 300.0)),
+       command=st.sampled_from(["density", "gap-check"]))
+@example(lattice="1e6 0; 0 1e6", radius=1.0, command="gap-check")
+@example(lattice="1e6 0; 0 1e6", radius=1.0, command="density")
+@example(lattice="1 0; 0 1", radius=1e-300, command="density")
+@example(lattice="1e6 0; 0 1e-6", radius=1.0, command="density")
+@example(lattice="1 1; 0 1e-13", radius=1.0, command="gap-check")
+def test_lattice_commands_under_fuzzed_lattices(bodies, lattice, radius, command):
+    argv = [command, f"--lattice={lattice}"]
+    argv += ["--radius", repr(radius)] if command == "density" else ["--body", bodies["square"]]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if rc == 2:
+        (line,) = err.splitlines()
+        assert any(word in line for word in REFUSALS), (argv, line)
+    else:
+        assert rc in (0, 1), (argv, rc, err)

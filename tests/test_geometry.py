@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,7 +184,19 @@ def test_lattice_basics():
     assert rt == lat
     with pytest.raises(DegenerateError):
         G.Lattice(G.Point2(1.0, 2.0), G.Point2(2.0, 4.0))
+    with pytest.raises(DegenerateError):
+        G.Lattice(G.Point2(0.0, 0.0), G.Point2(0.0, 1.0))
     assert G.Z2.covolume == 1.0
+
+
+@pytest.mark.parametrize("short", [1e-6, 1e-300])
+def test_orthogonal_generators_of_unequal_lengths_are_independent(short):
+    # independence is decided by the angle between the generators, not by
+    # their lengths: 1/short x short is orthogonal with covolume 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lat = G.Lattice(G.Point2(1.0 / short, 0.0), G.Point2(0.0, short))
+    assert lat.covolume == pytest.approx(1.0)
 
 
 def test_inside_margin(square):

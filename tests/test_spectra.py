@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from convexspectra import geometry as G
 from convexspectra import spectra as S
-from convexspectra.errors import InsufficientWindowError
 
 
 def brute_lattice_ball(basis, radius):
@@ -50,26 +52,81 @@ def test_non_positive_radius_is_refused(square, radius):
 
 
 def test_landau_density_z2():
-    pts = S.lattice_points_in_ball(G.Z2, 45.0)
-    rep = S.landau_density(pts, 10.0, [(0.0, 0.0), (0.5, 0.5)])
+    # cubes about integer centers hold 21 x 21 points, the others 20 x 20
+    rep = S.landau_density(G.Z2, 10.0)
     assert (rep.D_plus, rep.D_minus) == (441, 400)
     assert rep.normalized_plus == pytest.approx(441 / 400)
     assert rep.normalized_minus == pytest.approx(1.0)
 
 
-def test_landau_window_guard():
-    pts = S.lattice_points_in_ball(G.Z2, 5.0)
-    with pytest.raises(InsufficientWindowError):
-        S.landau_density(pts, 10.0, [(0.0, 0.0)])
+@pytest.mark.parametrize("R", [0.0, -1.0, float("nan"), 1e-160, 1e-300])
+def test_landau_density_refuses_a_radius_without_finite_densities(R):
+    with pytest.raises(ValueError, match="cube half-side"):
+        S.landau_density(G.Z2, R)
 
 
 def test_spectral_gap_pass_and_fail(square):
-    pts = S.lattice_points_in_ball(G.Z2, 60.0)
-    ok, largest = S.spectral_gap_check(pts, square)
-    assert ok
+    ok, largest, r_star = S.spectral_gap_check(square, G.Z2)
+    assert ok and r_star == 4.0
     assert largest <= 0.5 + 1e-12
-    # a one-dimensional point set leaves arbitrarily large empty cubes
-    line = np.array([(float(k), 0.0) for k in range(-60, 61)])
-    ok, largest = S.spectral_gap_check(line, square)
+    # rows 100 apart leave cubes far larger than r* empty
+    elongated = G.Lattice(G.Point2(1.0, 0.0), G.Point2(0.0, 100.0))
+    ok, largest, _ = S.spectral_gap_check(square, elongated)
     assert not ok
     assert largest > 4.0
+
+
+# random lattices: generator lengths 0.05 to 50, angle between them at least
+# pi/6, each example kept under about 3e5 enumerated points so it runs fast
+lengths = st.floats(math.log(0.05), math.log(50.0)).map(math.exp)
+
+
+@st.composite
+def lattices(draw):
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    turn = draw(st.floats(math.pi / 6, 5 * math.pi / 6))
+    r1, r2 = draw(lengths), draw(lengths)
+    return G.Lattice(G.Point2(r1 * math.cos(phi), r1 * math.sin(phi)),
+                     G.Point2(r2 * math.cos(phi + turn), r2 * math.sin(phi + turn)))
+
+
+def _few_points(lat, radius):
+    return math.pi * radius ** 2 / lat.covolume < 3e5
+
+
+def _cube_counts(pts, centers, R):
+    return [int(np.sum(np.all(np.abs(pts - c) <= R + 1e-12, axis=1))) for c in centers]
+
+
+def _grid(half, n):
+    g = np.linspace(-half, half, n)
+    return np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lat=lattices(), R=st.floats(math.log(0.1), math.log(20.0)).map(math.exp))
+def test_landau_density_counts_match_a_twice_larger_enumeration(lat, R):
+    radius = 2.0 * (3.0 * R * math.sqrt(2.0) + 1.0)
+    assume(_few_points(lat, radius))
+    rep = S.landau_density(lat, R)
+    counts = _cube_counts(S.lattice_points_in_ball(lat, radius), _grid(R, 7), R)
+    assert (rep.D_plus, rep.D_minus) == (max(counts), min(counts))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lat=lattices(), side=st.sampled_from([1.0, 4.0]))
+def test_spectral_gap_matches_a_twice_larger_enumeration(lat, side):
+    square = G.validate_polygon([(-side / 2, -side / 2), (side / 2, -side / 2),
+                                 (side / 2, side / 2), (-side / 2, side / 2)])
+    r_star = 4.0 / side
+    window = max(8.0 * r_star, 4.0 * r_star + 4.0)
+    assume(_few_points(lat, 2.0 * window * math.sqrt(2.0)))
+    ok, largest, got_r_star = S.spectral_gap_check(square, lat)
+    assert got_r_star == pytest.approx(r_star, rel=1e-12)
+    more = S.lattice_points_in_ball(lat, 2.0 * window * math.sqrt(2.0))
+    gaps, _ = cKDTree(more).query(_grid(window - 2.0 * r_star, 41), k=1, p=np.inf)
+    assert ok == bool(np.max(gaps) <= r_star + 1e-12)
+    if largest <= 2.0 * r_star:
+        assert largest == pytest.approx(float(np.max(gaps)), abs=1e-12)
+    else:
+        assert np.max(gaps) > 2.0 * r_star - 1e-12
