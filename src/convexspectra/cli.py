@@ -11,6 +11,7 @@ Exit codes: 0 success / property holds, 1 checked property fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -129,7 +130,6 @@ def _checked(cast, ok, what: str):
 
 
 _positive = _checked(float, lambda v: 0.0 < v < math.inf, "a positive number")
-_count = _checked(int, lambda v: v >= 0, "a non-negative integer")
 
 
 def parse_lattice(text: str) -> Lattice:
@@ -338,6 +338,7 @@ def _cmd_cap_scan(args, body):
 # parser
 
 
+@functools.cache  # once per process: building takes about 40 times as long as a parse
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="convexspectra",
@@ -396,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("tile-check", _cmd_tile_check, "verify a lattice tiling by sampling")
     sp.add_argument("--lattice", default=None,
                     help="tiling lattice (default: constructed)")
-    sp.add_argument("--samples", type=_count, default=10_000)
+    sp.add_argument("--samples", type=int, default=10_000)
     sp.add_argument("--seed", type=int, default=0)
 
     add("classify", _cmd_classify, "spectral / not_spectral with reason")

@@ -399,18 +399,17 @@ def _t_kernel(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def grad_ft(body: ConvexBody, xi) -> tuple[complex, complex]:
+def grad_ft(body: GraphBody, xi) -> tuple[complex, complex]:
     """Gradient of the transform: -2 pi i (integral of x_k exp(-2 pi i xi.x)).
 
-    A sum over the nodes of the panel rule for the box |xi1|, |xi2| on the
-    body's graph form: a graph body as given, a polygon's boundary chains
-    through graph_heights.  NoConvergenceError when the rule's bound misses
-    the target.
+    A sum over the nodes of the panel rule for the box |xi1|, |xi2| on a
+    graph body; TypeError for a polygon, whose graph form is
+    GraphBody(f.a, f.b, f, g) with f, g = graph_heights(poly).
+    NoConvergenceError when the rule's bound misses the target.
     """
-    xi = np.asarray(xi, dtype=float).reshape(2)
     if not isinstance(body, GraphBody):
-        f, g = graph_heights(body)
-        body = GraphBody(f.a, f.b, f, g)
+        raise TypeError("grad_ft takes a GraphBody")
+    xi = np.asarray(xi, dtype=float).reshape(2)
     return _panel_rule(body, abs(xi[0]), abs(xi[1])).gradient(xi)
 
 

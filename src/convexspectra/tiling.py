@@ -1,13 +1,18 @@
 """Lattice tilings of the plane by symmetric quadrilaterals and hexagons,
-sampled tiling verification, and the tiles-iff-spectral classifier."""
+sampled tiling verification, and the tiles-iff-spectral classifier.
+
+verify_tiling decides each sample once, by one cover rule at the resolution
+d = 1e-6 poly.scale(): a sample within d of an edge line lies on it, and the
+only translates tested are those near enough to meet the lattice's cell."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CovolumeMismatchError, DegenerateError, NotTileableError
+from .errors import CovolumeMismatchError, NotTileableError
 from .geometry import (ConvexBody, ConvexPolygon, Lattice, Point2, as_polygon,
                        inside_margin, is_symmetric, require_memory)
 from .spectra import lattice_points_in_ball
@@ -15,9 +20,9 @@ from .spectra import lattice_points_in_ball
 # relative covolume tolerance of every lattice check: tilings and spectra
 COVOLUME_TOL = 1e-10
 _CHUNK_TERMS = 2**18  # point-translate-edge terms per chunk of the cover test
-# the tracemalloc peak of verify_tiling per sample (33.0 B on the square and
-# h0) over a floor of about 10 MiB: points, counts, the redraw index and flags
-_BYTES_PER_SAMPLE = 34
+# the tracemalloc peak of verify_tiling per sample (17.0 B on the square and
+# h0) over a floor of about 10 MiB: the draws and the bad flags
+_BYTES_PER_SAMPLE = 18
 
 
 @dataclass(frozen=True)
@@ -61,72 +66,47 @@ def tiling_lattice(poly: ConvexPolygon) -> Lattice:
     return lat
 
 
-def _pushed_out_radius(poly: ConvexPolygon, d: float) -> float:
-    """Largest vertex norm of poly with every edge line pushed out by d: the
-    vertex between edges with unit outward normals n0, n1 moves by
-    d (n0 + n1) / (1 + n0 . n1)."""
-    e = poly.edge_vectors()
-    n = np.stack([e[:, 1], -e[:, 0]], axis=1) / np.linalg.norm(e, axis=1)[:, None]
-    n0 = np.roll(n, 1, axis=0)
-    shift = (n0 + n) / (1.0 + np.einsum("ij,ij->i", n0, n))[:, None]
-    return float(np.max(np.linalg.norm(poly.vertices + d * shift, axis=1)))
-
-
 def verify_tiling(poly: ConvexPolygon, lattice: Lattice, samples: int = 10_000,
                   seed: int = 0) -> tuple[bool, list[Point2]]:
     """Sampled exact-cover check: random fundamental-domain points must be
     covered by exactly one lattice translate of the polygon.
 
-    Points landing within a margin d = 1e-6 poly.scale() of any translate
-    boundary are redrawn, so every counted point is decisively inside or
-    outside each translate at any size of the polygon; a narrower gap is
-    left to the covolume check, at COVOLUME_TOL.
-    Only the translates that can reach a sample are tested.  A sample
-    B u, u in [0, 1)^2, lies within half the longer diagonal of the cell's
-    centre c, and a translate lam + P counts or redraws it only where
-    inside_margin(P, sample - lam) > -d, inside P with its edge lines
-    pushed out by d; pushed out twice that far (the second d absorbs
-    rounding) P lies within _pushed_out_radius of the origin, so lam is
-    within the sum of the two of c.
-    Returns (pass, list of points with cover count != 1).  ValueError when
-    the samples' arrays would pass the memory budget, before any is built.
-    """
+    A sample is bad when two tested translates hold it with inside_margin
+    >= d (an overlap), or every one leaves it with inside_margin <= -d (a
+    gap).  No sample of a true tiling fails, and every bad one is an overlap
+    or a point no translate covers; a gap or overlap narrower than d is left
+    to the covolume check.  The tested translates lam + P are all that meet
+    the cell: a sample B u, u in [0, 1)^2, lies within half the longer
+    diagonal of the cell's centre c, and P within its largest vertex norm of
+    the origin, so |lam - c| is at most the sum (plus d, for rounding).
+    Returns (pass, bad samples); ValueError, before any array is built, when
+    the samples would pass the memory budget."""
     if samples < 1:
         raise ValueError(f"verify_tiling needs at least 1 sample, got {samples}")
     require_memory(_BYTES_PER_SAMPLE * samples, "tiling check", f"{samples} samples")
     if not covolume_is(lattice, poly.area):
         raise CovolumeMismatchError(
             f"covolume {lattice.covolume:.12g} != area {poly.area:.12g}")
-    margin = 1e-6 * poly.scale()
+    d = 1e-6 * poly.scale()
     B = lattice.basis()
     centre = 0.5 * (B[:, 0] + B[:, 1])
-    reach = (0.5 * max(np.linalg.norm(B[:, 0] + B[:, 1]), np.linalg.norm(B[:, 0] - B[:, 1]))
-             + _pushed_out_radius(poly, 2.0 * margin))
-    near = lattice_points_in_ball(lattice, reach + float(np.linalg.norm(centre)))
-    offsets = near[np.linalg.norm(near - centre, axis=1) <= reach]
+    reach = (0.5 * max(math.hypot(*(B[:, 0] + B[:, 1])), math.hypot(*(B[:, 0] - B[:, 1])))
+             + float(np.max(np.hypot(*poly.vertices.T))) + d)
+    near = lattice_points_in_ball(lattice, reach + math.hypot(*centre))
+    offsets = near[np.hypot(*(near - centre).T) <= reach]
     chunk = max(1, _CHUNK_TERMS // (len(offsets) * poly.m))
 
-    rng = np.random.default_rng(seed)
-    pts = (B @ rng.random((2, samples))).T
-    counts = np.empty(samples, dtype=int)
-    todo = np.arange(samples)  # only a redrawn point can be ambiguous again
-    for _ in range(60):
-        ambiguous = np.empty(len(todo), dtype=bool)
-        for lo in range(0, len(todo), chunk):
-            idx = todo[lo:lo + chunk]
-            rel = (pts[idx, None, :] - offsets).reshape(-1, 2)
-            margins = inside_margin(poly, rel).reshape(len(idx), -1)
-            ambiguous[lo:lo + chunk] = np.any(np.abs(margins) < margin, axis=1)
-            counts[idx] = (margins >= margin).sum(axis=1)
-            del rel, margins  # not alive beside the next chunk's temporaries
-        todo = todo[ambiguous]
-        if len(todo) == 0:
-            break
-        pts[todo] = (B @ rng.random((2, len(todo)))).T
-    else:
-        raise DegenerateError("could not draw samples clear of translate boundaries")
-    bad = [Point2(*pts[i]) for i in np.nonzero(counts != 1)[0]]
-    return len(bad) == 0, bad
+    pts = np.random.default_rng(seed).random((2, samples))  # draws u, made B u in place
+    bad = np.empty(samples, dtype=bool)
+    for lo in range(0, samples, chunk):
+        p = pts[:, lo:lo + chunk]
+        p[:] = B[:, :1] * p[0] + B[:, 1:] * p[1]  # elementwise: the same bits in any chunk
+        margins = inside_margin(poly, (p.T[:, None, :] - offsets).reshape(-1, 2))
+        margins = margins.reshape(p.shape[1], -1)
+        bad[lo:lo + chunk] = ((margins >= d).sum(axis=1) >= 2) | np.all(margins <= -d, axis=1)
+        del p, margins  # not alive beside the next chunk's temporaries
+    bad_pts = [Point2(*q) for q in pts[:, bad].T]
+    return not bad_pts, bad_pts
 
 
 def classify(body: ConvexBody) -> TilingVerdict:

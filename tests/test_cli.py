@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import time
@@ -129,6 +130,25 @@ def test_ft_writes_csv_and_manifest(square_file, tmp_path, capsys):
     man = json.load(open(out + ".manifest.json"))
     assert man["command"] == "ft"
     assert "tolerances" in man and "versions" in man and "wall_time_s" in man
+
+
+def test_main_parses_with_one_parser_and_no_carried_values(square_file, tmp_path,
+                                                            monkeypatch, capsys):
+    # the parser is built once per process; each call still starts from the
+    # defaults, so the first call's two --xi do not reach the second CSV
+    parsers, parse_args = [], argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    out = str(tmp_path / "ft.csv")
+    assert cli.main(["ft", "--body", square_file, "--xi", "0.5,0.5", "--xi", "1.25,0"]) == 0
+    assert cli.main(["ft", "--body", square_file, "--xi", "0.25,0", "--out", out]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    lines = open(out).read().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0.25,0,")
 
 
 def test_ft_csv_method_column_names_the_route(square_file, disc_file, tmp_path, capsys):
@@ -309,8 +329,8 @@ def test_a_lattice_sparser_than_its_windows_is_checked_not_refused(square_file, 
 def test_tile_check_default_lattice(square_file, hexagon_file, tiny_square_file, capsys):
     assert cli.main(["tile-check", "--body", square_file]) == 0
     assert cli.main(["tile-check", "--body", hexagon_file]) == 0
-    # the redraw band scales with the polygon: a square of side 1e-6 samples
-    # clear of its translates' boundaries
+    # the resolution scales with the polygon: a square of side 1e-6 has no
+    # sample on two of its translates
     assert cli.main(["tile-check", "--body", tiny_square_file]) == 0
     out = capsys.readouterr().out
     assert "pass" in out
@@ -508,6 +528,7 @@ _OVERFLOWING = [
     ["gap-check", "--body", "{square}", "--lattice", "1e-150 0; 0 1e-150"],
     # orthogonal with covolume 1, but 1e300 rows: too fine to enumerate
     ["gap-check", "--body", "{square}", "--lattice", "1e300 0; 0 1e-300"],
+    ["tile-check", "--body", "{square}", "--lattice", "1e300 0; 0 1e-300"],
     ["density", "--lattice", "1e-300 0; 0 1e300", "--radius", "2"],
     ["ft", "--body", "{square}", "--xi=1e200,1e200"],
     ["ft", "--body", "{square}", "--xi=1e308,1e308"],
@@ -579,11 +600,20 @@ def test_overflowing_sizes_are_refused_in_one_line(argv, square_file, disc_file,
     assert not re.search(r"\d{12}", line), line
 
 
+@pytest.mark.parametrize("samples", ["-3", "0"])
+def test_tile_check_sample_count_is_refused_by_the_library_in_one_line(samples, square_file,
+                                                                       capsys):
+    assert cli.main(["tile-check", "--body", square_file, "--samples", samples]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: verify_tiling needs at least 1 sample, got {samples}"
+
+
 def test_unwritable_out_is_refused_before_the_subcommand(square_file, tmp_path,
                                                          monkeypatch, capsys):
-    def must_not_run(args, body):
+    # the cached parser holds the subcommand itself: stub the library call
+    def must_not_run(*args, **kwargs):
         raise AssertionError("the subcommand ran")
-    monkeypatch.setattr(cli, "_cmd_slab_align", must_not_run)
+    monkeypatch.setattr(cli, "slab_zero_alignment", must_not_run)
     out = tmp_path / "nodir" / "x.csv"
     rc = cli.main(["slab-align", "--body", square_file, "--R-list", "20", "--out", str(out)])
     assert rc == 2

@@ -397,10 +397,20 @@ def test_tent_diamond_takes_the_closed_form(diamond_body):
         assert abs(s.value - ref) < 1e-14
 
 
+def _graph_form(poly):
+    f, g = G.graph_heights(poly)
+    return G.GraphBody(f.a, f.b, f, g)
+
+
 def test_tent_diamond_gradient_is_its_polygon_gradient(diamond_body):
-    poly = G.as_polygon(diamond_body)
+    graph = _graph_form(G.as_polygon(diamond_body))
     for x in [(1.3, 0.4), (3.7, -2.1), (2e-3, 1e-3)]:
-        assert F.grad_ft(diamond_body, x) == F.grad_ft(poly, x)
+        assert F.grad_ft(diamond_body, x) == F.grad_ft(graph, x)
+
+
+def test_gradient_refuses_a_polygon(square):
+    with pytest.raises(TypeError, match="GraphBody"):
+        F.grad_ft(square, (1.3, 0.4))
 
 
 def test_graph_quadrature_oracle(parabola_capped):
@@ -426,7 +436,7 @@ def test_conjugate_symmetry_and_realness(hexagon_h0, disc_body):
 
 def test_gradient_matches_finite_differences(hexagon_h0, parabola_capped):
     h = 1e-6
-    for body in (hexagon_h0, parabola_capped):
+    for body in (_graph_form(hexagon_h0), parabola_capped):
         for x in [(1.3, 0.4), (3.7, -2.1), (0.2, 0.05)]:
             gx, gy = F.grad_ft(body, x)
             fx = (F.ft_body(body, (x[0] + h, x[1])).value
@@ -460,12 +470,13 @@ def test_square_gradient_matches_mpmath(square):
     radii = [*np.geomspace(1e-6, 130.0, 16), F.SINGULAR_THRESHOLD,
              0.5 * F.SINGULAR_THRESHOLD, 1.01 * F.SINGULAR_THRESHOLD]
     angles = np.random.default_rng(37).uniform(0.0, 2.0 * math.pi, len(radii))
+    graph = _graph_form(square)
     with mpmath.workdps(30):
         for r, th in zip(radii, angles):
             x = (r * math.cos(th), r * math.sin(th))
             t1, t2 = mpmath.mpf(x[0]), mpmath.mpf(x[1])
             ref = (dsinc(t1) * mpmath.sincpi(t2), mpmath.sincpi(t1) * dsinc(t2))
-            for got, want in zip(F.grad_ft(square, x), ref):
+            for got, want in zip(F.grad_ft(graph, x), ref):
                 assert abs(got - complex(want)) <= 1e-13, (x, got, want)
 
 

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from convexspectra import geometry, heights, tiling
+from convexspectra import geometry, heights, spectra, tiling
 from convexspectra.errors import CovolumeMismatchError, NotTileableError
 from convexspectra.geometry import GraphBody, Lattice, Point2
 
@@ -85,6 +89,58 @@ def test_random_hexagons_tile(seed):
     poly = random_symmetric_hexagon(np.random.default_rng(seed))
     ok, bad = tiling.verify_tiling(poly, tiling.tiling_lattice(poly), samples=2000)
     assert ok, bad
+
+
+class _GridDraws:
+    """A stand-in for default_rng whose draws u have coordinates 0, 1/2 and
+    1/2 +- 5e-8 (a tenth of the resolution), never both 0: every sample lies
+    on an edge or corner of the square where two or four translates of Z^2
+    meet."""
+
+    def __init__(self, seed):
+        pass
+
+    def random(self, shape):
+        grid = [0.0, 0.5, 0.5 - 5e-8, 0.5 + 5e-8]
+        u = np.stack(np.meshgrid(grid, grid)).reshape(2, -1)[:, 1:]  # not (0, 0)
+        return u[:, np.arange(shape[1]) % u.shape[1]]
+
+
+def test_verify_tiling_decides_samples_on_shared_edges_and_corners(square, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", _GridDraws)
+    ok, bad = tiling.verify_tiling(square, tiling.tiling_lattice(square), samples=15)
+    assert ok and bad == []
+
+
+def _brute_force_bad(poly, lat, samples, seed):
+    """verify_tiling's rule over every lattice point within twice its reach."""
+    d = 1e-6 * poly.scale()
+    g1, g2 = np.array(lat.g1), np.array(lat.g2)
+    reach = (0.5 * max(math.hypot(*(g1 + g2)), math.hypot(*(g1 - g2)))
+             + max(math.hypot(*v) for v in poly.vertices) + d)
+    lam = spectra.lattice_points_in_ball(lat, 2.0 * reach + math.hypot(*(0.5 * (g1 + g2))))
+    pts = (lat.basis() @ np.random.default_rng(seed).random((2, samples))).T
+    margins = np.stack([geometry.inside_margin(poly, pts - p) for p in lam], axis=1)
+    bad = ((margins >= d).sum(axis=1) >= 2) | np.all(margins <= -d, axis=1)
+    return pts[bad]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), hexagon=st.booleans(),
+       shear=st.one_of(st.just(0.0), st.floats(-0.6, 0.6)))
+def test_verify_tiling_bad_samples_match_a_brute_force_cover_count(seed, hexagon, shear):
+    # the tiling lattice, or the same lattice sheared along x: same covolume,
+    # and for most shears overlaps and gaps
+    rng = np.random.default_rng(seed)
+    poly = (random_symmetric_hexagon if hexagon else random_parallelogram)(rng)
+    lat = tiling.tiling_lattice(poly)
+    lat = Lattice.from_matrix(np.array([[1.0, shear], [0.0, 1.0]]) @ lat.basis())
+    ok, bad = tiling.verify_tiling(poly, lat, samples=400, seed=seed)
+    want = _brute_force_bad(poly, lat, 400, seed)
+    assert ok == (len(want) == 0)
+    np.testing.assert_allclose(np.array(bad).reshape(-1, 2), want, rtol=1e-12, atol=1e-12)
+    if shear == 0.0:
+        assert ok
 
 
 def test_verify_tiling_memory_is_bounded(hexagon_h0):
