@@ -228,8 +228,8 @@ def _cmd_slab_align(args, body):
     for rep in reports:
         r_lo, r_hi = rep.params[1]
         print("R in [%g, %g]: %d zeros, max dist %.6g, mean %.6g"
-              % (r_lo, r_hi, len(rep.zeros), rep.max_dist, rep.mean_dist))
-        rows.append([r_lo, r_hi, len(rep.zeros), rep.max_dist, rep.mean_dist])
+              % (r_lo, r_hi, len(rep.points), rep.max_dist, rep.mean_dist))
+        rows.append([r_lo, r_hi, len(rep.points), rep.max_dist, rep.mean_dist])
     return (0, ["R_lo", "R_hi", "n_zeros", "max_dist", "mean_dist"], rows,
             {"step": args.step, "target": "punctured integer grid"})
 

@@ -4,8 +4,10 @@ A lattice is a spectrum of a body exactly when it is orthogonal for the body
 and its density is the body's area (Fuglede, J. Funct. Anal. 16 (1974)).
 Orthogonality asks every difference of lattice points to be a zero of the
 body transform; Landau counts measure points per cube volume, and the gap
-check asks every cube of a fixed size to hold a point.  Each check
-enumerates its `Lattice` over a ball holding every cube or difference used.
+check asks every cube of a fixed size to hold a point.  The orthogonality
+and gap checks enumerate their `Lattice` over a ball holding every
+difference or cube used; the Landau counts go row by row and enumerate
+nothing.
 """
 
 from __future__ import annotations
@@ -67,6 +69,10 @@ def orthogonality_check(body: ConvexBody, lattice: Lattice,
     return bool(worst <= ZERO_TOL * a), (Point2(*ties[0]), worst)
 
 
+# landau_density's temporaries: 57 B per lattice row of one cube at R = 400 on Z^2 (tracemalloc)
+_ROW_BYTES = 64
+
+
 @dataclass(frozen=True)
 class DensityReport:
     R: float
@@ -78,16 +84,45 @@ class DensityReport:
 
 def landau_density(lattice: Lattice, R: float) -> DensityReport:
     """Extremal counts over the closed cubes of half-side R centred at a 7 x 7
-    grid over [-R, R]^2, normalized by (2R)^2.  The cubes lie in the
-    enumerated ball of radius 3 sqrt(2) R + 1.  ValueError unless R > 0 and
-    the normalized counts are finite."""
+    grid over [-R, R]^2, normalized by (2R)^2.
+
+    Nothing is enumerated: in a cube about c, the points with first
+    coefficient m have their second coefficient n in one interval, where
+    both slabs |B[ax, 0] m + B[ax, 1] n - c_ax| <= R + 1e-12 hold (an axis
+    with B[ax, 1] = 0 keeps all of the row or none of it), and the count is
+    the sum of the interval lengths.  The rows run over every m of a point
+    within 2R of the origin in each coordinate.  ValueError unless R > 0
+    and the normalized counts are finite, past the memory budget, and past
+    2**53 coefficient pairs, where the interval ends are no longer exact.
+    """
     if not R > 0.0:
         raise ValueError(f"cube half-side must be positive, got {R:g}")
-    pts = lattice_points_in_ball(lattice, 3.0 * R * math.sqrt(2.0) + 1.0)
+    B = lattice.basis()
+    # the coefficient ranges of the points within 2R in each coordinate, in
+    # Python floats, which overflow to inf without a warning
+    mmax, nmax = (float(np.floor((2.0 * R + 1e-12) * (abs(a) + abs(b)))) + 1.0
+                  for a, b in np.linalg.inv(B).tolist())
+    rows = 49.0 * (2.0 * mmax + 1.0)
+    require_memory(_ROW_BYTES * rows, "density count",
+                   f"{rows:.3g} lattice rows in the cubes of half-side {R:g}")
+    pairs = (2.0 * mmax + 1.0) * (2.0 * nmax + 1.0)
+    if not pairs <= 2.0**53:
+        raise ValueError(f"density count too large: {pairs:.3g} coefficient pairs "
+                         "within 2R, past exact counting at 2**53")
     g = np.linspace(-R, R, 7)
     ctr = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-    counts = cKDTree(pts).query_ball_point(ctr, r=R + 1e-12, p=np.inf, return_length=True)
-    d_plus, d_minus = int(max(counts)), int(min(counts))
+    m = np.arange(-mmax, mmax + 1.0)
+    half = R + 1e-12
+    lo, hi, keep = -np.inf, np.inf, True
+    for (a, b), c in zip(B.tolist(), ctr.T):
+        off = c[:, None] - a * m  # the row meets the slab where b n is within half of off
+        if b == 0.0:
+            keep = keep & (np.abs(off) <= half)
+        else:
+            e1, e2 = (off - half) / b, (off + half) / b
+            lo, hi = np.maximum(lo, np.minimum(e1, e2)), np.minimum(hi, np.maximum(e1, e2))
+    counts = np.sum(np.where(keep, np.maximum(np.floor(hi) - np.ceil(lo) + 1.0, 0.0), 0.0), axis=1)
+    d_plus, d_minus = int(np.max(counts)), int(np.min(counts))
     cube = (2.0 * R) * (2.0 * R)
     if not (cube > 0.0 and math.isfinite(d_plus / cube)):
         raise ValueError(f"cube half-side {R:g} too small: counts per unit area overflow")

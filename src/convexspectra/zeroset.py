@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import fft
@@ -49,14 +50,23 @@ class ZeroPoint:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignmentReport:
-    zeros: list[ZeroPoint]
+    """The zeros found, as an (N, 2) array of points and their N residuals,
+    and their distance statistics to the target."""
+    points: np.ndarray
+    residuals: np.ndarray
     max_dist: float
     mean_dist: float
     target: str
     params: tuple
     beta: float | None = None
+
+    @cached_property
+    def zeros(self) -> list[ZeroPoint]:
+        """The zeros as ZeroPoint objects, built on first read."""
+        return [ZeroPoint(Point2(*p), r)
+                for p, r in zip(self.points.tolist(), self.residuals.tolist())]
 
 
 def grid_distance(xi):
@@ -97,6 +107,42 @@ def _line_pieces(body: ConvexBody, extent, n_lines: float) -> tuple[int, int]:
     return int(k), n
 
 
+# degree -> _subdivision_maps(degree), least recently used first, within _MAPS_BYTES
+_MAPS: dict[int, tuple[np.ndarray, ...]] = {}
+_MAPS_BYTES = 2**20
+
+
+def _subdivision_maps(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only maps of degree-n Chebyshev coefficients, built once per
+    degree: to [-1 - _EDGE, 1 + _EDGE] (to_edge), to the values at its ends
+    (ends, right end first), to the left and right halves of [-1, 1], to the
+    value at 0 (mid), and to the derivative's coefficients (der).  The
+    cache drops its least recently used degrees past _MAPS_BYTES."""
+    n = int(n)
+    maps = _MAPS.pop(n, None)
+    if maps is None:
+        k, sign = np.arange(n + 1), 1.0 - 2.0 * (np.arange(n + 1) % 2)  # (-1)^k
+        lob = np.cos(np.pi * k / n)
+        # DCT-I maps to [-1 - E, 1 + E], E = _EDGE, and to the right half of [-1, 1], from T_k at
+        # the mapped Lobatto points (T_k(+-(1 + E)) = (+-1)^k (1 + k^2 E) to rounding for k < 120)
+        mapped = np.concatenate([np.clip((1.0 + _EDGE) * lob, -1.0, 1.0), 0.5 * (lob + 1.0)])
+        vander = np.cos(np.arccos(mapped)[:, None] * k).reshape(2, n + 1, n + 1)
+        vander[0, [0, n]] *= 1.0 + k * k * _EDGE
+        cheb = fft.dct(vander, type=1, axis=1).transpose(0, 2, 1) / n
+        cheb[:, :, [0, n]] *= 0.5
+        right, left = cheb[1], cheb[1] * np.outer(sign, sign)  # the left mirrors the right
+        # T_k' = 2 k (T_{k-1} + T_{k-3} + ...), the T_0 term halved
+        der = k[:, None] * (1.0 - np.outer(sign, sign[:-1])) * np.tri(n + 1, n, -1)
+        der[:, 0] *= 0.5
+        maps = (cheb[0], vander[0, [0, n]], left, right, np.cos(0.5 * np.pi * k).round(), der)
+        for a in maps:
+            a.flags.writeable = False
+    _MAPS[n] = maps
+    while sum(a.nbytes for v in _MAPS.values() for a in v) > _MAPS_BYTES:
+        del _MAPS[next(iter(_MAPS))]
+    return maps
+
+
 def _real_roots(coef: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
     """(i, t) of the real roots t in [-1, 1] of the Chebyshev series coef[i]
     (lowest degree first), sorted by i and then t.
@@ -118,21 +164,9 @@ def _real_roots(coef: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]
     if n_series > block:
         i, t = zip(*(_real_roots(coef[r:r + block], floor) for r in range(0, n_series, block)))
         return np.concatenate([x + m * block for m, x in enumerate(i)]), np.concatenate(t)
-    k, sign = np.arange(n + 1), 1.0 - 2.0 * (np.arange(n + 1) % 2)  # (-1)^k
-    lob = np.cos(np.pi * k / n)
-    # DCT-I maps to [-1 - E, 1 + E], E = _EDGE, and to the right half of [-1, 1], from T_k at the
-    # mapped Lobatto points (T_k(+-(1 + E)) = (+-1)^k (1 + k^2 E) to rounding for k < 120)
-    mapped = np.concatenate([np.clip((1.0 + _EDGE) * lob, -1.0, 1.0), 0.5 * (lob + 1.0)])
-    vander = np.cos(np.arccos(mapped)[:, None] * k).reshape(2, n + 1, n + 1)
-    vander[0, [0, n]] *= 1.0 + k * k * _EDGE
-    maps = fft.dct(vander, type=1, axis=1).transpose(0, 2, 1) / n
-    maps[:, :, [0, n]] *= 0.5
-    right, left = maps[1], maps[1] * np.outer(sign, sign)  # the left mirrors the right
-    # T_k' = 2 k (T_{k-1} + T_{k-3} + ...), the T_0 term halved
-    der = k[:, None] * (1.0 - np.outer(sign, sign[:-1])) * np.tri(n + 1, n, -1)
-    der[:, 0] *= 0.5
+    to_edge, ends, left, right, mid, der = _subdivision_maps(n)
     i, lo, w = np.arange(n_series), np.full(n_series, -1.0 - _EDGE), 2.0 + 2.0 * _EDGE
-    c, (fb, fa) = coef @ maps[0], vander[0, [0, n]] @ coef.T
+    c, (fb, fa) = coef @ to_edge, ends @ coef.T
     found = []
     for depth in range(_MAX_DEPTH + 1):
         if depth >= _SPLIT_DEPTH:
@@ -150,7 +184,7 @@ def _real_roots(coef: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]
             i, lo, c, fa, fb = i[~done], lo[~done], c[~done], fa[~done], fb[~done]
         if len(i) == 0:
             break
-        fm, w, half = c @ np.cos(0.5 * np.pi * k).round(), 0.5 * w, np.empty((2 * len(i), n + 1))
+        fm, w, half = c @ mid, 0.5 * w, np.empty((2 * len(i), n + 1))
         np.matmul(c, left, out=half[:len(i)]), np.matmul(c, right, out=half[len(i):])
         c, i, lo = half, np.concatenate([i, i]), np.concatenate([lo, lo + w])
         fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
@@ -187,8 +221,9 @@ def _real_roots(coef: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def _scan_lines(ev, starts: np.ndarray, stops: np.ndarray, k: int, n: int,
-                area: float) -> list[ZeroPoint]:
-    """Zeros on the segments starts[i] -> stops[i], line by line in segment order.
+                area: float) -> tuple[np.ndarray, np.ndarray]:
+    """Zeros on the segments starts[i] -> stops[i], line by line in segment
+    order: an (N, 2) array of points and the N residuals |T| there.
 
     Each line is cut into k equal pieces, and each piece gets one degree-n
     interpolant on the Chebyshev-Lobatto points, with coefficients from a
@@ -206,14 +241,15 @@ def _scan_lines(ev, starts: np.ndarray, stops: np.ndarray, k: int, n: int,
     coef[:, [0, n]] *= 0.5
     piece, root = _real_roots(coef, _EPS * area)
     if len(piece) == 0:
-        return []
+        return np.empty((0, 2)), np.empty(0)
     pts = mid[piece] + root[:, None] * half[piece]
     # a zero where two pieces meet is found by both: keep it once
     gap = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     twin = (np.diff(piece // k) == 0) & (gap <= 1e-10 * np.linalg.norm(half[piece[1:]], axis=1))
     pts = pts[np.r_[True, ~twin]]
-    res, tol = np.abs(ev(pts)), ZERO_TOL * area
-    return [ZeroPoint(Point2(*p), r) for p, r in zip(pts.tolist(), res.tolist()) if r <= tol]
+    res = np.abs(ev(pts))
+    zero = res <= ZERO_TOL * area
+    return pts[zero], res[zero]
 
 
 def zeros_on_segment(body: ConvexBody, p0, p1) -> list[ZeroPoint]:
@@ -226,7 +262,8 @@ def zeros_on_segment(body: ConvexBody, p0, p1) -> list[ZeroPoint]:
     k, n = _line_pieces(body, [b - a for a, b in zip(p0.tolist(), p1.tolist())], 1)
     box = np.max(np.abs(np.stack([p0, p1])), axis=0)
     ev = frozen_batch_evaluator(body, box[0] + 1.0, box[1] + 1.0)
-    return _scan_lines(ev, p0[None, :], p1[None, :], k, n, body.area)
+    pts, res = _scan_lines(ev, p0[None, :], p1[None, :], k, n, body.area)
+    return [ZeroPoint(Point2(*p), r) for p, r in zip(pts.tolist(), res.tolist())]
 
 
 def slab_zero_alignment(body: ConvexBody, A: float, R_list,
@@ -253,10 +290,10 @@ def slab_zero_alignment(body: ConvexBody, A: float, R_list,
         ev = frozen_batch_evaluator(body, R + 10.0 + 1.0, A + 1.0)
         starts = np.stack([np.full(n_lines, float(R)), xi2s], axis=1)
         stops = np.stack([np.full(n_lines, float(R) + 10.0), xi2s], axis=1)
-        zeros = _scan_lines(ev, starts, stops, k, n, body.area)
-        dists = grid_distance(np.reshape([z.xi for z in zeros], (-1, 2)))
-        reports.append(AlignmentReport(zeros, float(np.max(dists, initial=0.0)),
-                                       float(np.mean(dists)) if zeros else 0.0, "Z_Q",
+        pts, res = _scan_lines(ev, starts, stops, k, n, body.area)
+        dists = grid_distance(pts)
+        reports.append(AlignmentReport(pts, res, float(np.max(dists, initial=0.0)),
+                                       float(np.mean(dists)) if len(pts) else 0.0, "Z_Q",
                                        (A, (float(R), float(R) + 10.0), math.nan)))
     return reports
 
@@ -350,7 +387,7 @@ def ball_zero_alignment(body: ConvexBody, A: float, eps: float,
     if not np.any(keep):
         raise ValueError(f"step {step:g} is longer than every chord of the ball of "
                          f"radius A = {A:g}")
-    xi2s, chords = xi2s[keep], chords[keep]
+    xi2s = xi2s[keep]
 
     wall = float(u(0.5)) > 1e-9
     if not wall:
@@ -360,19 +397,18 @@ def ball_zero_alignment(body: ConvexBody, A: float, eps: float,
     ev = frozen_batch_evaluator(body, r_hi + A + 1.0, A + 1.0)
 
     # every line spans [R - A, R + A], so all share their abscissae; a zero
-    # counts inside its line's chord
-    chord = dict(zip(xi2s, chords))
+    # counts inside its line's chord, whose ordinate it keeps exactly
     best = None
     for R in R_grid:
         starts = np.stack([np.full(len(xi2s), R - A), xi2s], axis=1)
         stops = np.stack([np.full(len(xi2s), R + A), xi2s], axis=1)
-        zeros = [z for z in _scan_lines(ev, starts, stops, k, n, body.area)
-                 if abs(z.xi[0] - R) <= chord[z.xi[1]]]
-        if not zeros:
+        pts, res = _scan_lines(ev, starts, stops, k, n, body.area)
+        inside = np.abs(pts[:, 0] - R) <= np.sqrt(np.maximum(A * A - pts[:, 1] * pts[:, 1], 0.0))
+        if not np.any(inside):
             continue
-        fracs = np.array([z.xi[0] for z in zeros])
-        beta, max_d, mean_d = _circular_minimax(fracs)
-        report = AlignmentReport(zeros, max_d, mean_d, "shifted_vertical_grid",
+        pts, res = pts[inside], res[inside]
+        beta, max_d, mean_d = _circular_minimax(pts[:, 0])
+        report = AlignmentReport(pts, res, max_d, mean_d, "shifted_vertical_grid",
                                  (A, (r_lo, r_hi), eps), beta)
         if best is None or report.max_dist < best.max_dist:
             best = report

@@ -5,9 +5,10 @@ import time
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
-from convexspectra import cli, heights
+from convexspectra import cli, heights, zeroset
 from convexspectra.errors import BodyParseError, BodyValidationError
 from convexspectra.geometry import (ConvexPolygon, GraphBody, disc, regular_polygon,
                                    validate_polygon)
@@ -308,6 +309,13 @@ def test_density_integer_lattice(capsys):
     assert "D+ 441" in out and "D- 400" in out
 
 
+def test_density_counts_rows_where_a_ball_enumeration_was_refused(capsys):
+    # 801^2 and 800^2 points: the rows need about 4 MB, where the ball of
+    # radius 3 sqrt(2) R + 1 once enumerated held 1.16e7 coefficient pairs
+    assert cli.main(["density", "--lattice", "1 0; 0 1", "--radius", "400"]) == 0
+    assert "D+ 641601  D- 640000" in capsys.readouterr().out
+
+
 def test_gap_check_pass_and_fail(square_file, capsys):
     assert cli.main(["gap-check", "--body", square_file,
                      "--lattice", "1 0; 0 1"]) == 0
@@ -407,6 +415,44 @@ def test_ball_align_disc(disc_file, capsys):
                    "--window", "20,40", "--eps", "0.05", "--step", "0.05"])
     assert rc == 0
     assert capsys.readouterr().out.startswith("beta")
+
+
+def test_slab_align_builds_no_zero_point(hexagon_file, hexagon_h0, tmp_path, monkeypatch):
+    # slab-align only counts its zeros: no ZeroPoint is made for them
+    argv = ["slab-align", "--body", hexagon_file, "--A", "3", "--R-list", "50,100"]
+    assert cli.main(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+    want = zeroset.slab_zero_alignment(hexagon_h0, 3.0, [50.0, 100.0])
+
+    def refused(*args):
+        raise AssertionError("a ZeroPoint was built")
+    monkeypatch.setattr(zeroset, "ZeroPoint", refused)
+    assert cli.main(argv + ["--out", str(tmp_path / "b.csv")]) == 0
+    got = zeroset.slab_zero_alignment(hexagon_h0, 3.0, [50.0, 100.0])
+    assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
+    for g, w in zip(got, want):
+        assert np.array_equal(g.points, w.points) and np.array_equal(g.residuals, w.residuals)
+        assert (g.max_dist, g.mean_dist) == (w.max_dist, w.mean_dist)
+    monkeypatch.undo()
+    # the zeros view holds the same points and residuals, row for row
+    for rep in got:
+        assert len(rep.zeros) == len(rep.points) > 1000
+        assert [(*z.xi, z.residual) for z in rep.zeros] == [
+            (*p, r) for p, r in zip(rep.points.tolist(), rep.residuals.tolist())]
+
+
+def test_ball_align_csv_rows_are_its_zeros(disc_file, disc_body, tmp_path):
+    out = tmp_path / "ball.csv"
+    assert cli.main(["ball-align", "--body", disc_file, "--A", "1", "--window", "20,40",
+                     "--eps", "0.05", "--step", "0.05", "--out", str(out)]) == 0
+    rep = zeroset.ball_zero_alignment(disc_body, 1.0, 0.05, (20.0, 40.0), step=0.05)
+    rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert rows[0] == ["xi1", "xi2", "residual"] and len(rows) == 21
+    assert rows[1:] == [["%.17g" % v for v in (*z.xi, z.residual)] for z in rep.zeros]
+    assert [(*z.xi, z.residual) for z in rep.zeros] == [
+        (*p, r) for p, r in zip(rep.points.tolist(), rep.residuals.tolist())]
+    # the first of the 20 zeros lies on the line xi2 = -11/12, near xi1 = 40.24
+    assert float(rows[1][0]) == pytest.approx(40.238616185480943, abs=1e-9)
+    assert float(rows[1][1]) == -0.91666666666666663
 
 
 def test_ball_align_diamond_reports_no_blowup(tmp_path, diamond_body, capsys):
@@ -563,7 +609,8 @@ _OVERFLOWING = [
     ["ball-align", "--body", "{disc}", "--A", "1", "--window", "20,40", "--step", "2"],
     ["cap-scan", "--body", "{hexagon}", "--delta", "0.1", "--window", "10,0.1"],
     ["ball-align", "--body", "{disc}", "--A", "1", "--window", "30,20", "--eps", "0.05"],
-    ["density", "--lattice", "1 0; 0 1", "--radius", "400"],
+    # past 2**53 coefficient pairs a row's bounds are no longer exact integers
+    ["density", "--lattice", "1e8 0; 0 1e-8", "--radius", "1e9"],
     # (2R)^2 underflows to 0, or 1/(2R)^2 overflows: no finite density
     ["density", "--lattice", "1 0; 0 1", "--radius", "1e-300"],
     ["density", "--lattice", "1 0; 0 1", "--radius", "1e-160"],

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,44 @@ def test_landau_density_counts_match_a_twice_larger_enumeration(lat, R):
     rep = S.landau_density(lat, R)
     counts = _cube_counts(S.lattice_points_in_ball(lat, radius), _grid(R, 7), R)
     assert (rep.D_plus, rep.D_minus) == (max(counts), min(counts))
+
+
+@pytest.mark.parametrize("basis", [[[1, 0], [0, 1]], [[2, 0], [0, 0.5]], [[1, 0], [0.3, 1]],
+                                   [[1, 0], [-0.4, 0.8]]])
+@pytest.mark.parametrize("R", [1.0, 2.5, 10.0, 13.0, 40.0])
+def test_landau_density_counts_points_on_cube_faces(basis, R):
+    # Z^2, 2Z x Z/2, a shear and h0's dual put lattice points exactly on the
+    # faces of cubes about the grid centres, where a rounding slip in a row's
+    # bounds would drop or add them
+    lat = G.Lattice.from_matrix(basis)
+    pts = S.lattice_points_in_ball(lat, 2.0 * (3.0 * R * math.sqrt(2.0) + 1.0))
+    pts = pts[np.max(np.abs(pts), axis=1) <= 2.0 * R + 1.0]  # all that any cube can hold
+    centers = _grid(R, 7)
+    faces = np.abs(np.max(np.abs(pts[:, None, :] - centers[None]), axis=2) - R)
+    assert np.min(faces) <= 1e-12
+    rep = S.landau_density(lat, R)
+    counts = _cube_counts(pts, centers, R)
+    assert (rep.D_plus, rep.D_minus) == (max(counts), min(counts))
+
+
+def test_landau_density_memory_is_what_its_budget_counts(monkeypatch):
+    budget = []
+    check = S.require_memory
+
+    def counted(nbytes, what, detail):
+        budget.append(nbytes)
+        check(nbytes, what, detail)
+
+    monkeypatch.setattr(S, "require_memory", counted)
+    tracemalloc.start()
+    try:
+        rep = S.landau_density(G.Z2, 400.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.D_plus, rep.D_minus) == (801 ** 2, 800 ** 2)
+    # 49 cubes of 1603 rows each, 64 B a row: about 5 MB
+    assert budget == [64 * 49 * 1603] and peak <= budget[0]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

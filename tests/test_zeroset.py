@@ -154,6 +154,29 @@ def test_real_roots_keep_every_root_of_t_n():
         assert np.max(np.abs(t - np.cos((np.arange(n)[::-1] + 0.5) * np.pi / n))) <= 1e-14
 
 
+def test_subdivision_maps_are_built_once_per_degree_read_only_and_bounded(monkeypatch):
+    monkeypatch.setattr(Z, "_MAPS", {})
+    coef = np.random.default_rng(7).standard_normal((5, 43))
+    cold = Z._real_roots(coef, 1e-14)
+    # keyed by the degree's value, not by the object passed
+    maps = Z._subdivision_maps(np.int64(42))
+    assert list(Z._MAPS) == [42] and type(next(iter(Z._MAPS))) is int
+    assert Z._subdivision_maps(42) is maps
+    warm = Z._real_roots(coef, 1e-14)
+    assert all(np.array_equal(a, b) for a, b in zip(cold, warm))
+    for a in maps:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 1.0
+    # under 1 MiB whatever the degrees asked for; at degree 106, the highest
+    # a scan piece gets, two degrees fit, the least recently used going first
+    for n in range(2, 160):
+        Z._subdivision_maps(n)
+        assert sum(a.nbytes for v in Z._MAPS.values() for a in v) <= 2**20
+    for n in (106, 105, 106, 104):
+        Z._subdivision_maps(n)
+    assert list(Z._MAPS) == [106, 104]
+
+
 def test_scan_memory_stays_under_its_budget(square, hexagon_h0, monkeypatch):
     # the tracemalloc peak of a scan is at most what _line_pieces refuses past
     budget, peak = [], []
