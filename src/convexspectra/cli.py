@@ -26,7 +26,7 @@ from .errors import (BodyParseError, BodyValidationError, ConvexSpectraError,
 from .fourier import (_PANEL_TOL, QUAD_TOL, SINGULAR_THRESHOLD, ZERO_TOL, cap_lower_bound_scan,
                       ft_body)
 from .geometry import (ConvexBody, ConvexPolygon, GraphBody, Lattice, as_polygon,
-                       decompose_caps, validate_polygon)
+                       upper_cap, validate_polygon)
 from .obstruction import check_certificate, nonspectral_certificate
 from .spectra import landau_density, orthogonality_check, spectral_gap_check
 from .tiling import COVOLUME_TOL, classify, covolume_is, tiling_lattice, verify_tiling
@@ -50,9 +50,9 @@ def parse_body_file(path: str) -> ConvexBody:
               | {"kind": "semicircle", "r": ...}
               | {"kind": "pw", "knots": [...], "values": [...]}
               | {"kind": "power", "p": ..., "scale": ...}
-    A power height needs 0 < p <= 1 and scale >= 0 (default 1).  Non-finite
-    numbers (JSON NaN, Infinity) are rejected, and f + g must enclose
-    positive area.
+    A power height needs 0 < p <= 1 and scale >= 0 (default 1).  Numbers
+    follow heights.is_number (no true, false or string); non-finite ones
+    (JSON NaN, Infinity) are rejected, and f + g must enclose positive area.
     """
     try:
         with open(path) as fh:
@@ -70,17 +70,17 @@ def parse_body_file(path: str) -> ConvexBody:
             raise BodyParseError(f"{path}: $.vertices: need a list of at least 3 points")
         for i, p in enumerate(verts):
             if (not isinstance(p, (list, tuple)) or len(p) != 2
-                    or not all(isinstance(c, (int, float)) for c in p)):
+                    or not all(map(heights.is_number, p))):
                 raise BodyParseError(f"{path}: $.vertices[{i}]: expected [x, y]")
         try:
             return validate_polygon(np.asarray(verts, dtype=float))
         except ConvexSpectraError as e:
             raise BodyValidationError(f"{path}: $.vertices: {e}") from e
     if kind == "graph":
-        try:
-            a, b = float(doc["a"]), float(doc["b"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise BodyParseError(f"{path}: $.a/$.b: expected numbers") from e
+        a, b = doc.get("a"), doc.get("b")
+        if not (heights.is_number(a) and heights.is_number(b)):
+            raise BodyParseError(f"{path}: $.a/$.b: expected numbers")
+        a, b = float(a), float(b)
         fns = {}
         for field in ("f", "g"):
             d = doc.get(field)
@@ -226,7 +226,7 @@ def _cmd_slab_align(args, body):
     reports = slab_zero_alignment(body, args.A, r_list, step=args.step)
     rows = []
     for rep in reports:
-        r_lo, r_hi = rep.params[1]
+        r_lo, r_hi = rep.window
         print("R in [%g, %g]: %d zeros, max dist %.6g, mean %.6g"
               % (r_lo, r_hi, len(rep.points), rep.max_dist, rep.mean_dist))
         rows.append([r_lo, r_hi, len(rep.points), rep.max_dist, rep.mean_dist])
@@ -318,7 +318,7 @@ def _cmd_certify(args, body):
 
 
 def _cmd_cap_scan(args, body):
-    f = decompose_caps(as_polygon(body) or body)[1].f
+    f = upper_cap(as_polygon(body) or body)
     window = _parse_numbers(args.window, "--window", 2)
     res = cap_lower_bound_scan(f, args.delta, window)
     print("R %.12g  |transform| %.6g  ratio %.6g"

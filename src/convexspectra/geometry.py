@@ -126,10 +126,6 @@ def validate_polygon(vertices) -> ConvexPolygon:
     return ConvexPolygon(vertices=v, area=signed)
 
 
-def unit_square() -> ConvexPolygon:
-    return validate_polygon([(0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5)])
-
-
 def regular_polygon(m: int, circumradius: float = 1.0) -> ConvexPolygon:
     ang = 2.0 * np.pi * np.arange(m) / m
     return validate_polygon(np.stack([circumradius * np.cos(ang), circumradius * np.sin(ang)], axis=1))
@@ -448,38 +444,26 @@ def inside_margin(poly: ConvexPolygon, points) -> np.ndarray:
     return np.min(cr / ln[None, :], axis=1)
 
 
-def _chain_indices(poly: ConvexPolygon, upper: bool) -> list[int]:
+def _chain_indices(poly: ConvexPolygon, upper: bool) -> np.ndarray:
     """Vertex indices of the upper (or lower) boundary chain, left to right.
 
-    The chain excludes vertical end edges; ties at the extreme x pick the
+    The chain excludes vertical end edges: at each extreme x it ends at the
     vertex adjacent to the chain (max y for upper, min y for lower).
+    Counterclockwise, the lower chain runs from its left end to its right
+    end and the upper chain back, so each is one index range.
     """
     v = poly.vertices
-    m = len(v)
+    x, y = v[:, 0], (v[:, 1] if upper else -v[:, 1])
     tol = 1e-12 * poly.scale()
-    xmin, xmax = float(np.min(v[:, 0])), float(np.max(v[:, 0]))
 
-    def pick(xval, want_top):
-        idx = [i for i in range(m) if abs(v[i, 0] - xval) <= tol]
-        key = (lambda i: v[i, 1]) if want_top else (lambda i: -v[i, 1])
-        return max(idx, key=key)
+    def end(e):  # the vertex at x = e nearest the chain
+        i = np.flatnonzero(np.abs(x - e) <= tol)
+        return int(i[np.argmax(y[i])])
 
-    if upper:
-        start = pick(xmax, True)   # top of right side, walk ccw to the left
-        stop = pick(xmin, True)
-    else:
-        start = pick(xmin, False)  # bottom of left side, walk ccw to the right
-        stop = pick(xmax, False)
-    chain = [start]
-    i = start
-    while i != stop:
-        i = (i + 1) % m
-        chain.append(i)
-        if len(chain) > m:
-            raise DegenerateError("boundary chain did not close")
-    if upper:
-        chain.reverse()  # left-to-right
-    return chain
+    left, right = end(np.min(x)), end(np.max(x))
+    start, stop = (right, left) if upper else (left, right)
+    chain = (start + np.arange((stop - start) % len(v) + 1)) % len(v)
+    return chain[::-1] if upper else chain
 
 
 def graph_heights(body: ConvexBody) -> tuple[HeightFn, HeightFn]:
@@ -513,32 +497,25 @@ def require_standard_position(body: ConvexBody) -> tuple[HeightFn, HeightFn]:
     return f, g
 
 
-def decompose_caps(body: ConvexBody) -> tuple[ConvexPolygon, GraphBody, GraphBody]:
-    """Split a body in standard position into the unit square and two caps.
-
-    Caps are returned as graph bodies over [-1/2, 1/2] with g == 0; their f is
-    the cap height measured from the square's edge (the cap above y = 1/2 and
-    the mirror of the cap below y = -1/2, both in left-to-right x): a "pw"
-    height with its knots clipped to the slab, or a "poly" height with its
-    constant coefficient lowered by 1/2.  The other kinds vanish at the walls
-    and never pass the standard-position guard.
-    Areas satisfy |body| = 1 + |upper| + |lower| within 1e-10.
+def upper_cap(body: ConvexBody) -> HeightFn:
+    """The cap above the unit square of a body in standard position, as a
+    height over [-1/2, 1/2] measured from y = 1/2: the body's upper height
+    as a "pw" height with its knots clipped to the slab, or a "poly" height
+    with its constant coefficient lowered by 1/2.  The other kinds vanish at
+    the walls and never pass the standard-position guard.
     """
-    def cap(h: HeightFn) -> GraphBody:
-        line = h.polyline()
-        if line is None:
-            c = list(h.coeffs)
-            c[0] -= 0.5
-            return GraphBody(-0.5, 0.5, heights.polynomial(c), heights.zero())
-        knots = np.clip(line[0], -0.5, 0.5)
-        knots[0], knots[-1] = -0.5, 0.5
-        hts = np.maximum(np.asarray(line[1]) - 0.5, 0.0)
-        # merge knots that collide after clipping
-        keep = np.concatenate([[True], np.diff(knots) > 1e-12])
-        return GraphBody(-0.5, 0.5, heights.piecewise(knots[keep], hts[keep]), heights.zero())
-
-    f, g = require_standard_position(body)
-    return unit_square(), cap(f), cap(g)
+    f = require_standard_position(body)[0]
+    line = f.polyline()
+    if line is None:
+        c = list(f.coeffs)
+        c[0] -= 0.5
+        return heights.polynomial(c)
+    knots = np.clip(line[0], -0.5, 0.5)
+    knots[0], knots[-1] = -0.5, 0.5
+    hts = np.maximum(np.asarray(line[1]) - 0.5, 0.0)
+    # merge knots that collide after clipping
+    keep = np.concatenate([[True], np.diff(knots) > 1e-12])
+    return heights.piecewise(knots[keep], hts[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -573,5 +550,3 @@ class Lattice:
     def covolume(self) -> float:
         return abs(cross2(self.g1, self.g2))
 
-
-Z2 = Lattice(Point2(1.0, 0.0), Point2(0.0, 1.0))

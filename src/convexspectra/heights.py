@@ -12,6 +12,7 @@ as a "pw" height, so a height is flat exactly when it has a polyline().
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,10 +213,24 @@ def zero(a: float = -0.5, b: float = 0.5) -> HeightFn:
     return polynomial((), a, b)
 
 
+def is_number(x) -> bool:
+    """The body files' one number rule: a float, or an int that a float can
+    hold; never a bool (JSON true and false) or a numeric string."""
+    return isinstance(x, float) or (isinstance(x, int) and not isinstance(x, bool)
+                                    and abs(x) <= sys.float_info.max)
+
+
 def from_descriptor(d: dict, a: float, b: float, path: str = "f") -> HeightFn:
-    """Build a HeightFn from a body-file descriptor dict; errors carry `path`."""
+    """Build a HeightFn from a body-file descriptor dict; errors carry `path`,
+    a field that breaks the number rule its own path."""
     if not isinstance(d, dict) or "kind" not in d:
         raise BodyFileError(f"{path}: descriptor must be an object with a 'kind' field")
+    for name in ("coeffs", "knots", "values", "r", "p", "scale"):
+        items = d.get(name, [])
+        for i, x in enumerate(items if isinstance(items, list) else [items]):
+            if not is_number(x):
+                where = f"{path}.{name}" + (f"[{i}]" if isinstance(items, list) else "")
+                raise BodyFileError(f"{where}: expected a number, got {x!r:.20}")
     kind = d["kind"]
     try:
         if kind == "poly":

@@ -22,23 +22,66 @@ from .fourier import ZERO_TOL, transform_batch
 from .geometry import ConvexBody, Lattice, Point2, measures, require_memory
 
 
+def _reduction(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(U, B U): an integer matrix U of determinant +-1, with B U the
+    Lagrange-Gauss reduced basis of the lattice, both as floats.
+
+    The reduction runs exactly, in integers: B's floats times the power of
+    two that clears their denominators, so B U is its exact basis rounded
+    once.  A step that would put an entry of U past 2**53, where a float no
+    longer holds it exactly, is not taken.
+    """
+    ratios = [x.as_integer_ratio() for x in B.T.ravel().tolist()]
+    scale = max(d for _, d in ratios)
+    flat = [n * (scale // d) for n, d in ratios]
+    b = [flat[:2], flat[2:]]  # the columns of B U, times scale
+    u = [[1, 0], [0, 1]]  # the columns of U
+
+    def dot(p, q):
+        return p[0] * q[0] + p[1] * q[1]
+
+    while True:
+        if dot(b[0], b[0]) > dot(b[1], b[1]):
+            b.reverse()
+            u.reverse()
+        q = dot(b[0], b[0])
+        mu = (2 * dot(b[0], b[1]) + q) // (2 * q)  # the nearest integer, ties up
+        w = [u[1][i] - mu * u[0][i] for i in (0, 1)]
+        if mu == 0 or max(map(abs, w)) >= 2**53:
+            return (np.array(u, dtype=float).T,
+                    np.array([[x / scale for x in col] for col in b]).T)
+        b[1] = [b[1][i] - mu * b[0][i] for i in (0, 1)]
+        u[1] = w
+
+
 def lattice_points_in_ball(lattice: Lattice, radius: float) -> np.ndarray:
     """All lattice points with |p| <= radius, lexicographically ordered.
-    ValueError unless radius > 0 (NaN included)."""
+
+    The coefficient box is sized on the reduced basis B U (_reduction), so
+    a skewed basis of an ordinary lattice costs what its reduced one does;
+    each coefficient pair is mapped back through U, and each point is
+    computed from the given basis B.  ValueError unless radius > 0 (NaN
+    included), and past the memory budget or past coefficients of 2**53,
+    where a float no longer holds them exactly."""
     if not radius > 0.0:
         raise ValueError(f"lattice enumeration radius must be positive, got {radius:g}")
     B = lattice.basis()
-    Binv = np.linalg.inv(B)
+    U, M = _reduction(B)
+    Minv = np.linalg.inv(M)
     # hypot, not the norm of a squared sum: a row of 1e300 stays finite
-    mmax = float(np.floor(radius * math.hypot(*Binv[0]))) + 1.0
-    nmax = float(np.floor(radius * math.hypot(*Binv[1]))) + 1.0
+    mmax = float(np.floor(radius * math.hypot(*Minv[0]))) + 1.0
+    nmax = float(np.floor(radius * math.hypot(*Minv[1]))) + 1.0
     pairs = (2.0 * mmax + 1.0) * (2.0 * nmax + 1.0)
     # ~68 B of temporaries per coefficient pair
     require_memory(68 * pairs, "lattice enumeration",
                    f"{pairs:.3g} coefficient pairs within radius {radius:g}")
+    kmax = float(np.max(np.abs(U) @ (mmax, nmax)))
+    if not kmax < 2.0**53:
+        raise ValueError(f"lattice enumeration too large: coefficients up to {kmax:.3g} "
+                         f"within radius {radius:g}, past exact integers at 2**53")
     ms, ns = np.meshgrid(np.arange(-mmax, mmax + 1), np.arange(-nmax, nmax + 1),
                          indexing="ij")
-    coeffs = np.stack([ms.ravel(), ns.ravel()], axis=1)
+    coeffs = np.stack([ms.ravel(), ns.ravel()], axis=1) @ U.T
     pts = coeffs @ B.T
     keep = np.hypot(pts[:, 0], pts[:, 1]) <= radius + 1e-12
     pts = pts[keep]

@@ -19,9 +19,12 @@ from .spectra import lattice_points_in_ball
 
 # relative covolume tolerance of every lattice check: tilings and spectra
 COVOLUME_TOL = 1e-10
-_CHUNK_TERMS = 2**18  # point-translate-edge terms per chunk of the cover test
-# the tracemalloc peak of verify_tiling per sample (17.0 B on the square and
-# h0) over a floor of about 10 MiB: the draws and the bad flags
+# point-translate-edge terms per chunk of the cover test; one sample's may not
+# pass it
+_CHUNK_TERMS = 2**18
+# the tracemalloc peak of verify_tiling per sample (16.0 B on the square, on
+# h0, and on a lattice that leaves 40% of h0's samples bad) over a floor of
+# about 10 MiB: the draws, which also hold the bad samples returned
 _BYTES_PER_SAMPLE = 18
 
 
@@ -67,7 +70,7 @@ def tiling_lattice(poly: ConvexPolygon) -> Lattice:
 
 
 def verify_tiling(poly: ConvexPolygon, lattice: Lattice, samples: int = 10_000,
-                  seed: int = 0) -> tuple[bool, list[Point2]]:
+                  seed: int = 0) -> tuple[bool, np.ndarray]:
     """Sampled exact-cover check: random fundamental-domain points must be
     covered by exactly one lattice translate of the polygon.
 
@@ -79,8 +82,10 @@ def verify_tiling(poly: ConvexPolygon, lattice: Lattice, samples: int = 10_000,
     the cell: a sample B u, u in [0, 1)^2, lies within half the longer
     diagonal of the cell's centre c, and P within its largest vertex norm of
     the origin, so |lam - c| is at most the sum (plus d, for rounding).
-    Returns (pass, bad samples); ValueError, before any array is built, when
-    the samples would pass the memory budget."""
+    Returns (pass, the bad samples as an (N, 2) array, in draw order).
+    ValueError, before any array is built, when the samples would pass the
+    memory budget, and before any sample is drawn when one sample's
+    translates times edges pass _CHUNK_TERMS."""
     if samples < 1:
         raise ValueError(f"verify_tiling needs at least 1 sample, got {samples}")
     require_memory(_BYTES_PER_SAMPLE * samples, "tiling check", f"{samples} samples")
@@ -94,19 +99,27 @@ def verify_tiling(poly: ConvexPolygon, lattice: Lattice, samples: int = 10_000,
              + float(np.max(np.hypot(*poly.vertices.T))) + d)
     near = lattice_points_in_ball(lattice, reach + math.hypot(*centre))
     offsets = near[np.hypot(*(near - centre).T) <= reach]
-    chunk = max(1, _CHUNK_TERMS // (len(offsets) * poly.m))
+    terms = len(offsets) * poly.m
+    if terms > _CHUNK_TERMS:
+        raise ValueError(f"tiling check too large: {len(offsets):.3g} translates meet the "
+                         f"lattice cell, {terms:.3g} terms a sample, over {_CHUNK_TERMS}")
+    chunk = _CHUNK_TERMS // terms
 
     pts = np.random.default_rng(seed).random((2, samples))  # draws u, made B u in place
-    bad = np.empty(samples, dtype=bool)
+    n_bad = 0
     for lo in range(0, samples, chunk):
         p = pts[:, lo:lo + chunk]
         p[:] = B[:, :1] * p[0] + B[:, 1:] * p[1]  # elementwise: the same bits in any chunk
         margins = inside_margin(poly, (p.T[:, None, :] - offsets).reshape(-1, 2))
         margins = margins.reshape(p.shape[1], -1)
-        bad[lo:lo + chunk] = ((margins >= d).sum(axis=1) >= 2) | np.all(margins <= -d, axis=1)
-        del p, margins  # not alive beside the next chunk's temporaries
-    bad_pts = [Point2(*q) for q in pts[:, bad].T]
-    return not bad_pts, bad_pts
+        bad = ((margins >= d).sum(axis=1) >= 2) | np.all(margins <= -d, axis=1)
+        # the bad samples move to the front of the draws, which hold no
+        # sample still to be decided there
+        k = int(np.count_nonzero(bad))
+        pts[:, n_bad:n_bad + k] = p[:, bad]
+        n_bad += k
+        del p, margins, bad  # not alive beside the next chunk's temporaries
+    return n_bad == 0, pts[:, :n_bad].T
 
 
 def classify(body: ConvexBody) -> TilingVerdict:

@@ -8,9 +8,8 @@ degree fixed in advance from the interpolation bound on Bernstein ellipses
 once by Chebyshev subdivision, then polished by Newton steps (Boyd, Solving
 Transcendental Equations, SIAM 2014, ch. 2-3).  A root counts as a zero when
 the transform there is at most fourier.ZERO_TOL times the area, a threshold
-no caller sets.  Slab scans measure their zeros' distance to
-the punctured integer grid lines ("Z_Q"); ball scans fit vertical lines at a
-fractional shift ("shifted_vertical_grid").
+no caller sets.  Slab scans measure their zeros' distance to the punctured
+integer grid lines Z_Q; ball scans fit vertical lines at a fractional shift.
 """
 
 from __future__ import annotations
@@ -53,13 +52,13 @@ class ZeroPoint:
 @dataclass(frozen=True, eq=False)
 class AlignmentReport:
     """The zeros found, as an (N, 2) array of points and their N residuals,
-    and their distance statistics to the target."""
+    their distance statistics to the grid, and the window (lo, hi) of R
+    scanned."""
     points: np.ndarray
     residuals: np.ndarray
     max_dist: float
     mean_dist: float
-    target: str
-    params: tuple
+    window: tuple[float, float]
     beta: float | None = None
 
     @cached_property
@@ -293,8 +292,8 @@ def slab_zero_alignment(body: ConvexBody, A: float, R_list,
         pts, res = _scan_lines(ev, starts, stops, k, n, body.area)
         dists = grid_distance(pts)
         reports.append(AlignmentReport(pts, res, float(np.max(dists, initial=0.0)),
-                                       float(np.mean(dists)) if len(pts) else 0.0, "Z_Q",
-                                       (A, (float(R), float(R) + 10.0), math.nan)))
+                                       float(np.mean(dists)) if len(pts) else 0.0,
+                                       (float(R), float(R) + 10.0)))
     return reports
 
 
@@ -408,8 +407,7 @@ def ball_zero_alignment(body: ConvexBody, A: float, eps: float,
             continue
         pts, res = pts[inside], res[inside]
         beta, max_d, mean_d = _circular_minimax(pts[:, 0])
-        report = AlignmentReport(pts, res, max_d, mean_d, "shifted_vertical_grid",
-                                 (A, (r_lo, r_hi), eps), beta)
+        report = AlignmentReport(pts, res, max_d, mean_d, (r_lo, r_hi), beta)
         if best is None or report.max_dist < best.max_dist:
             best = report
     if best is None:

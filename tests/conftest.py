@@ -6,9 +6,19 @@ import pytest
 from convexspectra import geometry, heights
 
 
+def unit_square():
+    """The unit square Q = [-1/2, 1/2]^2."""
+    return geometry.validate_polygon([(0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5)])
+
+
 @pytest.fixture
 def square():
-    return geometry.unit_square()
+    return unit_square()
+
+
+@pytest.fixture
+def z2():
+    return geometry.Lattice(geometry.Point2(1.0, 0.0), geometry.Point2(0.0, 1.0))
 
 
 @pytest.fixture

@@ -334,6 +334,30 @@ def test_a_lattice_sparser_than_its_windows_is_checked_not_refused(square_file, 
     assert "D+ 1  D- 1  normalized 0.25 / 0.25" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [["spectrum-check", "--radius", "20"], ["gap-check"]])
+def test_lattice_checks_answer_on_a_skewed_basis_of_z2(argv, square_file, capsys):
+    # "1 1000; 0 1" is Z^2: the enumeration is sized on the reduced basis,
+    # and the points, computed from the given one, are Z^2's to the bit
+    command, *rest = argv
+    outs = []
+    for basis in ("1 0; 0 1", "1 1000; 0 1"):
+        assert cli.main([command, "--body", square_file, "--lattice", basis, *rest]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[1] == outs[0] and outs[0].out.startswith("pass")
+
+
+@pytest.mark.parametrize("basis, message", [
+    ("1 1000; 0 1", "lattice enumeration too large"),
+    ("1 300; 0 1", "tiling check too large: 7.18e[+]04 translates"),
+], ids=["enumeration", "one_sample"])
+def test_tile_check_refuses_a_long_cell_of_z2(basis, message, square_file, capsys):
+    # the sampled cell is what is long: every sample would meet tens of
+    # thousands of translates
+    assert cli.main(["tile-check", "--body", square_file, "--lattice", basis]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert re.search(message, line), line
+
+
 def test_tile_check_default_lattice(square_file, hexagon_file, tiny_square_file, capsys):
     assert cli.main(["tile-check", "--body", square_file]) == 0
     assert cli.main(["tile-check", "--body", hexagon_file]) == 0
@@ -688,8 +712,27 @@ _SLAB = '"type": "graph", "a": -0.5, "b": 0.5'
     ("classify", '{%s, "f": {"kind": "pw", "knots": [-0.5, 0.0011, 0.0012, 0.0013, 0.5],'
                  ' "values": [0.5, 0.7, 0.69, 0.7, 0.5]}, "g": {"kind": "poly", "coeffs": [0.5]}}'
                  % _SLAB, "f is not concave"),
+    # one number rule: an int or a float, never a bool or a numeric string
+    ("classify", '{%s, "f": {"kind": "pw", "knots": [-0.5, 0, 0.5], "values": [false, true, false]},'
+                 ' "g": {"kind": "pw", "knots": [-0.5, 0, 0.5], "values": [false, true, false]}}'
+                 % _SLAB, r"\$\.f\.values\[0\]: expected a number, got False"),
+    ("classify", '{"type": "polygon", "vertices": [[true, 0], [0, true], [-1, 0], [0, -1]]}',
+     r"\$\.vertices\[0\]: expected \[x, y\]"),
+    ("classify", '{"type": "graph", "a": "-0.5", "b": 0.5, "f": {"kind": "tent"},'
+                 ' "g": {"kind": "tent"}}', r"\$\.a/\$\.b: expected numbers"),
+    ("classify", '{%s, "f": {"kind": "poly", "coeffs": ["0.75", 0, -1]},'
+                 ' "g": {"kind": "poly", "coeffs": [0.75, 0, -1]}}' % _SLAB,
+     r"\$\.f\.coeffs\[0\]: expected a number, got '0\.75'"),
+    ("classify", '{"type": "graph", "a": -0.5, "b": 0.5, "f": {"kind": "semicircle", "r": "0.5"},'
+                 ' "g": {"kind": "semicircle", "r": 0.5}}', r"\$\.f\.r: expected a number, got '0\.5'"),
+    # JSON integers past the float range
+    ("classify", '{"type": "polygon", "vertices": [[1%s, 0], [0, 1], [-1, 0], [0, -1]]}'
+     % ("0" * 400), r"\$\.vertices\[0\]: expected \[x, y\]"),
+    ("classify", '{%s, "f": {"kind": "poly", "coeffs": [1%s]}, "g": {"kind": "tent"}}'
+     % (_SLAB, "0" * 400), r"\$\.f\.coeffs\[0\]: expected a number, got 1000"),
 ], ids=["pw_infinity", "poly_nan", "power_p0", "power_negative_scale", "pw_empty",
-        "zero_area", "polygon_nan", "pw_dip_between_samples"])
+        "zero_area", "polygon_nan", "pw_dip_between_samples", "pw_bools", "polygon_bools",
+        "a_string", "coeffs_string", "r_string", "polygon_huge_int", "coeffs_huge_int"])
 def test_bad_body_file_exits_2(command, text, message, tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(text)

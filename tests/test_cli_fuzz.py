@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from convexspectra import cli, geometry, heights
 
-from conftest import write_body
+from conftest import unit_square, write_body
 
 SPECIAL = [math.nan, math.inf, -math.inf, 0.0, 1e-300]
 numbers = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(SPECIAL))
@@ -105,7 +105,7 @@ def bodies(tmp_path_factory):
     d = tmp_path_factory.mktemp("bodies")
     parabola = heights.polynomial([0.75, 0.0, -1.0])
     paths = {name: write_body(d / f"{name}.json", body) for name, body in (
-        ("square", geometry.unit_square()),
+        ("square", unit_square()),
         ("hexagon", geometry.validate_polygon([(0.5, -0.5), (0.5, 0.5), (0.0, 0.75),
                                                (-0.5, 0.5), (-0.5, -0.5), (0.0, -0.75)])),
         ("disc", geometry.disc(0.5)),

@@ -605,7 +605,7 @@ def test_a_non_finite_integrand_is_flagged_after_one_pass(disc_body):
     assert not F.ft_quadrature(disc_body, (300.0, float("nan"))).converged
 
 
-def test_unconverged_panel_rule_is_never_dropped(disc_body, monkeypatch):
+def test_unconverged_panel_rule_is_never_dropped(disc_body, z2, monkeypatch):
     # heights unbounded on every Bernstein ellipse: no layout meets the bound
     monkeypatch.setattr(heights.HeightFn, "ellipse_bounds",
                         lambda self, mid, reach: (np.inf, np.inf))
@@ -619,7 +619,7 @@ def test_unconverged_panel_rule_is_never_dropped(disc_body, monkeypatch):
         with pytest.raises(NoConvergenceError):
             F.frozen_batch_evaluator(disc_body, abs(xi[0]), abs(xi[1]))
     with pytest.raises(NoConvergenceError):
-        spectra.orthogonality_check(disc_body, G.Z2, 2.0)
+        spectra.orthogonality_check(disc_body, z2, 2.0)
 
 
 @pytest.mark.parametrize("p", [0.5, 0.75])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from convexspectra import geometry as G
 from convexspectra import heights
@@ -107,8 +108,9 @@ def test_is_symmetric_graph(disc_body, parabola_capped):
 
 def test_standard_position_of_graph_bodies(disc_body, parabola_capped):
     G.require_standard_position(parabola_capped)  # f = g = 1/2 at the walls
-    _, upper, lower = G.decompose_caps(parabola_capped)  # caps 1/4 - x^2
-    assert upper.area == pytest.approx(1.0 / 6.0) and lower.area == pytest.approx(1.0 / 6.0)
+    xs = np.linspace(-0.5, 0.5, 11)
+    np.testing.assert_allclose(G.upper_cap(parabola_capped)(xs), 0.25 - xs * xs,
+                               rtol=0.0, atol=1e-15)  # the cap 1/4 - x^2
     with pytest.raises(NotStandardPositionError, match="unit square"):
         G.require_standard_position(disc_body)
     with pytest.raises(NotStandardPositionError, match="slab"):
@@ -143,16 +145,56 @@ def test_graph_heights_is_the_converse_of_as_polygon(hexagon_h0):
         np.testing.assert_array_equal(np.roll(back, -j, axis=0), poly.vertices)
 
 
+def _walked_chain(poly, upper):
+    """The chain by a walk around the vertex ring, counterclockwise from its
+    start to its stop: the rule that _chain_indices computes as one range."""
+    v, m = poly.vertices, poly.m
+    tol = 1e-12 * poly.scale()
+
+    def pick(xval, top):
+        idx = [i for i in range(m) if abs(v[i, 0] - xval) <= tol]
+        return max(idx, key=(lambda i: v[i, 1]) if top else (lambda i: -v[i, 1]))
+
+    xmin, xmax = float(np.min(v[:, 0])), float(np.max(v[:, 0]))
+    if upper:
+        start, stop = pick(xmax, True), pick(xmin, True)
+    else:
+        start, stop = pick(xmin, False), pick(xmax, False)
+    chain = [start]
+    while chain[-1] != stop:
+        chain.append((chain[-1] + 1) % m)
+    return chain[::-1] if upper else chain
+
+
+def test_chain_indices_are_the_ring_walk_on_random_polygons():
+    # hulls of 3 to 11 random points, every other set rounded to a grid of
+    # step 1/4 so that vertical edges and ties at the extreme x occur, each
+    # started at a random vertex so that chains wrap past index 0
+    rng = np.random.default_rng(17)
+    vertical = 0
+    for k in range(600):
+        pts = rng.uniform(-1.0, 1.0, (int(rng.integers(3, 12)), 2))
+        if k % 2:
+            pts = np.round(4.0 * pts) / 4.0
+        try:
+            v = pts[ConvexHull(pts).vertices]
+            poly = G.validate_polygon(np.roll(v, int(rng.integers(len(v))), axis=0))
+        except (QhullError, DegenerateError):
+            continue
+        for upper in (True, False):
+            assert G._chain_indices(poly, upper).tolist() == _walked_chain(poly, upper)
+        x = poly.vertices[:, 0]
+        vertical += bool(np.any(x == np.roll(x, -1)))
+    assert vertical > 100
+
+
 def test_standard_position_and_caps(square, hexagon_h0, octagon):
-    trunk, upper, lower = G.decompose_caps(hexagon_h0)
-    assert trunk.area == pytest.approx(1.0)
-    assert upper.area == pytest.approx(0.125, abs=1e-10)
-    assert lower.area == pytest.approx(0.125, abs=1e-10)
-    _, up_sq, lo_sq = G.decompose_caps(square)
+    # h0's cap is the tent of height 1/4 over the square's top edge
+    assert G.upper_cap(hexagon_h0).polyline() == ((-0.5, 0.0, 0.5), (0.0, 0.25, 0.0))
     xs = np.linspace(-0.5, 0.5, 11)
-    assert np.all(up_sq.f(xs) == 0.0) and np.all(lo_sq.f(xs) == 0.0)
+    assert np.all(G.upper_cap(square)(xs) == 0.0)
     with pytest.raises(NotStandardPositionError):
-        G.decompose_caps(octagon)  # does not contain the unit square
+        G.upper_cap(octagon)  # does not contain the unit square
 
 
 def test_normalize_edge_to_standard():
@@ -167,7 +209,7 @@ def test_normalize_edge_to_standard():
     assert np.allclose(poly.vertices[:2] @ lin.T, [(0.5, -0.5), (0.5, 0.5)],
                        rtol=0.0, atol=1e-15)
     # the image is in standard position: contains Q, confined to |x| <= 1/2
-    G.decompose_caps(mapped)
+    G.require_standard_position(mapped)
 
 
 def test_normalize_edge_requires_origin_symmetry():
@@ -177,7 +219,7 @@ def test_normalize_edge_requires_origin_symmetry():
         G.normalize_edge_to_standard(sq, 0)
 
 
-def test_lattice_basics():
+def test_lattice_basics(z2):
     lat = G.Lattice(G.Point2(1.0, 0.0), G.Point2(0.5, 1.25))
     assert lat.covolume == pytest.approx(1.25)
     rt = G.Lattice.from_matrix(lat.basis())
@@ -186,7 +228,7 @@ def test_lattice_basics():
         G.Lattice(G.Point2(1.0, 2.0), G.Point2(2.0, 4.0))
     with pytest.raises(DegenerateError):
         G.Lattice(G.Point2(0.0, 0.0), G.Point2(0.0, 1.0))
-    assert G.Z2.covolume == 1.0
+    assert z2.covolume == 1.0
 
 
 @pytest.mark.parametrize("short", [1e-6, 1e-300])

@@ -8,31 +8,24 @@ from convexspectra import geometry, obstruction
 from convexspectra.errors import NotSymmetricError, TooFewVerticesError
 
 
-# --- vertex constraint vectors ----------------------------------------------
+# --- witness kind -------------------------------------------------------------
 
 
-def test_octagon_vertex_vectors(octagon):
-    vectors, closure = obstruction.vertex_constraint_vectors(octagon)
-    assert len(vectors) == 4
-    assert closure == "all_pairs"
-    v = octagon.vertices
-    for i, vec in enumerate(vectors):
-        expect = v[i] + v[i - 1]
-        assert vec.x == pytest.approx(expect[0], abs=1e-15)
-        assert vec.y == pytest.approx(expect[1], abs=1e-15)
+def test_octagon_witness_kind(octagon):
+    # n = 4: the constraints reach all vertex pairs
+    assert obstruction.witness_kind(octagon) == "fan_pigeonhole"
 
 
-def test_decagon_vertex_vectors(decagon):
-    vectors, closure = obstruction.vertex_constraint_vectors(decagon)
-    assert len(vectors) == 5
-    assert closure == "same_parity"
+def test_decagon_witness_kind(decagon):
+    # n = 5: the constraints reach only pairs of one index parity
+    assert obstruction.witness_kind(decagon) == "disjoint_triples"
 
 
-def test_vertex_vectors_need_eight_vertices(square, hexagon_h0):
+def test_witness_kind_needs_eight_vertices(square, hexagon_h0):
     with pytest.raises(TooFewVerticesError):
-        obstruction.vertex_constraint_vectors(square)
+        obstruction.witness_kind(square)
     with pytest.raises(TooFewVerticesError):
-        obstruction.vertex_constraint_vectors(hexagon_h0)
+        obstruction.witness_kind(hexagon_h0)
 
 
 # --- certificates -----------------------------------------------------------
@@ -60,11 +53,9 @@ def test_decagon_certificate(decagon):
 
 
 def test_certificate_witness_follows_the_closure_class(decagon, monkeypatch):
-    # one parity rule: the witness is read off vertex_constraint_vectors
-    vectors, closure = obstruction.vertex_constraint_vectors(decagon)
-    assert closure == "same_parity"
-    monkeypatch.setattr(obstruction, "vertex_constraint_vectors",
-                        lambda poly: (vectors, "all_pairs"))
+    # one parity rule: the witness is read off witness_kind
+    assert obstruction.witness_kind(decagon) == "disjoint_triples"
+    monkeypatch.setattr(obstruction, "witness_kind", lambda poly: "fan_pigeonhole")
     cert = obstruction.nonspectral_certificate(decagon)
     assert cert.kind == "fan_pigeonhole" and len(cert.triangles) == 8
     assert obstruction.check_certificate(decagon, cert)

@@ -1,5 +1,5 @@
-"""Every function, class and method in the library has a caller outside the
-tests, and every CLI option is read by its subcommand."""
+"""Every function, class, method and module-level constant in the library has
+a reader outside the tests, and every CLI option is read by its subcommand."""
 
 import argparse
 import ast
@@ -14,10 +14,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 def _references(path: pathlib.Path) -> set[str]:
     """Names the file loads, reads as attributes or spells as a whole string
-    constant (perfbench/spans.py wraps functions by name); a def is none."""
+    constant (perfbench/spans.py wraps functions by name); a def or an
+    assignment is none."""
     refs = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
             refs.add(node.attr)
@@ -40,13 +41,31 @@ def _definitions(path: pathlib.Path) -> set[str]:
     return defs
 
 
+def _constants(path: pathlib.Path) -> set[str]:
+    """Names assigned at the top level, except dunders such as __all__."""
+    names = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+SRC = sorted((ROOT / "src" / "convexspectra").glob("*.py"))
+# the library without its re-exports, and the benchmark without its tests
+READERS = [p for p in SRC if p.name != "__init__.py"] + [
+    p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
+
+
 def test_every_public_function_has_a_caller_outside_the_tests():
-    src = sorted((ROOT / "src" / "convexspectra").glob("*.py"))
-    files = [p for p in src if p.name != "__init__.py"]
-    files += [p for p in sorted((ROOT / "perfbench").glob("*.py"))
-              if not p.name.startswith("test_")]
-    used = set().union(*map(_references, files))
-    defined = set().union(*map(_definitions, src))
+    used = set().union(*map(_references, READERS))
+    defined = set().union(*map(_definitions, SRC))
+    assert sorted(defined - used) == []
+
+
+def test_every_constant_has_a_reader_outside_the_tests():
+    used = set().union(*map(_references, READERS))
+    defined = set().union(*map(_constants, SRC))
     assert sorted(defined - used) == []
 
 

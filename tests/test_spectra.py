@@ -22,15 +22,26 @@ def brute_lattice_ball(basis, radius):
 
 
 def test_lattice_points_in_ball_matches_brute_force():
-    lat = G.Lattice(G.Point2(1.0, 0.1), G.Point2(-0.3, 0.9))
-    got = S.lattice_points_in_ball(lat, 7.3)
-    want = brute_lattice_ball(lat.basis(), 7.3)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) < 1e-12
+    # the second basis is the first's lattice, skewed: g2 + 3 g1 for g2
+    for g2 in ((-0.3, 0.9), (2.7, 1.2)):
+        lat = G.Lattice(G.Point2(1.0, 0.1), G.Point2(*g2))
+        got = S.lattice_points_in_ball(lat, 7.3)
+        want = brute_lattice_ball(lat.basis(), 7.3)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_orthogonality_square_z2(square):
-    ok, (pt, worst) = S.orthogonality_check(square, G.Z2, 10.0)
+def test_enumeration_refuses_coefficients_past_exact_integers():
+    # the reduced basis's box is small, but mapped back to the given basis
+    # its coefficients pass 2**53, where a float no longer holds them
+    lat = G.Lattice.from_matrix([[1.0, 5e14], [0.0, 1000.0]])
+    assert len(S.lattice_points_in_ball(lat, 3000.0)) == 26263
+    with pytest.raises(ValueError, match="past exact integers at 2[*][*]53"):
+        S.lattice_points_in_ball(lat, 30000.0)
+
+
+def test_orthogonality_square_z2(square, z2):
+    ok, (pt, worst) = S.orthogonality_check(square, z2, 10.0)
     assert ok
     assert worst <= 1e-12
 
@@ -45,29 +56,29 @@ def test_orthogonality_perturbed_fails(square):
 
 
 @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
-def test_non_positive_radius_is_refused(square, radius):
+def test_non_positive_radius_is_refused(square, z2, radius):
     with pytest.raises(ValueError, match=f"radius must be positive, got {radius:g}"):
-        S.lattice_points_in_ball(G.Z2, radius)
+        S.lattice_points_in_ball(z2, radius)
     with pytest.raises(ValueError, match="radius must be positive"):
-        S.orthogonality_check(square, G.Z2, radius)
+        S.orthogonality_check(square, z2, radius)
 
 
-def test_landau_density_z2():
+def test_landau_density_z2(z2):
     # cubes about integer centers hold 21 x 21 points, the others 20 x 20
-    rep = S.landau_density(G.Z2, 10.0)
+    rep = S.landau_density(z2, 10.0)
     assert (rep.D_plus, rep.D_minus) == (441, 400)
     assert rep.normalized_plus == pytest.approx(441 / 400)
     assert rep.normalized_minus == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("R", [0.0, -1.0, float("nan"), 1e-160, 1e-300])
-def test_landau_density_refuses_a_radius_without_finite_densities(R):
+def test_landau_density_refuses_a_radius_without_finite_densities(z2, R):
     with pytest.raises(ValueError, match="cube half-side"):
-        S.landau_density(G.Z2, R)
+        S.landau_density(z2, R)
 
 
-def test_spectral_gap_pass_and_fail(square):
-    ok, largest, r_star = S.spectral_gap_check(square, G.Z2)
+def test_spectral_gap_pass_and_fail(square, z2):
+    ok, largest, r_star = S.spectral_gap_check(square, z2)
     assert ok and r_star == 4.0
     assert largest <= 0.5 + 1e-12
     # rows 100 apart leave cubes far larger than r* empty
@@ -132,7 +143,7 @@ def test_landau_density_counts_points_on_cube_faces(basis, R):
     assert (rep.D_plus, rep.D_minus) == (max(counts), min(counts))
 
 
-def test_landau_density_memory_is_what_its_budget_counts(monkeypatch):
+def test_landau_density_memory_is_what_its_budget_counts(z2, monkeypatch):
     budget = []
     check = S.require_memory
 
@@ -143,7 +154,7 @@ def test_landau_density_memory_is_what_its_budget_counts(monkeypatch):
     monkeypatch.setattr(S, "require_memory", counted)
     tracemalloc.start()
     try:
-        rep = S.landau_density(G.Z2, 400.0)
+        rep = S.landau_density(z2, 400.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -39,12 +39,12 @@ def test_tiling_lattice_rejects_asymmetric():
 
 def test_verify_square_tiles(square):
     ok, bad = tiling.verify_tiling(square, tiling.tiling_lattice(square))
-    assert ok and bad == []
+    assert ok and bad.shape == (0, 2)
 
 
 def test_verify_hexagon_tiles(hexagon_h0):
     ok, bad = tiling.verify_tiling(hexagon_h0, tiling.tiling_lattice(hexagon_h0))
-    assert ok and bad == []
+    assert ok and bad.shape == (0, 2)
 
 
 @pytest.mark.parametrize("name, translates", [("square", 4), ("h0", 6), ("regular", 8)])
@@ -59,7 +59,7 @@ def test_verify_tiling_tests_only_the_translates_that_reach_the_cell(
 
     monkeypatch.setattr(tiling, "inside_margin", counting)
     ok, bad = tiling.verify_tiling(poly, tiling.tiling_lattice(poly), samples=1)
-    assert ok and bad == []
+    assert ok and bad.shape == (0, 2)
     assert sizes[0] == translates
 
 
@@ -109,7 +109,7 @@ class _GridDraws:
 def test_verify_tiling_decides_samples_on_shared_edges_and_corners(square, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", _GridDraws)
     ok, bad = tiling.verify_tiling(square, tiling.tiling_lattice(square), samples=15)
-    assert ok and bad == []
+    assert ok and bad.shape == (0, 2)
 
 
 def _brute_force_bad(poly, lat, samples, seed):
@@ -152,17 +152,24 @@ def test_verify_tiling_memory_is_bounded(hexagon_h0):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert ok and bad == []
+    assert ok and bad.shape == (0, 2)
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
 
 def test_verify_tiling_does_not_depend_on_the_chunk(square, monkeypatch):
     # same draws, same verdict and bad samples, whatever the chunk size
     lat = Lattice(Point2(2.0, 0.0), Point2(0.0, 0.5))
-    whole = tiling.verify_tiling(square, lat, samples=500, seed=4)
-    monkeypatch.setattr(tiling, "_CHUNK_TERMS", 1)
-    assert tiling.verify_tiling(square, lat, samples=500, seed=4) == whole
-    assert not whole[0] and whole[1]
+    ok, bad = tiling.verify_tiling(square, lat, samples=500, seed=4)
+    assert not ok and len(bad) > 0
+    # 12 translates of the square meet this cell: one sample a chunk
+    monkeypatch.setattr(tiling, "_CHUNK_TERMS", 12 * 4)
+    ok_one, bad_one = tiling.verify_tiling(square, lat, samples=500, seed=4)
+    assert not ok_one
+    np.testing.assert_array_equal(bad_one, bad)
+    # past one sample a chunk the check is refused before any draw
+    monkeypatch.setattr(tiling, "_CHUNK_TERMS", 12 * 4 - 1)
+    with pytest.raises(ValueError, match="tiling check too large"):
+        tiling.verify_tiling(square, lat, samples=500, seed=4)
 
 
 def test_classify_square(square):
@@ -248,6 +255,24 @@ def test_classify_flat_graph_octagon_with_close_knots():
 def test_verify_tiling_needs_a_sample(square):
     with pytest.raises(ValueError, match="at least 1 sample"):
         tiling.verify_tiling(square, tiling.tiling_lattice(square), samples=0)
+
+
+def test_verify_tiling_memory_counts_the_bad_samples_it_returns(hexagon_h0):
+    # a lattice of h0's covolume that leaves about 40% of the samples bad:
+    # the bad samples returned add nothing past what the budget counts
+    import tracemalloc
+    lat = Lattice(Point2(1.25, 0.0), Point2(0.0, 1.0))
+    peaks = []
+    for samples in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            ok, bad = tiling.verify_tiling(hexagon_h0, lat, samples=samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert not ok and len(bad) > 0.3 * samples
+    assert peaks[1] - peaks[0] <= tiling._BYTES_PER_SAMPLE * 180_000, peaks
+    assert bad.shape == (len(bad), 2)
 
 
 def test_verify_tiling_memory_is_what_its_budget_counts(square):

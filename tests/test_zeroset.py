@@ -233,15 +233,15 @@ def test_slab_alignment_square_exact(square):
     reports = Z.slab_zero_alignment(square, 3.0, [20.0], step=0.1)
     assert len(reports) == 1
     rep = reports[0]
-    assert rep.target == "Z_Q"
+    assert rep.window == (20.0, 30.0)
     assert len(rep.zeros) > 100
     assert rep.max_dist <= 1e-9
 
 
-def test_slab_alignment_rejects_nonstandard(octagon):
+def test_slab_alignment_rejects_nonstandard(octagon, square):
     with pytest.raises(NotStandardPositionError):
         Z.slab_zero_alignment(octagon, 3.0, [20.0])
-    big = G.validate_polygon(2.0 * G.unit_square().vertices)
+    big = G.validate_polygon(2.0 * square.vertices)
     with pytest.raises(NotStandardPositionError):
         Z.slab_zero_alignment(big, 3.0, [20.0])
 
@@ -281,7 +281,7 @@ def test_select_scales_tent_no_blowup():
 
 def test_ball_alignment_square(square):
     rep = Z.ball_zero_alignment(square, 1.0, 0.1, (20.0, 40.0), step=0.05)
-    assert rep.target == "shifted_vertical_grid"
+    assert rep.window == (20.0, 40.0)
     assert rep.beta == pytest.approx(0.0, abs=1e-9)
     assert rep.max_dist <= 1e-9
 
